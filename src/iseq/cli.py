@@ -8,6 +8,7 @@ All output is a pure function of the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -136,9 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, metavar="PATH")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--aux", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface stability; the result never depends on it")
 
     return parser
+
+
+# parse_args leaves the parser unchanged, so one instance serves every call
+_shared_parser = functools.cache(build_parser)
 
 
 def _dispatch(args, out, err) -> int:
@@ -224,7 +228,7 @@ def _dispatch(args, out, err) -> int:
 _VALUE_OPTIONS = {
     "-e", "--expr", "--file", "-f", "--family", "--family-file", "--table",
     "--form", "--relation", "--fuel", "--aux", "--inputs", "--outputs",
-    "--max-len", "--seed",
+    "--max-len",
 }
 
 
@@ -249,10 +253,9 @@ def run_command(argv: Sequence[str]) -> tuple[int, str, str]:
     import io
 
     out, err = io.StringIO(), io.StringIO()
-    parser = build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(_join_option_values(argv))
+            args = _shared_parser().parse_args(_join_option_values(argv))
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), out.getvalue(), err.getvalue()
     try:

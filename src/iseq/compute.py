@@ -7,6 +7,18 @@ registers and then applying it to zeroed output registers yields exactly the
 expected output family, and for every undefined row yields the empty
 family.
 
+Every check here runs that definition as one direct pass of a decoded
+instruction array over all three register groups, which equals extract,
+then ``use`` on the in/aux family, then ``apply`` on the out family.  The
+two families are disjoint, so ``use`` carries out exactly the in/aux
+actions, as internal steps, and leaves exactly the out actions for
+``apply``, in the order the thread performs them.  Validation puts every
+focus in the union, so neither step meets an unknown register.  Jumps only
+go forward, so neither route can diverge: each run ends, within as many
+steps as the program is long, in ``!`` or in inaction (``#0`` or running
+past the end).  The algebraic route stays in ``interaction`` as the public
+API and as the tests' oracle.
+
 The module also provides the two constructive results: compiling an
 explicit truth table to a program that uses only the core operations
 (set-false 0/0, set-true 1/1, read i/i), and translating an arbitrary
@@ -21,9 +33,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .extraction import extract
-from .interaction import apply, use
-from .registers import RegisterFamily
 from .syntax import (
     CM,
     F0,
@@ -40,9 +49,7 @@ from .syntax import (
     PosTest,
     PrimitiveInstruction,
     RegisterAction,
-    RegisterContent,
     concat_all,
-    content_of_bit,
     is_repetition_free,
     leaves,
 )
@@ -91,32 +98,68 @@ def _validate_program(t: InstructionSequenceTerm, conv: IoConvention) -> list[Pr
     return instrs
 
 
-def _input_family(conv: IoConvention, bits: str) -> RegisterFamily:
-    family: RegisterFamily = {}
-    for i, bit in enumerate(bits, start=1):
-        family[conv.in_focus(i)] = content_of_bit(bit == "1")
-    for i in range(1, conv.k + 1):
-        family[conv.aux_focus(i)] = RegisterContent.ZERO
-    return family
+# A decoded instruction is None for ``!``, its step for a jump (0 is
+# inaction), or (slot, effect_on_0, effect_on_1, step_on_0, step_on_1) for a
+# register instruction.  Register slots lay out in:1..n, out:1..m, aux:1..k.
+_Op = Union[None, int, tuple]
 
 
-def _output_family(conv: IoConvention) -> RegisterFamily:
-    return {conv.out_focus(i): RegisterContent.ZERO for i in range(1, conv.m + 1)}
+def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[_Op]:
+    """Instruction array of a validated program, for :func:`_run`."""
+    base = {"in": 0, "out": conv.n, "aux": conv.n + conv.m}
+    code: list[_Op] = []
+    for instr in instrs:
+        if isinstance(instr, Halt):
+            code.append(None)
+        elif isinstance(instr, Jump):
+            code.append(instr.offset)
+        else:
+            action = instr.basic
+            steps = [
+                1 if isinstance(instr, Plain) or action.reply(bit) == isinstance(instr, PosTest) else 2
+                for bit in (False, True)
+            ]
+            slot = base[action.focus.name] + action.focus.index - 1
+            code.append((slot, action.effect(False), action.effect(True), *steps))
+    return code
 
 
-def _row_result(thread, conv: IoConvention, bits: str) -> Optional[str]:
+def _run(code: Sequence[_Op], regs: list[bool]) -> bool:
+    """Run decoded code on the registers in place; True iff it terminates.
+
+    Every step moves forward, so a run ends within ``len(code)`` steps.
+    """
+    pos = 0
+    end = len(code)
+    while pos < end:
+        op = code[pos]
+        if op is None:
+            return True
+        if type(op) is int:
+            if not op:
+                return False
+            pos += op
+        else:
+            slot, effect0, effect1, step0, step1 = op
+            if regs[slot]:
+                regs[slot] = effect1
+                pos += step1
+            else:
+                regs[slot] = effect0
+                pos += step0
+    return False
+
+
+def _start_row(conv: IoConvention, bits: str) -> list[bool]:
+    return [bit == "1" for bit in bits] + [False] * (conv.m + conv.k)
+
+
+def _row_output(code: Sequence[_Op], conv: IoConvention, bits: str) -> Optional[str]:
     """Output bits computed on one input row, or None for the empty family."""
-    used = use(thread, _input_family(conv, bits))
-    result = apply(used, _output_family(conv))
-    if not result:
-        return None if conv.m else ""
-    out = []
-    for i in range(1, conv.m + 1):
-        focus = conv.out_focus(i)
-        if result.get(focus) not in (RegisterContent.ZERO, RegisterContent.ONE):
-            return None
-        out.append("1" if result[focus] is RegisterContent.ONE else "0")
-    return "".join(out)
+    regs = _start_row(conv, bits)
+    if not _run(code, regs):
+        return None
+    return "".join("1" if bit else "0" for bit in regs[conv.n : conv.n + conv.m])
 
 
 def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTable:
@@ -127,27 +170,18 @@ def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTab
     """
     if conv.m == 0:
         raise ValueError("programs without output registers induce no unique table")
-    _validate_program(t, conv)
-    thread = extract(t)
-    outputs = []
-    for v in range(2**conv.n):
-        bits = format(v, f"0{conv.n}b") if conv.n else ""
-        outputs.append(_row_result(thread, conv, bits))
-    return FunctionTable(conv.n, conv.m, tuple(outputs))
+    code = _decode(_validate_program(t, conv), conv)
+    rows = (format(v, f"0{conv.n}b") if conv.n else "" for v in range(2**conv.n))
+    return FunctionTable(conv.n, conv.m, tuple(_row_output(code, conv, bits) for bits in rows))
 
 
 def computes_check(t: InstructionSequenceTerm, table: FunctionTable, k: int) -> bool:
     """Does the program compute the table, with k auxiliary registers?"""
     conv = IoConvention(table.n, table.m, k)
-    _validate_program(t, conv)
-    thread = extract(t)
-    for bits, expected in table.rows():
-        result = _row_result(thread, conv, bits)
-        if conv.m == 0:
-            continue  # both row conditions require the empty family
-        if result != expected:
-            return False
-    return True
+    code = _decode(_validate_program(t, conv), conv)
+    if conv.m == 0:
+        return True  # both row conditions require the empty family
+    return all(_row_output(code, conv, bits) == expected for bits, expected in table.rows())
 
 
 def functionally_equivalent(
@@ -628,63 +662,6 @@ def _search_alphabet(conv: IoConvention, length: int) -> list[PrimitiveInstructi
     return instrs
 
 
-def _run_flat(
-    instrs: Sequence[PrimitiveInstruction], regs: dict[Focus, bool]
-) -> bool:
-    """Direct run of a repetition-free core program; True iff it terminates."""
-    pos = 1
-    total = len(instrs)
-    while True:
-        if pos > total:
-            return False
-        instr = instrs[pos - 1]
-        if isinstance(instr, Halt):
-            return True
-        if isinstance(instr, Jump):
-            if instr.offset == 0:
-                return False
-            pos += instr.offset
-            continue
-        action = instr.basic
-        bit = regs[action.focus]
-        regs[action.focus] = action.effect(bit)
-        reply = action.reply(bit)
-        if isinstance(instr, Plain):
-            pos += 1
-        elif isinstance(instr, PosTest):
-            pos += 1 if reply else 2
-        else:
-            pos += 2 if reply else 1
-
-
-def _candidate_passes(
-    instrs: Sequence[PrimitiveInstruction],
-    table: FunctionTable,
-    conv: IoConvention,
-) -> bool:
-    for bits, expected in table.rows():
-        regs: dict[Focus, bool] = {}
-        for i, bit in enumerate(bits, start=1):
-            regs[conv.in_focus(i)] = bit == "1"
-        for i in range(1, conv.k + 1):
-            regs[conv.aux_focus(i)] = False
-        for i in range(1, conv.m + 1):
-            regs[conv.out_focus(i)] = False
-        terminated = _run_flat(instrs, regs)
-        if expected is None:
-            if terminated:
-                return False
-        else:
-            if not terminated:
-                return False
-            got = "".join(
-                "1" if regs[conv.out_focus(i)] else "0" for i in range(1, conv.m + 1)
-            )
-            if got != expected:
-                return False
-    return True
-
-
 def search_shortest(
     table: FunctionTable, k: int, max_len: int
 ) -> Optional[InstructionSequenceTerm]:
@@ -694,12 +671,30 @@ def search_shortest(
     literals up to the candidate length, and termination; returns None when
     no program of length up to ``max_len`` computes the table.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be a natural number")
     conv = IoConvention(table.n, table.m, k)
+    outputs = slice(conv.n, conv.n + conv.m)
+    rows = [
+        (_start_row(conv, bits), None if want is None else [bit == "1" for bit in want])
+        for bits, want in table.rows()
+    ]
+
+    def passes(code: tuple[_Op, ...]) -> bool:
+        for start, want in rows:
+            regs = list(start)
+            if (regs[outputs] if _run(code, regs) else None) != want:
+                return False
+        return True
+
     for length in range(1, max_len + 1):
         alphabet = _search_alphabet(conv, length)
-        for candidate in itertools.product(alphabet, repeat=length):
-            if _candidate_passes(candidate, table, conv):
-                term = concat_all(candidate)
-                if computes_check(term, table, k):
-                    return term
+        decoded = _decode(alphabet, conv)
+        candidates = zip(
+            itertools.product(alphabet, repeat=length),
+            itertools.product(decoded, repeat=length),
+        )
+        for candidate, code in candidates:
+            if passes(code):
+                return concat_all(candidate)
     return None

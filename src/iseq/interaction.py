@@ -92,7 +92,7 @@ def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
     fam = dict(family)
     seen: set[tuple] = set()
     while True:
-        key = (state, family_key(fam))
+        key = (state, tuple(fam.values()))  # the run never adds a register
         if key in seen:
             return {}  # divergence: every projection ends inactive
         seen.add(key)
@@ -219,6 +219,8 @@ def simulate(
     unknown focus or an inoperative register makes execution stick, which
     reports as inaction.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be a natural number")
     stream = _Stream(t)
     fam = dict(family)
     pos = 1

@@ -144,3 +144,19 @@ def test_help_lists_subcommands():
         "abstract", "simulate", "computes", "compile-table", "restrict-core", "search",
     ):
         assert name in text
+
+
+def test_negative_budgets_exit_2(tmp_path):
+    code, out, err = run("simulate", "--fuel", "-5", "-e", "!")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    table = tmp_path / "ct.tbl"
+    table.write_text("inputs 0 outputs 1\n -> 1\n")
+    code, out, err = run("search", "--table", str(table), "--max-len", "-1")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_repeated_invocations_are_independent():
+    argv = ("equiv", "--relation", "behavioural", "-e", "a;#2;+b;!", "-e", "a;#2;+c;!")
+    first = run(*argv)
+    assert run("equiv", "--relation", "nonsense", "-e", "a")[0] == 2
+    assert run(*argv) == first

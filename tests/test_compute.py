@@ -8,10 +8,12 @@ from iseq.compute import (
     compile_table,
     computes_check,
     functionally_equivalent,
+    induced_table,
     restrict_to_core,
     search_shortest,
 )
-from iseq.interaction import Outcome, simulate
+from iseq.extraction import extract
+from iseq.interaction import Outcome, apply, simulate, use
 from iseq.syntax import (
     Focus,
     FunctionTable,
@@ -109,6 +111,48 @@ def test_computes_agrees_with_simulate_oracle():
                 table_rows[bits] = None
         table = table_from_rows(n, m, table_rows)
         assert computes_check(prog, table, k)
+
+
+def definitional_outputs(prog, conv):
+    """Induced rows by the paper's route: extract, use on in/aux, apply on out."""
+    thread = extract(prog)
+    outputs = []
+    for bits in map("".join, itertools.product("01", repeat=conv.n)):
+        used_on = {conv.in_focus(i): content_of_bit(b == "1") for i, b in enumerate(bits, start=1)}
+        used_on.update({conv.aux_focus(i): content_of_bit(False) for i in range(1, conv.k + 1)})
+        result = apply(use(thread, used_on), {conv.out_focus(i): content_of_bit(False) for i in range(1, conv.m + 1)})
+        outputs.append(
+            "".join(result[conv.out_focus(i)].token for i in range(1, conv.m + 1)) if result else None
+        )
+    return tuple(outputs)
+
+
+def test_kernel_matches_definition_on_every_single_instruction():
+    conv = IoConvention(1, 1, 1)
+    programs = [Halt()] + [Jump(l) for l in range(3)]
+    for focus, reply, effect, kind in itertools.product(
+        conv_foci(conv), UnaryBoolFunc, UnaryBoolFunc, (Plain, PosTest, NegTest)
+    ):
+        programs.append(kind(RegisterAction(focus, reply, effect)))
+    assert len(programs) == 148
+    for prog in programs:
+        assert induced_table(prog, conv).outputs == definitional_outputs(prog, conv), prog
+
+
+def test_kernel_matches_definition_on_seeded_programs():
+    rng = random.Random(97)
+    conv = IoConvention(2, 2, 1)
+    seen = set()
+    for _ in range(300):
+        prog, noncore = random_register_program(rng, conv_foci(conv), rng.randint(3, 10))
+        instrs = leaves(prog)
+        for pos, instr in enumerate(instrs, start=1):
+            if isinstance(instr, Jump):
+                seen.add("#0" if instr.offset == 0 else "past end" if pos + instr.offset > len(instrs) else "#l")
+        if noncore:
+            seen.add("non-core")
+        assert induced_table(prog, conv).outputs == definitional_outputs(prog, conv), prog
+    assert seen == {"#0", "past end", "#l", "non-core"}
 
 
 # -- functional equivalence -------------------------------------------------------
@@ -256,6 +300,12 @@ def test_search_finds_minimal_constant_true():
 
 def test_search_impossible_budget_returns_none():
     assert search_shortest(ID_TABLE, 0, 1) is None
+    assert search_shortest(ID_TABLE, 0, 0) is None
+
+
+def test_search_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        search_shortest(ID_TABLE, 0, -1)
 
 
 def test_search_is_deterministic():

@@ -152,6 +152,9 @@ def test_simulate_decrement():
 def test_simulate_fuel_bounds_divergence():
     outcome, _ = simulate(parse("(f.i/i)*"), fam("{f=1}"), 25)
     assert outcome is Outcome.FUEL_EXHAUSTED
+    assert simulate(parse("!"), {}, 0) == (Outcome.FUEL_EXHAUSTED, {})
+    with pytest.raises(ValueError):
+        simulate(parse("!"), {}, -5)
 
 
 def test_simulate_past_end_inactive():
