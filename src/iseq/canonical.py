@@ -10,6 +10,15 @@ Two terms are instruction-sequence congruent iff they denote the same
 sequence (first canonical forms coincide), and structurally congruent iff
 they coincide after additionally collapsing chained jumps and making all
 jumps as short as possible (second canonical forms coincide).
+
+The second canonical form works on the flat ``prefix + period`` tuple of
+the first, by index.  Chain resolution is one pass: each stored jump is
+resolved once, and a chain that lands on a jump resolved before adds its
+own offsets to that jump's displacement, so a step costs O(n) for n stored
+positions where walking every chain from scratch cost O(n^2).  Shortening
+is arithmetic per jump, and unchanged jumps keep their objects.  A step is
+repeated only while normalizing it shortens the prefix or the period, so
+there are at most n steps and usually one.
 """
 
 from __future__ import annotations
@@ -38,21 +47,27 @@ def normalize_ultimately_periodic(
     The returned prefix may be empty.  For an empty period the sequence is
     finite and returned unchanged.
     """
-    pre = list(prefix)
-    per = list(period)
+    pre = tuple(prefix)
+    per = tuple(period)
     if not per:
-        return tuple(pre), ()
+        return pre, ()
     # primitive period: shortest divisor-length block generating the same cycle
     k = len(per)
     for d in range(1, k + 1):
         if k % d == 0 and per[:d] * (k // d) == per:
             per = per[:d]
+            k = d
             break
-    # absorb prefix tail into the cycle while it matches the cycle's last element
-    while pre and pre[-1] == per[-1]:
-        per = [per[-1]] + per[:-1]
-        pre.pop()
-    return tuple(pre), tuple(per)
+    # absorb the prefix tail into the cycle while it matches the cycle's last
+    # element; absorbing r elements rotates the period right by r
+    n = len(pre)
+    r = 0
+    while r < n and pre[n - 1 - r] == per[(k - 1 - r) % k]:
+        r += 1
+    if r:
+        cut = k - r % k
+        pre, per = pre[: n - r], per[cut:] + per[:cut]
+    return pre, per
 
 
 @dataclass(frozen=True)
@@ -131,17 +146,22 @@ def _flatten(
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Concat):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Repeat):
+        # walk the right spine; only a composite left operand is stacked
+        while type(node) is Concat:
+            left = node.left
+            if type(left) is Concat or type(left) is Repeat:
+                stack.append(node.right)
+                node = left
+            else:
+                prefix.append(left)
+                node = node.right
+        if type(node) is Repeat:
             body_pre, body_per = _flatten(node.body)
             # whatever follows an infinite sequence is unreachable
             if body_per:
                 return prefix + body_pre, body_per
             return prefix, body_pre
-        else:
-            prefix.append(node)
+        prefix.append(node)
     return prefix, []
 
 
@@ -161,87 +181,109 @@ def instruction_sequence_congruent(
 # second canonical form: chained-jump collapse plus jump shortening
 
 
-def _resolve_chains(canon: CanonicalSeq) -> CanonicalSeq:
+def _resolve_chains(seq: Sequence[PrimitiveInstruction], m: int) -> list[PrimitiveInstruction]:
     """Replace every jump by a direct jump to its ultimate non-jump target.
 
-    A chain that reaches a 0-jump or that cycles (possible only through the
-    repeating part) collapses to a 0-jump; a chain running past the end of a
-    finite sequence keeps its accumulated displacement.
+    ``seq`` is the flat ``prefix + period`` of a canonical sequence whose
+    prefix has ``m`` positions.  A chain that reaches a 0-jump or that
+    cycles (possible only through the repeating part) collapses to a 0-jump;
+    a chain running past the end of a finite sequence keeps its accumulated
+    displacement.  Each stored jump is resolved once: a chain stops at the
+    first jump already resolved and adds its own offsets to that jump's
+    displacement.
     """
-    m = len(canon.prefix)
-    total = canon.positions()
-
-    def resolve(pos: int, offset: int) -> int:
-        if offset == 0:
-            return 0
-        displacement = offset
-        current = pos + offset
-        seen = set()
+    total = len(seq)
+    k = total - m
+    on_chain = -1
+    # resolved displacement per 0-based index; None until resolved
+    disp: list[Optional[int]] = [None] * total
+    out = list(seq)
+    for start, instr in enumerate(seq):
+        if type(instr) is not Jump or disp[start] is not None:
+            continue
+        chain = []
+        q = start
+        tail: Optional[int] = 0  # displacement past the chain's end; None for a 0-jump
         while True:
-            wrapped = canon.wrap(current)
-            if wrapped is None:
-                return displacement  # past the end of a finite sequence
-            instr = canon.at(current)
-            if not isinstance(instr, Jump):
-                return displacement
-            if instr.offset == 0:
-                return 0
-            if wrapped in seen:
-                return 0  # endless chain of jumps
-            seen.add(wrapped)
-            displacement += instr.offset
-            current += instr.offset
-
-    new = []
-    for idx in range(1, total + 1):
-        instr = canon.at(idx)
-        if isinstance(instr, Jump):
-            new.append(Jump(resolve(idx, instr.offset)))
+            offset = seq[q].offset
+            if offset == 0:
+                disp[q] = 0
+                tail = None
+                break
+            disp[q] = on_chain
+            chain.append(q)
+            q += offset
+            if q >= total:
+                if not k:
+                    break  # past the end of a finite sequence
+                q = m + (q - m) % k
+            if type(seq[q]) is not Jump:
+                break
+            landed = disp[q]
+            if landed is None:
+                continue
+            tail = landed if landed > 0 else None  # a 0-jump or a cycle through the chain
+            break
+        if tail is None:
+            for q in chain:
+                disp[q] = 0
         else:
-            new.append(instr)
-    return CanonicalSeq(tuple(new[:m]), tuple(new[m:]))
+            for q in reversed(chain):
+                tail += seq[q].offset
+                disp[q] = tail
+    for q, instr in enumerate(seq):
+        if type(instr) is Jump and disp[q] != instr.offset:
+            out[q] = Jump(disp[q])
+    return out
 
 
-def _shorten_jumps(canon: CanonicalSeq) -> CanonicalSeq:
-    """Reduce jump literals to the shortest-possible form.
+def _shorten_jumps(seq: list[PrimitiveInstruction], m: int) -> None:
+    """Reduce jump literals in place to the shortest-possible form.
 
     Only sequences with a repeating part shorten: period jumps reduce modulo
     the period length and prefix jumps reaching past the first period copy
-    reduce by multiples of it.  Jumps past the end of a finite sequence are
-    left untouched.
+    reduce by the fewest multiples of it that bring them back.  Jumps past
+    the end of a finite sequence are left untouched.
     """
-    if canon.is_finite:
-        return canon
-    m = len(canon.prefix)
-    k = len(canon.period)
-    prefix = []
-    for i, instr in enumerate(canon.prefix, start=1):
-        if isinstance(instr, Jump):
-            offset = instr.offset
-            while offset > k + m - i:
-                offset -= k
-            instr = Jump(offset)
-        prefix.append(instr)
-    period = []
-    for instr in canon.period:
-        if isinstance(instr, Jump):
-            instr = Jump(instr.offset % k)
-        period.append(instr)
-    return CanonicalSeq(tuple(prefix), tuple(period))
+    k = len(seq) - m
+    if not k:
+        return
+    for q, instr in enumerate(seq):
+        if type(instr) is not Jump:
+            continue
+        offset = instr.offset
+        if q >= m:
+            offset %= k
+        else:
+            limit = k + m - q - 1  # the farthest target within the first period copy
+            if offset > limit:
+                offset -= k * ((offset - limit + k - 1) // k)
+        if offset != instr.offset:
+            seq[q] = Jump(offset)
 
 
 def _second_step(canon: CanonicalSeq) -> CanonicalSeq:
-    shortened = _shorten_jumps(_resolve_chains(canon))
-    return _canonical(shortened.prefix, shortened.period)
+    m = len(canon.prefix)
+    seq = _resolve_chains(canon.prefix + canon.period, m)
+    _shorten_jumps(seq, m)
+    return _canonical(seq[:m], seq[m:])
 
 
 def to_second_canonical(t: InstructionSequenceTerm) -> CanonicalSeq:
-    """Minimized second canonical form: no chained jumps, shortest jumps."""
+    """Minimized second canonical form: no chained jumps, shortest jumps.
+
+    Resolving and shortening is idempotent: afterwards every nonzero jump
+    lands on a non-jump or past a finite end, and shortening keeps the
+    landing position.  So when normalizing the result leaves the prefix and
+    period lengths alone, it left the sequence alone too, and the step is
+    the fixpoint.  Only a shorter prefix or period can enable more
+    shortening and needs another step.
+    """
     canon = to_first_canonical(t)
     while True:
         step = _second_step(canon)
-        if step == canon:
-            return canon
+        if len(step.prefix) == len(canon.prefix) and len(step.period) == len(canon.period):
+            return step
         canon = step
 
 

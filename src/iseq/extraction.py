@@ -51,46 +51,54 @@ def _position_nodes(canon: CanonicalSeq) -> tuple[list[Node], list[int]]:
 
     Returns (nodes, entry) where nodes[0] is Dead, nodes[1] is Stop and
     entry[p-1] is the node index behaving like execution from position p,
-    for every stored position p (1-based).
+    for every stored position p (1-based).  Works on the flat
+    ``prefix + period`` tuple by index: the entry of every stored position
+    is found once, and each instruction's successors are entries of the
+    next one or two positions, wrapping into the repeating part.
     """
-    total = canon.positions()
-    nodes: list[Node] = [Dead(), Stop()]
+    seq = canon.prefix + canon.period
+    m = len(canon.prefix)
+    total = len(seq)
+    k = total - m
+    dead, stop = Dead(), Stop()
     base = 2
 
-    def resolve(pos: int) -> int:
-        """Node index for position ``pos``, following at most one jump."""
+    def entry_of(q: int) -> int:
+        """Node index behaving like execution from 0-based index ``q``."""
         guard = 0
         while True:
-            wrapped = canon.wrap(pos)
-            if wrapped is None:
-                return _DEAD
-            instr = canon.at(wrapped)
-            if isinstance(instr, Jump):
-                if instr.offset == 0:
-                    return _DEAD
-                pos = wrapped + instr.offset
-                guard += 1
-                if guard > total + 1:  # cannot happen on canonical input
-                    return _DEAD
-                continue
-            if isinstance(instr, Halt):
+            instr = seq[q]
+            if type(instr) is Halt:
                 return _STOP
-            return base + wrapped - 1
+            if type(instr) is not Jump:
+                return base + q
+            if instr.offset == 0:
+                return _DEAD
+            q += instr.offset
+            if q >= total:
+                if not k:
+                    return _DEAD  # past the end of a finite sequence
+                q = m + (q - m) % k
+            guard += 1
+            if guard > total + 1:  # cannot happen on canonical input
+                return _DEAD
 
-    for offset in range(total):
-        pos = offset + 1
-        instr = canon.at(pos)
-        if isinstance(instr, Plain):
-            nodes.append(Branch(instr.basic, resolve(pos + 1), resolve(pos + 1)))
-        elif isinstance(instr, PosTest):
-            nodes.append(Branch(instr.basic, resolve(pos + 1), resolve(pos + 2)))
-        elif isinstance(instr, NegTest):
-            nodes.append(Branch(instr.basic, resolve(pos + 2), resolve(pos + 1)))
-        elif isinstance(instr, Halt):
-            nodes.append(Stop())
+    entry = [entry_of(q) for q in range(total)]
+    # entries of the two positions after the last stored one
+    after = entry + ([entry[m], entry[m + (1 % k)]] if k else [_DEAD, _DEAD])
+    nodes: list[Node] = [dead, stop]
+    for q, instr in enumerate(seq):
+        kind = type(instr)
+        if kind is Plain:
+            nodes.append(Branch(instr.basic, after[q + 1], after[q + 1]))
+        elif kind is PosTest:
+            nodes.append(Branch(instr.basic, after[q + 1], after[q + 2]))
+        elif kind is NegTest:
+            nodes.append(Branch(instr.basic, after[q + 2], after[q + 1]))
+        elif kind is Halt:
+            nodes.append(stop)
         else:
-            nodes.append(Dead())  # jump position; aliased through resolve()
-    entry = [resolve(pos) for pos in range(1, total + 1)]
+            nodes.append(dead)  # jump position; aliased through its entry
     return nodes, entry
 
 

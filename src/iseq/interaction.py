@@ -16,6 +16,7 @@ algebraic route (apply after extract).
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Iterator
 
 from .registers import RegisterFamily, family_key
@@ -39,7 +40,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     """Product of the thread with the family it runs against."""
     start = (thread.root, family_key(family))
     index: dict[tuple, int] = {start: 0}
-    queue = [start]
+    queue = deque([start])
     nodes: list[Node] = []
 
     def state_id(state: int, fam_key: tuple) -> int:
@@ -50,7 +51,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
         return index[key]
 
     while queue:
-        state, fam_key = queue.pop(0)
+        state, fam_key = queue.popleft()
         node = thread.node(state)
         if isinstance(node, Stop):
             nodes.append(Stop())
@@ -136,7 +137,7 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
 
     nodes: list[Node] = []
     index: dict[int | None, int] = {}
-    queue: list[int | None] = []
+    queue: deque[int | None] = deque()
 
     def state_id(resolved: int | None) -> int:
         if resolved not in index:
@@ -146,7 +147,7 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
 
     root = state_id(resolve(thread.root))
     while queue:
-        resolved = queue.pop(0)
+        resolved = queue.popleft()
         if resolved is None:
             nodes.append(Dead())
             continue

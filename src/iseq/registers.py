@@ -23,16 +23,34 @@ RegisterFamily = dict[Focus, RegisterContent]
 
 
 def evaluate_family(t: RegisterFamilyTerm) -> RegisterFamily:
-    if isinstance(t, EmptyFamily):
-        return {}
-    if isinstance(t, SingletonFamily):
-        return {t.focus: t.content}
-    if isinstance(t, ComposeFamily):
-        return compose(evaluate_family(t.left), evaluate_family(t.right))
-    if isinstance(t, HideFamily):
-        body = evaluate_family(t.body)
-        return {f: c for f, c in body.items() if f not in t.hidden}
-    raise TypeError(f"not a register family term: {t!r}")
+    """The focus -> content map a family term denotes.
+
+    Composition is associative, so every operand of a tree of compositions
+    is folded, left to right, into one map, in time linear in the number of
+    bindings; only an encapsulation is evaluated by a recursive call, so
+    recursion goes as deep as encapsulations nest, never as deep as a long
+    composition.
+    """
+    out: RegisterFamily = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ComposeFamily):
+            stack.append(node.right)
+            stack.append(node.left)
+            continue
+        if isinstance(node, EmptyFamily):
+            continue
+        if isinstance(node, SingletonFamily):
+            part = {node.focus: node.content}
+        elif isinstance(node, HideFamily):
+            body = evaluate_family(node.body)
+            part = {f: c for f, c in body.items() if f not in node.hidden}
+        else:
+            raise TypeError(f"not a register family term: {node!r}")
+        for focus, content in part.items():
+            out[focus] = RegisterContent.INOPERATIVE if focus in out else content
+    return out
 
 
 def compose(left: RegisterFamily, right: RegisterFamily) -> RegisterFamily:

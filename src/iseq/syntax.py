@@ -361,10 +361,26 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# deepest nesting of parentheses (and so of repetitions and encapsulations)
+# the parsers accept; it keeps every recursive walk of a parsed term far
+# from the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, position: int) -> None:
+        """Open one more level of nesting; refuse one past ``MAX_NESTING``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -422,8 +438,10 @@ def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
     kind, value, pos = cur.peek()
     if kind == "(":
         cur.next()
+        cur.enter(pos)
         inner = _parse_seq(cur)
         cur.expect(")")
+        cur.leave()
         return inner
     if kind == "!":
         cur.next()
@@ -516,11 +534,14 @@ def parse_register_family(text: str) -> RegisterFamilyTerm:
 
 
 def _parse_family(cur: _Cursor) -> RegisterFamilyTerm:
-    left = _parse_family_primary(cur)
-    if cur.at("+"):
+    operands = [_parse_family_primary(cur)]
+    while cur.at("+"):
         cur.next()
-        return ComposeFamily(left, _parse_family(cur))
-    return left
+        operands.append(_parse_family_primary(cur))
+    family = operands[-1]
+    for left in reversed(operands[:-1]):
+        family = ComposeFamily(left, family)
+    return family
 
 
 def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
@@ -533,9 +554,11 @@ def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
             cur.next()
             hidden.append(_parse_focus(cur))
         cur.expect("}")
-        cur.expect("(")
+        _, _, open_pos = cur.expect("(")
+        cur.enter(open_pos)
         body = _parse_family(cur)
         cur.expect(")")
+        cur.leave()
         return HideFamily(frozenset(hidden), body)
     if kind == "{":
         cur.next()
@@ -553,8 +576,10 @@ def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
         return family
     if kind == "(":
         cur.next()
+        cur.enter(pos)
         inner = _parse_family(cur)
         cur.expect(")")
+        cur.leave()
         return inner
     raise ParseError(f"expected a register family, found {value or 'end of input'!r}", pos)
 
@@ -589,17 +614,21 @@ def focus_sort_key(focus: Focus) -> tuple[str, int]:
 
 
 def render_family_term(t: RegisterFamilyTerm) -> str:
+    # composition nests to the right: walk that spine in a loop, so a long
+    # composition renders without deep recursion
+    parts = []
+    while isinstance(t, ComposeFamily):
+        left = render_family_term(t.left)
+        parts.append(f"({left})" if isinstance(t.left, ComposeFamily) else left)
+        t = t.right
     if isinstance(t, EmptyFamily):
-        return "{}"
-    if isinstance(t, SingletonFamily):
-        return f"{{{t.focus}={t.content.token}}}"
-    if isinstance(t, HideFamily):
+        parts.append("{}")
+    elif isinstance(t, SingletonFamily):
+        parts.append(f"{{{t.focus}={t.content.token}}}")
+    else:
         inner = ", ".join(str(f) for f in sorted(t.hidden, key=focus_sort_key))
-        return f"hide{{{inner}}}({render_family_term(t.body)})"
-    left = render_family_term(t.left)
-    if isinstance(t.left, ComposeFamily):
-        left = f"({left})"
-    return f"{left} + {render_family_term(t.right)}"
+        parts.append(f"hide{{{inner}}}({render_family_term(t.body)})")
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

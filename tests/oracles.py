@@ -1,0 +1,207 @@
+"""Reference versions of the term-layer algorithms, kept as test oracles.
+
+These are the straightforward implementations the library replaced with
+faster ones: the second canonical form by walking every jump chain from
+scratch, the position graph of extraction by per-position wrap/at lookups,
+and bisimilarity by round-by-round refinement that re-keys every state.
+They work on plain ``(prefix, period)`` tuples and node lists, so they
+share nothing with the code under test but the instruction and node types.
+"""
+
+from __future__ import annotations
+
+from iseq.syntax import Halt, Jump, NegTest, Plain, PosTest
+from iseq.threads import TAU, Branch, Dead, RegularThread, Stop
+
+
+def normalize(prefix, period):
+    pre = list(prefix)
+    per = list(period)
+    if not per:
+        return tuple(pre), ()
+    k = len(per)
+    for d in range(1, k + 1):
+        if k % d == 0 and per[:d] * (k // d) == per:
+            per = per[:d]
+            break
+    while pre and pre[-1] == per[-1]:
+        per = [per[-1]] + per[:-1]
+        pre.pop()
+    return tuple(pre), tuple(per)
+
+
+def canonical(prefix, period):
+    pre, per = normalize(prefix, period)
+    if not pre:
+        pre = (per[0],)
+        per = per[1:] + (per[0],)
+    return pre, per
+
+
+def wrap(seq, pos):
+    prefix, period = seq
+    m = len(prefix)
+    if pos <= m + len(period):
+        return pos if pos >= 1 else None
+    if not period:
+        return None
+    return m + 1 + (pos - m - 1) % len(period)
+
+
+def at(seq, pos):
+    wrapped = wrap(seq, pos)
+    if wrapped is None:
+        return None
+    prefix, period = seq
+    m = len(prefix)
+    return prefix[wrapped - 1] if wrapped <= m else period[wrapped - m - 1]
+
+
+def resolve_chains(seq):
+    """Every jump made direct by walking its chain from scratch."""
+    prefix, period = seq
+    m = len(prefix)
+
+    def resolve(pos, offset):
+        if offset == 0:
+            return 0
+        displacement = offset
+        current = pos + offset
+        seen = set()
+        while True:
+            wrapped = wrap(seq, current)
+            if wrapped is None:
+                return displacement
+            instr = at(seq, current)
+            if not isinstance(instr, Jump):
+                return displacement
+            if instr.offset == 0:
+                return 0
+            if wrapped in seen:
+                return 0
+            seen.add(wrapped)
+            displacement += instr.offset
+            current += instr.offset
+
+    new = []
+    for idx in range(1, m + len(period) + 1):
+        instr = at(seq, idx)
+        new.append(Jump(resolve(idx, instr.offset)) if isinstance(instr, Jump) else instr)
+    return tuple(new[:m]), tuple(new[m:])
+
+
+def shorten_jumps(seq):
+    prefix, period = seq
+    if not period:
+        return seq
+    m, k = len(prefix), len(period)
+    new_prefix = []
+    for i, instr in enumerate(prefix, start=1):
+        if isinstance(instr, Jump):
+            offset = instr.offset
+            while offset > k + m - i:
+                offset -= k
+            instr = Jump(offset)
+        new_prefix.append(instr)
+    new_period = [Jump(i.offset % k) if isinstance(i, Jump) else i for i in period]
+    return tuple(new_prefix), tuple(new_period)
+
+
+def second_canonical(prefix, period):
+    """``(prefix, period)`` of the second canonical form, by the fixpoint."""
+    seq = canonical(prefix, period)
+    while True:
+        step = canonical(*shorten_jumps(resolve_chains(seq)))
+        if step == seq:
+            return seq
+        seq = step
+
+
+def position_nodes(seq):
+    """(nodes, entry) of extraction, with the same numbering as the library."""
+    prefix, period = seq
+    total = len(prefix) + len(period)
+    nodes = [Dead(), Stop()]
+
+    def resolve(pos):
+        guard = 0
+        while True:
+            wrapped = wrap(seq, pos)
+            if wrapped is None:
+                return 0
+            instr = at(seq, wrapped)
+            if isinstance(instr, Jump):
+                if instr.offset == 0:
+                    return 0
+                pos = wrapped + instr.offset
+                guard += 1
+                if guard > total + 1:
+                    return 0
+                continue
+            if isinstance(instr, Halt):
+                return 1
+            return 2 + wrapped - 1
+
+    for pos in range(1, total + 1):
+        instr = at(seq, pos)
+        if isinstance(instr, Plain):
+            nodes.append(Branch(instr.basic, resolve(pos + 1), resolve(pos + 1)))
+        elif isinstance(instr, PosTest):
+            nodes.append(Branch(instr.basic, resolve(pos + 1), resolve(pos + 2)))
+        elif isinstance(instr, NegTest):
+            nodes.append(Branch(instr.basic, resolve(pos + 2), resolve(pos + 1)))
+        elif isinstance(instr, Halt):
+            nodes.append(Stop())
+        else:
+            nodes.append(Dead())
+    return nodes, [resolve(pos) for pos in range(1, total + 1)]
+
+
+def bisimulation_classes(nodes):
+    """Round-by-round refinement: re-key every state until nothing splits."""
+    classes = []
+    table = {}
+    for node in nodes:
+        if isinstance(node, Stop):
+            key = ("stop",)
+        elif isinstance(node, Dead):
+            key = ("dead",)
+        else:
+            key = ("branch", "tau" if node.action is TAU else node.action)
+        classes.append(table.setdefault(key, len(table)))
+    while True:
+        table = {}
+        refined = []
+        for node, cls in zip(nodes, classes):
+            if isinstance(node, Branch):
+                key = (cls, classes[node.on_true], classes[node.on_false])
+            else:
+                key = (cls,)
+            refined.append(table.setdefault(key, len(table)))
+        if refined == classes:
+            return classes
+        classes = refined
+
+
+def minimize(t):
+    """Quotient by the reference refinement, numbered breadth-first."""
+    classes = bisimulation_classes(t.nodes)
+    representative = {}
+    for node, cls in zip(t.nodes, classes):
+        representative.setdefault(cls, node)
+    order = {classes[t.root]: 0}
+    queue = [classes[t.root]]
+    while queue:
+        node = representative[queue.pop(0)]
+        if isinstance(node, Branch):
+            for succ in (node.on_true, node.on_false):
+                if classes[succ] not in order:
+                    order[classes[succ]] = len(order)
+                    queue.append(classes[succ])
+    nodes = [Stop()] * len(order)
+    for cls, idx in order.items():
+        node = representative[cls]
+        if isinstance(node, Branch):
+            node = Branch(node.action, order[classes[node.on_true]], order[classes[node.on_false]])
+        nodes[idx] = node
+    return RegularThread(tuple(nodes), 0)

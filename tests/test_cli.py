@@ -68,6 +68,28 @@ def test_family_eval():
     assert out == "{f=-}\n"
 
 
+def test_family_eval_with_3000_bindings():
+    names = [f"r{i}" for i in range(3000)]
+    code, out, err = run("family-eval", "-e", "{" + ", ".join(f"{n}=1" for n in names) + "}")
+    assert code == 0 and err == ""
+    assert out == "{" + ", ".join(f"{n}=1" for n in sorted(names)) + "}\n"
+    code, out, err = run("family-eval", "-e", " + ".join(f"{{{n}=0}}" for n in names) + " + {r7=1}")
+    assert code == 0 and err == ""
+    assert "r7=-" in out and out.count("=0") == 2999
+
+
+def test_deep_nesting_exits_2_without_traceback():
+    for argv in (
+        ("parse", "-e", "(" * 3000 + "a" + ")" * 3000),
+        ("normalize", "-e", "(" * 400 + "a" + ")*" * 400),
+        ("family-eval", "-e", "hide{f}(" * 3000 + "{}" + ")" * 3000),
+        ("family-eval", "-e", "(" * 3000 + "{f=1}" + ")" * 3000),
+    ):
+        code, out, err = run(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nesting" in err and "Traceback" not in err
+
+
 def test_use_apply_abstract_simulate():
     prog = ";".join(f"-aux:{i}.i/i;#3;aux:{i}.0/0;!;aux:{i}.1/1" for i in range(1, 5))
     family = "{aux:4=1, aux:3=1, aux:2=1, aux:1=0}"

@@ -21,6 +21,7 @@ from iseq.syntax import (
     UnaryBoolFunc,
     parse_function_table,
     parse_instruction_sequence,
+    MAX_NESTING,
     parse_register_family,
     render_family_term,
     render_function_table,
@@ -235,3 +236,24 @@ def test_grammar_totality(text):
 def test_huge_jump_literal_rejected():
     with pytest.raises(ParseError):
         parse_instruction_sequence("#" + "9" * 40)
+
+
+def test_nesting_is_capped():
+    inner = "(" * MAX_NESTING + "a" + ")*" * MAX_NESTING
+    term = parse_instruction_sequence(inner)
+    assert parse_instruction_sequence(render_term(term)) == term
+    with pytest.raises(ParseError, match="nesting"):
+        parse_instruction_sequence("(" + inner + ")")
+    family = "hide{f}(" * MAX_NESTING + "{}" + ")" * MAX_NESTING
+    assert parse_register_family(family) is not None
+    with pytest.raises(ParseError, match="nesting"):
+        parse_register_family("(" + family + ")")
+
+
+def test_long_composition_round_trips():
+    text = " + ".join(f"{{r{i}=1}}" for i in range(3000))
+    family = parse_register_family(text)
+    assert render_family_term(family) == text
+    bindings = "{" + ", ".join(f"r{i}=1" for i in range(3000)) + "}"
+    assert render_family_term(parse_register_family(bindings)) == text
+
