@@ -273,3 +273,7 @@ def main() -> None:
     if err:
         sys.stderr.write(err)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

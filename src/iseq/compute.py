@@ -22,9 +22,15 @@ API and as the tests' oracle.
 The module also provides the two constructive results: compiling an
 explicit truth table to a program that uses only the core operations
 (set-false 0/0, set-true 1/1, read i/i), and translating an arbitrary
-program, instruction by instruction with jump relocation, into a
-functionally equivalent core-only program at most three instructions longer
-per non-core instruction.
+program into a functionally equivalent core-only one.  The translation looks
+up each instruction's behaviour in a table of shortest core blocks of at
+most four slots, derived by brute force and committed as a literal; one
+backward pass picks the blocks of least total length that fit together,
+and the jumps are relocated.  Each non-core instruction thus grows the
+program by at most three instructions, except where a skipping core test
+directly precedes a block that cannot catch its skip and must take an
+explicit jump: 36 of the 22,350 programs of length at most 2 over in:1,
+out:1 and aux:1.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .syntax import (
-    CM,
     F0,
     ID,
     T1,
@@ -49,6 +54,7 @@ from .syntax import (
     PosTest,
     PrimitiveInstruction,
     RegisterAction,
+    UnaryBoolFunc,
     concat_all,
     is_repetition_free,
     leaves,
@@ -103,6 +109,18 @@ def _validate_program(t: InstructionSequenceTerm, conv: IoConvention) -> list[Pr
 # register instruction.  Register slots lay out in:1..n, out:1..m, aux:1..k.
 _Op = Union[None, int, tuple]
 
+# (effect_on_0, effect_on_1, step_on_0, step_on_1) of every register form
+_BEHAVIOUR = {
+    (kind, reply, effect): (
+        effect(False),
+        effect(True),
+        *(1 if kind is Plain or reply(bit) == (kind is PosTest) else 2 for bit in (False, True)),
+    )
+    for kind in (Plain, PosTest, NegTest)
+    for reply in UnaryBoolFunc
+    for effect in UnaryBoolFunc
+}
+
 
 def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[_Op]:
     """Instruction array of a validated program, for :func:`_run`."""
@@ -115,12 +133,8 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
             code.append(instr.offset)
         else:
             action = instr.basic
-            steps = [
-                1 if isinstance(instr, Plain) or action.reply(bit) == isinstance(instr, PosTest) else 2
-                for bit in (False, True)
-            ]
             slot = base[action.focus.name] + action.focus.index - 1
-            code.append((slot, action.effect(False), action.effect(True), *steps))
+            code.append((slot, *_BEHAVIOUR[type(instr), action.reply, action.effect]))
     return code
 
 
@@ -278,208 +292,53 @@ def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
 # core-instruction-set restriction
 
 
-def _is_core(action: RegisterAction) -> bool:
-    return (action.reply, action.effect) in ((F0, F0), (T1, T1), (ID, ID))
+# Shortest core blocks for every instruction behaviour, keyed like
+# ``_decode``: (content after 0, content after 1, step on 0, step on 1).
+# All 48 forms share these 16 behaviours; each row names the one positive
+# test that has it.  A token is a core instruction on the instruction's
+# register (``+i`` stands for ``+f.i/i``) or an exit: ``>1`` jumps to the
+# block of the next position, ``>2`` to the one after; falling off the last
+# slot continues at the next position.  A block *needs* a landing when its
+# last slot can skip, onto the second slot of the next block; it *offers*
+# one when it is one slot long or its second slot, entered directly, goes
+# to the next position with no effect.  The four entries are the landing
+# classes (needs, offers) = (no, no), (no, yes), (yes, no), (yes, yes);
+# None where a block of another class is no longer and fits wherever this
+# one fits.  tests/test_core_table.py derives the table by brute force over
+# every body of at most four slots, and prints it.
+_CORE_BLOCKS = {
+    (False, False, 1, 1): (None, "0", None, None),  # +1/0
+    (False, False, 1, 2): (None, "-i >1 0 >2", "+i +0", "-i >1 +0"),  # +c/0
+    (False, False, 2, 1): ("+i +0 >2", None, None, None),  # +i/0
+    (False, False, 2, 2): ("0 >2", "+0 >1 >2", None, "+0"),  # +0/0
+    (False, True, 1, 1): (None, "i", None, None),  # +1/i
+    (False, True, 1, 2): ("+i >2", "-i >1 >2", None, "-i"),  # +c/i
+    (False, True, 2, 1): ("-i >2", "+i >1 >2", None, "+i"),  # +i/i
+    (False, True, 2, 2): (None, ">2", None, None),  # +0/i
+    (True, False, 1, 1): ("+i +0 1", None, None, None),  # +1/c
+    (True, False, 1, 2): ("+i +0 -1 >2", None, "-i -1 +0", None),  # +c/c
+    (True, False, 2, 1): ("-i -1 +0 >2", None, "+i +0 -1", None),  # +i/c
+    (True, False, 2, 2): ("+i +0 1 >2", None, None, None),  # +0/c
+    (True, True, 1, 1): (None, "1", None, None),  # +1/1
+    (True, True, 1, 2): ("+i >2 1", None, None, None),  # +c/1
+    (True, True, 2, 1): (None, "+i >1 1 >2", "-i -1", "+i >1 -1"),  # +i/1
+    (True, True, 2, 2): ("1 >2", "-1 >1 >2", None, "-1"),  # +0/1
+}
+
+# per behaviour: (tokens, needs a landing, offers one) for each listed class
+_CORE_OPTIONS = {
+    behaviour: [(block.split(), cls >> 1, cls & 1) for cls, block in enumerate(entries) if block]
+    for behaviour, entries in _CORE_BLOCKS.items()
+}
+_TOKEN_KIND = {"": Plain, "+": PosTest, "-": NegTest}
 
 
-@dataclass
-class _Block:
-    """Translation of one original instruction.
-
-    Slots are concrete instructions or ('g', j) jumps to the relocated
-    start of original position j.  ``physics_test`` marks a single test
-    relying on untranslated skip geometry; ``tramped`` marks a multi-slot
-    block whose second slot is a pure jump to the following position, which
-    is exactly where a skipping predecessor must land.  ``entry_offset``
-    points into the preceding block for positions absorbed by a pair.
-    """
-
-    slots: list
-    physics_test: bool = False
-    tramped: bool = False
-    is_pair: bool = False
-    consumed: bool = False
-    entry_offset: int = 0
-    # a compact variant may rely on the block of a later original position
-    # occupying exactly one slot; on violation the block is rebuilt
-    context_pos: Optional[int] = None
-    fallback: Optional["_Block"] = None
-
-
-def _skip_edge_live(instr: PrimitiveInstruction) -> bool:
-    """Can this test ever take its skip edge?
-
-    A constant-reply test follows one edge only; when that is the proceed
-    edge, the skip geometry never matters.
-    """
-    if not isinstance(instr, (PosTest, NegTest)):
-        return False
-    reply = instr.basic.reply
-    if reply is F0:
-        return isinstance(instr, PosTest)
-    if reply is T1:
-        return isinstance(instr, NegTest)
-    return True
-
-
-def _gadgets(focus: Focus):
-    fii = RegisterAction(focus, ID, ID)
-    f00 = RegisterAction(focus, F0, F0)
-    f11 = RegisterAction(focus, T1, T1)
-    return {
-        "read_pos": PosTest(fii),  # branch on content, no effect
-        "read_neg": NegTest(fii),
-        "read_plain": Plain(fii),  # no-op
-        "set0_plain": Plain(f00),
-        "set1_plain": Plain(f11),
-        "set0_skip": PosTest(f00),  # set false, always skip the next slot
-        "set0_next": NegTest(f00),  # set false, always proceed
-        "set1_skip": NegTest(f11),
-        "set1_next": PosTest(f11),
-    }
-
-
-def _noncore_body(kind: str, action: RegisterAction, i: int) -> tuple[list, bool]:
-    """Slots and tramp flag for a non-core instruction at original position i.
-
-    Exit conventions inside a body: falling past the last slot continues at
-    position i+1; explicit ('g', j) slots relocate; a setter-with-skip in
-    the second-to-last slot also exits past the block.
-    """
-    gadget = _gadgets(action.focus)
-    p, q = action.reply, action.effect
-
-    def g(j: int) -> tuple:
-        return ("g", j)
-
-    if kind == "plain":
-        if q is F0:
-            return [gadget["set0_plain"]], False
-        if q is T1:
-            return [gadget["set1_plain"]], False
-        if q is ID:
-            return [gadget["read_plain"]], False
-        # complement: read, then set the opposite on each branch
-        return [gadget["read_pos"], gadget["set0_skip"], gadget["set1_plain"]], False
-
-    def direction(bit: bool) -> str:
-        taken = p(bit)
-        return "N" if taken == (kind == "pos") else "S"
-
-    d0, d1 = direction(False), direction(True)
-    if q is ID:
-        if d0 == "N" and d1 == "N":
-            return [gadget["read_plain"]], False
-        if d0 == "S" and d1 == "S":
-            return [g(i + 2)], False
-        if d1 == "N":
-            return [gadget["read_pos"]], False  # physics test
-        return [gadget["read_neg"]], False  # physics test
-    if q in (F0, T1):
-        noop_bit = q is T1  # content on which the write changes nothing
-        setter_skip = gadget["set0_skip"] if q is F0 else gadget["set1_skip"]
-        setter_next = gadget["set0_next"] if q is F0 else gadget["set1_next"]
-        if p in (F0, T1):  # reply, hence direction, ignores the content
-            if d0 == "N":
-                return [setter_next], False
-            return [setter_skip, g(i + 1), g(i + 2)], True
-        if direction(noop_bit) == "N":
-            # no-op side exits next: route it through a pure second slot
-            read = gadget["read_pos"] if noop_bit else gadget["read_neg"]
-            return [read, g(i + 1), setter_next, g(i + 2)], True
-        # write side proceeds into a skipping setter, which exits just past
-        # the block: the next position, as its direction demands
-        read = gadget["read_pos"] if not noop_bit else gadget["read_neg"]
-        return [read, setter_skip, g(i + 2)], False
-    # q complements the content: both branches must write
-    if d0 == "N" and d1 == "N":
-        return [gadget["read_pos"], gadget["set0_skip"], gadget["set1_plain"]], False
-    if d0 == "S" and d1 == "S":
-        return [gadget["read_pos"], gadget["set0_skip"], gadget["set1_plain"], g(i + 2)], False
-    if d1 == "N":
-        return [gadget["read_neg"], gadget["set1_skip"], gadget["set0_skip"], g(i + 2)], False
-    return [gadget["read_pos"], gadget["set0_skip"], gadget["set1_skip"], g(i + 2)], False
-
-
-def _swap_polarity(instr: PrimitiveInstruction) -> PrimitiveInstruction:
-    if isinstance(instr, PosTest):
-        return NegTest(instr.basic)
-    if isinstance(instr, NegTest):
-        return PosTest(instr.basic)
-    raise TypeError(f"not a test: {instr}")
-
-
-def _aligned_context_body(kind: str, action: RegisterAction, i: int) -> Optional[list]:
-    """Three-slot variant of the aligned constant-write test.
-
-    The write side proceeds into a skipping setter whose landing is one slot
-    past the block plus one, i.e. the position after next only when the next
-    position's block is a single slot; the caller guards that requirement.
-    """
-    p, q = action.reply, action.effect
-    if q not in (F0, T1) or p not in (ID, CM):
-        return None
-    gadget = _gadgets(action.focus)
-    noop_bit = q is T1
-    if p(noop_bit) != (kind == "pos"):  # the no-op side must exit to the next position
-        return None
-    read = gadget["read_pos"] if noop_bit else gadget["read_neg"]
-    setter_skip = gadget["set0_skip"] if q is F0 else gadget["set1_skip"]
-    return [read, ("g", i + 1), setter_skip]
-
-
-def _flip_test_context_body(kind: str, action: RegisterAction) -> Optional[list]:
-    """Three-slot body for a complement test whose reply depends on the content.
-
-    Both setters exit by skipping: the proceed-side lands one slot past the
-    enclosing block (the next position) and the skip-side lands one further,
-    which is only the position after next when that block is a single slot.
-    The caller must guard that requirement.
-    """
-    if action.effect is not CM or action.reply not in (ID, CM):
-        return None
-    gadget = _gadgets(action.focus)
-
-    def direction(bit: bool) -> str:
-        return "N" if action.reply(bit) == (kind == "pos") else "S"
-
-    if direction(True) == "N":  # flip: content 1 proceeds, content 0 skips
-        return [gadget["read_pos"], gadget["set0_skip"], gadget["set1_skip"]]
-    return [gadget["read_neg"], gadget["set1_skip"], gadget["set0_skip"]]
-
-
-def _reachable_positions(instrs: Sequence[PrimitiveInstruction]) -> set[int]:
-    """Positions executable from the start.
-
-    A test whose reply function is constant has a single successor, so code
-    behind it can be genuinely unreachable.
-    """
-    total = len(instrs)
-    reached: set[int] = set()
-    queue = [1]
-    while queue:
-        pos = queue.pop()
-        if pos in reached or not 1 <= pos <= total:
-            continue
-        reached.add(pos)
-        instr = instrs[pos - 1]
-        if isinstance(instr, Halt):
-            continue
-        if isinstance(instr, Jump):
-            if instr.offset:
-                queue.append(pos + instr.offset)
-            continue
-        if isinstance(instr, Plain):
-            queue.append(pos + 1)
-            continue
-        reply = instr.basic.reply
-        if reply in (F0, T1):
-            taken = reply is T1
-            follows_next = taken == isinstance(instr, PosTest)
-            queue.append(pos + 1 if follows_next else pos + 2)
-        else:
-            queue.extend((pos + 1, pos + 2))
-    return reached
+def _core_slot(token: str, focus: Focus, i: int) -> Union[PrimitiveInstruction, int]:
+    """A block token as a core instruction, or an exit as its 0-based target."""
+    if token[0] == ">":
+        return i + int(token[1])
+    op = UnaryBoolFunc(token[-1])
+    return _TOKEN_KIND[token[:-1]](RegisterAction(focus, op, op))
 
 
 def restrict_to_core(
@@ -487,158 +346,57 @@ def restrict_to_core(
 ) -> InstructionSequenceTerm:
     """Functionally equivalent program using only core basic instructions.
 
-    Every instruction translates to a block of at most four instructions and
-    every jump literal is rewritten to the relocated target.  Tests kept
-    verbatim rely on their skip landing two output slots ahead; where a
-    following block breaks that geometry the test is either fused with the
-    block or rewritten with explicit jumps.  Unreachable positions emit one
-    inert slot each.
+    Each reachable register instruction becomes one of the core blocks that
+    ``_CORE_BLOCKS`` lists for its behaviour; halts and jumps stay one slot
+    each, and so does each unreachable position, as ``#0``.  A backward pass
+    picks the blocks of least total length such that a block that needs a
+    landing is followed by one that offers it (past the end always does);
+    then every jump and exit is relocated to the start of its target's
+    block.
     """
     instrs = _validate_program(t, conv)
     total = len(instrs)
-    reachable = _reachable_positions(instrs)
-
-    blocks: list[_Block] = []
-    for idx, instr in enumerate(instrs):
-        i = idx + 1
-        if i not in reachable:
-            blocks.append(_Block([Jump(0)]))
-        elif isinstance(instr, Halt):
-            blocks.append(_Block([instr]))
-        elif isinstance(instr, Jump):
-            blocks.append(_Block([instr if instr.offset == 0 else ("g", i + instr.offset)]))
+    reached = [True] + [False] * (total + 1)
+    options: list[list[tuple]] = []  # per position: (slots, needs, offers)
+    for i, (instr, op) in enumerate(zip(instrs, _decode(instrs, conv))):
+        if not reached[i]:
+            options.append([([Jump(0)], 0, 1)])
+        elif type(op) is tuple:
+            reached[i + op[3]] = reached[i + op[4]] = True
+            options.append(_CORE_OPTIONS[op[1:]])
         else:
-            action = instr.basic
-            assert isinstance(action, RegisterAction)
-            if _is_core(action):
-                blocks.append(_Block([instr], physics_test=_skip_edge_live(instr)))
-            else:
-                kind = (
-                    "plain"
-                    if isinstance(instr, Plain)
-                    else "pos" if isinstance(instr, PosTest) else "neg"
-                )
-                slots, tramped = _noncore_body(kind, action, i)
-                physics = len(slots) == 1 and not isinstance(slots[0], tuple) and _skip_edge_live(slots[0])
-                compact = None if kind == "plain" else _aligned_context_body(kind, action, i)
-                if compact is not None:
-                    blocks.append(
-                        _Block(
-                            compact,
-                            tramped=True,
-                            context_pos=i + 1,
-                            fallback=_Block(slots, tramped=tramped),
-                        )
-                    )
-                else:
-                    blocks.append(_Block(slots, physics_test=physics, tramped=tramped))
+            if op:
+                reached[min(i + op, total)] = True
+            options.append([([i + op if op else instr], 0, 1)])
 
-    # fuse a physics test with a following multi-slot block that has no
-    # landing slot for the test's skip: the swapped test proceeds into the
-    # block's body and its other branch jumps over it
-    for idx in range(total - 1):
-        head, body = blocks[idx], blocks[idx + 1]
-        if (
-            head.physics_test
-            and not head.consumed
-            and len(body.slots) > 1
-            and not body.tramped
-            and not body.is_pair
-        ):
-            i = idx + 1  # original position of the test
-            pair_slots = [_swap_polarity(head.slots[0]), ("g", i + 2)] + list(body.slots)
-            context_pos = None
-            fallback = None
-            u = instrs[idx + 1]
-            if isinstance(u, (PosTest, NegTest)) and isinstance(u.basic, RegisterAction):
-                compact = _flip_test_context_body(
-                    "pos" if isinstance(u, PosTest) else "neg", u.basic
-                )
-                if compact is not None:
-                    fallback = _Block(pair_slots, is_pair=True)
-                    pair_slots = pair_slots[:2] + compact
-                    context_pos = i + 2
-            blocks[idx] = _Block(
-                pair_slots, is_pair=True, context_pos=context_pos, fallback=fallback
-            )
-            body.consumed = True
-            body.entry_offset = 2
+    # cost[must]: least length of the blocks from a position on, where
+    # ``must`` says that its block has to offer a landing
+    cost = [0, 0]
+    picks: list[list[Optional[tuple]]] = []
+    for opts in reversed(options):
+        after, cost, best = cost, [float("inf")] * 2, [None, None]
+        for opt in opts:
+            length = len(opt[0]) + after[opt[1]]
+            for must in range(1 + opt[2]):
+                if length < cost[must]:
+                    cost[must], best[must] = length, opt
+        picks.append(best)
 
-    def layout() -> tuple[dict[int, int], int, dict[int, object]]:
-        starts: dict[int, int] = {}
-        slot_at: dict[int, object] = {}
-        pos = 1
-        for idx, block in enumerate(blocks):
-            if block.consumed:
-                starts[idx + 1] = starts[idx] + block.entry_offset
-                continue
-            starts[idx + 1] = pos
-            for slot in block.slots:
-                slot_at[pos] = slot
-                pos += 1
-        return starts, pos - 1, slot_at
-
-    # rewrite remaining physics tests whose skip no longer lands right: the
-    # landing must either be the next original position's block start or a
-    # pure jump slot going there
-    while True:
-        starts, out_len, slot_at = layout()
-
-        def pos_of(j: int) -> int:
-            if j <= total:
-                return starts[j]
-            return out_len + (j - total)
-
-        dirty = False
-        for idx, block in enumerate(blocks):
-            i = idx + 1
-            if block.context_pos is not None:
-                # compact variant: its last slot skips to two past the block,
-                # which must be the start of the position after the context one
-                landing = starts[i] + len(block.slots) + 1
-                if landing != pos_of(block.context_pos + 1):
-                    blocks[idx] = block.fallback
-                    dirty = True
-                continue
-            if not block.physics_test or block.consumed:
-                continue
-            landing = starts[i] + 2
-            if landing == pos_of(i + 2) or slot_at.get(landing) == ("g", i + 2):
-                continue
-            # rewrite the test with explicit exits; with no skipping test in
-            # front, swapping the polarity saves a slot (the taken branch
-            # falls just past the block, onto the next position)
-            if idx == 0 or not blocks[idx - 1].physics_test:
-                blocks[idx] = _Block([_swap_polarity(block.slots[0]), ("g", i + 2)])
-            else:
-                blocks[idx] = _Block(
-                    [block.slots[0], ("g", i + 1), ("g", i + 2)], tramped=True
-                )
-            dirty = True
-        if not dirty:
-            break
-
-    starts, out_len, _ = layout()
-
-    def pos_of(j: int) -> int:
-        if j <= total:
-            return starts[j]
-        return out_len + (j - total)
-
+    blocks: list[list] = []
+    must = 0
+    for i, best in enumerate(reversed(picks)):
+        slots, must, _ = best[must]  # the next block must offer what this one needs
+        if type(slots[0]) is str:
+            slots = [_core_slot(token, instrs[i].basic.focus, i) for token in slots]
+        blocks.append(slots)
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
     out: list[PrimitiveInstruction] = []
-    pos = 1
-    for block in blocks:
-        if block.consumed:
-            continue
-        for slot in block.slots:
-            if isinstance(slot, tuple):
-                target = pos_of(slot[1])
-                if target <= pos:
-                    raise AssertionError("relocated jump must move forward")
-                out.append(Jump(target - pos))
-            else:
-                out.append(slot)
-            pos += 1
+    for slots in blocks:
+        for slot in slots:
+            if type(slot) is int:
+                target = starts[slot] if slot < total else starts[total] + slot - total
+                slot = Jump(target - len(out))
+            out.append(slot)
     return concat_all(out)
 
 

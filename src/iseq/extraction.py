@@ -196,7 +196,7 @@ def synthesize_repetition(t: InstructionSequenceTerm) -> InstructionSequenceTerm
     length, which the repetition turns into unrestricted state-to-state
     jumps.
     """
-    thread = minimize(extract(t))
+    thread = extract(t)
     width = 3
     total = width * len(thread.nodes)
 

@@ -15,6 +15,7 @@ the directly preceding atom.  Rendering is deterministic and satisfies
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -173,8 +174,37 @@ class Halt:
 PrimitiveInstruction = Union[Plain, PosTest, NegTest, Jump, Halt]
 
 
-@dataclass(frozen=True)
-class Concat:
+def _preorder(node, cls):
+    """Nodes of a tree of ``cls`` pairs in pre-order, ``cls`` itself marking
+    each pair, which makes the sequence determine the tree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is cls:
+            yield cls
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            yield node
+
+
+class _Pair:
+    """``==`` and ``hash`` of a binary node by an explicit-stack walk, so a
+    long composition never reaches the interpreter's recursion limit."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        cls, end = type(self), object()
+        pairs = itertools.zip_longest(_preorder(self, cls), _preorder(other, cls), fillvalue=end)
+        return all(a == b for a, b in pairs)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self, type(self))))
+
+
+@dataclass(frozen=True, eq=False)
+class Concat(_Pair):
     left: "InstructionSequenceTerm"
     right: "InstructionSequenceTerm"
 
@@ -256,8 +286,8 @@ class SingletonFamily:
     content: RegisterContent
 
 
-@dataclass(frozen=True)
-class ComposeFamily:
+@dataclass(frozen=True, eq=False)
+class ComposeFamily(_Pair):
     left: "RegisterFamilyTerm"
     right: "RegisterFamilyTerm"
 

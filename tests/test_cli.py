@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import iseq
 from iseq.cli import run_command
 
 
@@ -9,6 +15,15 @@ def test_parse_round_trip():
     code, out, err = run("parse", "-e", "(-a;(#3;(b;!)))*")
     assert code == 0 and err == ""
     assert out == "(-a;#3;b;!)*\n"
+
+
+def test_module_entry_point_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(iseq.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "iseq.cli", "parse", "-e", "a;b"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "a;b\n", "")
 
 
 def test_parse_error_exits_2():

@@ -280,6 +280,40 @@ def test_restrict_random_programs_equivalent_and_core_only():
     assert all(excess <= 2 for excess in over_budget)
 
 
+def test_restrict_exhaustive_up_to_length_2():
+    """All 22,350 programs of length 1 and 2 under IoConvention(1, 1, 1).
+
+    The alphabet is ``!``, ``#0``..``#3`` and the 144 register forms
+    (3 kinds x 4 replies x 4 effects) on ``in:1``, ``out:1`` and ``aux:1``:
+    149 + 149**2 programs.  Every output is core-only and computes the same
+    function.  Exactly 36 outputs exceed the budget of three instructions
+    per non-core instruction, each by one: a core test that can skip,
+    directly before a complement that always skips.
+    """
+    conv = IoConvention(1, 1, 1)
+    foci = (Focus("in", 1), Focus("out", 1), Focus("aux", 1))
+    alphabet = [Halt()] + [Jump(k) for k in range(4)] + [
+        kind(RegisterAction(focus, reply, effect))
+        for focus in foci
+        for kind in (Plain, PosTest, NegTest)
+        for reply in UnaryBoolFunc
+        for effect in UnaryBoolFunc
+    ]
+    cases = over_budget = 0
+    for length in (1, 2):
+        for instrs in itertools.product(alphabet, repeat=length):
+            prog = concat_all(instrs)
+            core = restrict_to_core(prog, conv)
+            assert all((b.reply, b.effect) in CORE_PAIRS for b in iter_basics(core))
+            assert induced_table(core, conv) == induced_table(prog, conv)
+            excess = len(leaves(core)) - length - 3 * _noncore_count(prog)
+            assert excess <= 1
+            over_budget += excess > 0
+            cases += 1
+    assert cases == 22_350
+    assert over_budget == 36
+
+
 # -- search ---------------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from iseq.syntax import (
     Repeat,
     SingletonFamily,
     UnaryBoolFunc,
+    concat_all,
     parse_function_table,
     parse_instruction_sequence,
     MAX_NESTING,
@@ -257,3 +258,24 @@ def test_long_composition_round_trips():
     bindings = "{" + ", ".join(f"r{i}=1" for i in range(3000)) + "}"
     assert render_family_term(parse_register_family(bindings)) == text
 
+
+def test_long_concatenation_compares_and_hashes():
+    """A 9001-instruction term, the size ``restrict_to_core`` makes of 3000
+    complements and a halt: ``==`` and ``hash`` walk it without recursion."""
+    complement = Plain(RegisterAction(Focus("aux", 1), UnaryBoolFunc.COMPLEMENT, UnaryBoolFunc.COMPLEMENT))
+    first = concat_all([complement] * 9000 + [Halt()])
+    second = concat_all([complement] * 9000 + [Halt()])
+    third = concat_all([complement] * 9000 + [Jump(0)])
+    assert first == second and hash(first) == hash(second)
+    assert first != third
+    assert len({first, second, third}) == 2
+    assert Concat(Concat(Halt(), Jump(0)), Halt()) != Concat(Halt(), Concat(Jump(0), Halt()))
+
+
+def test_long_composition_compares_and_hashes():
+    text = " + ".join(f"{{r{i}=1}}" for i in range(3000))
+    first, second = parse_register_family(text), parse_register_family(text)
+    other = parse_register_family(text[:-2] + "0}")
+    assert first == second and hash(first) == hash(second)
+    assert first != other
+    assert len({first, second, other}) == 2
