@@ -28,7 +28,6 @@ from typing import Optional, Sequence, TypeVar
 
 from .syntax import (
     Concat,
-    Halt,
     InstructionSequenceTerm,
     Jump,
     PrimitiveInstruction,
@@ -93,31 +92,6 @@ class CanonicalSeq:
     def positions(self) -> int:
         """Number of distinct stored positions (prefix plus one period copy)."""
         return len(self.prefix) + len(self.period)
-
-    def wrap(self, pos: int) -> Optional[int]:
-        """Map a 1-based position into stored range; None when past a finite end."""
-        m = len(self.prefix)
-        if pos <= m + len(self.period):
-            return pos if pos >= 1 else None
-        if self.is_finite:
-            return None
-        return m + 1 + (pos - m - 1) % len(self.period)
-
-    def at(self, pos: int) -> Optional[PrimitiveInstruction]:
-        wrapped = self.wrap(pos)
-        if wrapped is None:
-            return None
-        m = len(self.prefix)
-        return self.prefix[wrapped - 1] if wrapped <= m else self.period[wrapped - m - 1]
-
-    def take(self, count: int) -> list[PrimitiveInstruction]:
-        out = []
-        for pos in range(1, count + 1):
-            instr = self.at(pos)
-            if instr is None:
-                break
-            out.append(instr)
-        return out
 
 
 def _canonical(
@@ -299,9 +273,3 @@ def term_of_canonical(canon: CanonicalSeq) -> InstructionSequenceTerm:
         return concat_all(canon.prefix)
     return concat_all(list(canon.prefix) + [Repeat(concat_all(canon.period))])
 
-
-def pad_with_halts(canon: CanonicalSeq, count: int) -> CanonicalSeq:
-    """Finite sequence extended with ``count`` termination instructions."""
-    if not canon.is_finite:
-        raise ValueError("only finite sequences can be padded")
-    return CanonicalSeq(canon.prefix + (Halt(),) * count, ())

@@ -56,7 +56,6 @@ from .syntax import (
     RegisterAction,
     UnaryBoolFunc,
     concat_all,
-    is_repetition_free,
     leaves,
 )
 
@@ -93,9 +92,10 @@ class IoConvention:
 
 
 def _validate_program(t: InstructionSequenceTerm, conv: IoConvention) -> list[PrimitiveInstruction]:
-    if not is_repetition_free(t):
-        raise ValueError("program must be repetition-free")
-    instrs = leaves(t)
+    try:
+        instrs = leaves(t)
+    except ValueError:
+        raise ValueError("program must be repetition-free") from None
     for instr in instrs:
         if isinstance(instr, (Plain, PosTest, NegTest)):
             if isinstance(instr.basic, AbstractAction):

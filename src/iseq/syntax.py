@@ -188,9 +188,22 @@ def _preorder(node, cls):
             yield node
 
 
+def _from_preorder(cls, items):
+    """The tree of ``cls`` pairs whose ``_preorder`` walk is ``items``."""
+    stack = []
+    for item in reversed(items):
+        if item is cls:
+            left = stack.pop()
+            stack.append(cls(left, stack.pop()))
+        else:
+            stack.append(item)
+    return stack[0]
+
+
 class _Pair:
-    """``==`` and ``hash`` of a binary node by an explicit-stack walk, so a
-    long composition never reaches the interpreter's recursion limit."""
+    """``==``, ``hash``, ``repr`` and pickling of a binary node by an
+    explicit-stack walk, so a long composition never reaches the
+    interpreter's recursion limit.  ``repr`` gives the dataclass text."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -202,8 +215,26 @@ class _Pair:
     def __hash__(self):
         return hash(tuple(_preorder(self, type(self))))
 
+    def __repr__(self):
+        cls = type(self)
+        parts = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                parts.append(node)
+            elif type(node) is cls:
+                parts.append(f"{cls.__qualname__}(left=")
+                stack += [")", node.right, ", right=", node.left]
+            else:
+                parts.append(repr(node))
+        return "".join(parts)
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self):
+        return _from_preorder, (type(self), tuple(_preorder(self, type(self))))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Concat(_Pair):
     left: "InstructionSequenceTerm"
     right: "InstructionSequenceTerm"
@@ -248,17 +279,6 @@ def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
     return out
 
 
-def is_repetition_free(t: InstructionSequenceTerm) -> bool:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Repeat):
-            return False
-        if isinstance(node, Concat):
-            stack.extend((node.left, node.right))
-    return True
-
-
 def iter_basics(t: InstructionSequenceTerm) -> Iterator[BasicInstruction]:
     stack = [t]
     while stack:
@@ -286,7 +306,7 @@ class SingletonFamily:
     content: RegisterContent
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ComposeFamily(_Pair):
     left: "RegisterFamilyTerm"
     right: "RegisterFamilyTerm"

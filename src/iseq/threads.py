@@ -9,26 +9,30 @@ Equality of threads is bisimilarity, decided by partition refinement; by the
 approximation induction principle this coincides with equality of all finite
 projections.
 
-The refinement starts from one block per (kind, action).  Moore rounds
-re-key every state by its successors' blocks until a round changes nothing
-or two rounds in a row fail to double the number of blocks.  Every round
-that fails to double is followed by one that doubles or by the last one, so
-there are at most 2 log2(n) + 3 rounds, at O(n) each.  Then Hopcroft's
-algorithm (Hopcroft 1971, in the array form of Valmari, "Fast brief
-practical DFA minimization", IPL 2012) finishes: a splitter block marks the
-predecessors of its states under one successor map, every block it cuts is
-split, and the smaller part becomes a new splitter.  A state then lies in a
-splitter at most log2(n) + 1 times, and each state has two successor edges,
-so the whole refinement is O(n log n) for n states.
+The refinement is a kernel over three int arrays: a label, a true successor
+and a false successor per state, with each leaf a self-loop under a label
+of its own.  ``bisimulation_classes``, ``minimize`` and ``threads_equal``
+translate nodes into these arrays; :mod:`extraction` writes its position
+graphs into them directly.  The refinement starts from one block per label.
+Moore rounds re-key every state by its successors' blocks until a round
+changes nothing or two rounds in a row fail to double the number of blocks.
+Every round that fails to double is followed by one that doubles or by the
+last one, so there are at most 2 log2(n) + 3 rounds, at O(n) each.  Then
+Hopcroft's algorithm (Hopcroft 1971, in the array form of Valmari, "Fast
+brief practical DFA minimization", IPL 2012) finishes: a splitter block
+marks the predecessors of its states under one successor map, every block
+it cuts is split, and the smaller part becomes a new splitter.  A state then
+lies in a splitter at most log2(n) + 1 times, and each state has two
+successor edges, so the whole refinement is O(n log n) for n states.
 
 Small graphs usually settle within the Moore rounds, where building
 Hopcroft's arrays would cost more than the rounds do.  Measured on CPython
-3.11 over the graphs the benchmark's workloads refine: on the 591 graphs of
-``cli-small`` (2 to 38 states, median 7), Hopcroft's refinement from the
-(kind, action) blocks alone costs 1.7 times the plain round-by-round
-refinement, and this combination 0.98 times; on the 418 graphs of
-``large-terms`` (median 253 states, up to 2008) they cost 0.35 and 0.43
-times.
+3.11 (2-vCPU VM, median of three runs) over the graphs one pass of each
+benchmark workload refines: on the 552 graphs of ``cli-small`` (1 to 68
+states, median 6), Hopcroft's refinement from the label blocks alone costs
+2.3 times the plain round-by-round refinement, and this combination 1.0
+times; on the 220 graphs of ``large-terms`` (2 to 1696 states, median 164)
+they cost 0.37 and 0.24 times.
 """
 
 from __future__ import annotations
@@ -135,33 +139,25 @@ def _shift(node: Node, offset: int) -> Node:
 # bisimilarity by partition refinement
 
 
-def bisimulation_classes(nodes: Sequence[Node]) -> list[int]:
-    """Class index per state; equal class means bisimilar.
+def _classes(label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int]) -> list[int]:
+    """Class index per state of an array graph; equal class means bisimilar.
 
-    Classes are numbered in order of first occurrence.  Determinism of
-    threads makes bisimilarity the coarsest partition that refines the
-    (kind, action) blocks and is stable under both successor maps.  Moore
-    rounds split every block by its successors' blocks until a round
-    changes nothing or two rounds in a row fail to double the number of
-    blocks; Hopcroft's refinement finishes the job from there (see the
-    module docstring).
+    Classes are numbered in order of first occurrence.  Determinism makes
+    bisimilarity the coarsest partition that refines the labels and is
+    stable under both successor maps.  Moore rounds split every block by its
+    successors' blocks until a round changes nothing or two rounds in a row
+    fail to double the number of blocks; Hopcroft's refinement finishes the
+    job from there (see the module docstring).
     """
-    kinds: dict = {}
-    parent = []
-    for node in nodes:
-        key = node.action if type(node) is Branch else type(node)
-        parent.append(kinds.setdefault(key, len(kinds)))
-    count = len(kinds)
+    parent = label
+    count = len(set(label))
     slow = False  # the last round failed to double the number of blocks
     while True:
         keys: dict = {}
-        block = []
-        for node, b in zip(nodes, parent):
-            if type(node) is Branch:
-                key = (b, parent[node.on_true], parent[node.on_false])
-            else:
-                key = b
-            block.append(keys.setdefault(key, len(keys)))
+        block = [
+            keys.setdefault(key, len(keys))
+            for key in zip(parent, [parent[s] for s in on_true], [parent[s] for s in on_false])
+        ]
         if len(keys) == count:
             return block  # stable, and numbered by first occurrence
         if slow and len(keys) < 2 * count:
@@ -169,10 +165,12 @@ def bisimulation_classes(nodes: Sequence[Node]) -> list[int]:
         slow = len(keys) < 2 * count
         parent = block
         count = len(keys)
-    return _refine(nodes, parent, block, len(keys))
+    return _refine(on_true, on_false, parent, block, len(keys))
 
 
-def _refine(nodes: Sequence[Node], parent: list[int], block: list[int], count: int) -> list[int]:
+def _refine(
+    on_true: Sequence[int], on_false: Sequence[int], parent: list[int], block: list[int], count: int
+) -> list[int]:
     """Hopcroft's refinement of ``block`` to the coarsest stable partition.
 
     ``block`` (``count`` blocks) must be stable under the blocks of
@@ -182,14 +180,13 @@ def _refine(nodes: Sequence[Node], parent: list[int], block: list[int], count: i
     are moved to the front of its run, and the smaller of the marked and
     unmarked parts becomes a new block and a new splitter.
     """
-    pred_true: list[list[int]] = [[] for _ in nodes]
-    pred_false: list[list[int]] = [[] for _ in nodes]
+    pred_true: list[list[int]] = [[] for _ in block]
+    pred_false: list[list[int]] = [[] for _ in block]
     groups: list[list[int]] = [[] for _ in range(count)]
-    for state, node in enumerate(nodes):
-        groups[block[state]].append(state)
-        if type(node) is Branch:
-            pred_true[node.on_true].append(state)
-            pred_false[node.on_false].append(state)
+    for state, (b, t, f) in enumerate(zip(block, on_true, on_false)):
+        groups[b].append(state)
+        pred_true[t].append(state)
+        pred_false[f].append(state)
     elems: list[int] = []
     first: list[int] = []
     end: list[int] = []
@@ -203,7 +200,7 @@ def _refine(nodes: Sequence[Node], parent: list[int], block: list[int], count: i
             largest[parent[members[0]]] = b
     kept = set(largest.values())
     pending = [b for b in range(count) if b not in kept]
-    where = [0] * len(nodes)
+    where = [0] * len(block)
     for i, state in enumerate(elems):
         where[state] = i
     marked = first[:]
@@ -262,46 +259,87 @@ def _refine(nodes: Sequence[Node], parent: list[int], block: list[int], count: i
     return classes
 
 
-def minimize(t: RegularThread) -> RegularThread:
-    """Least-state bisimilar thread with canonical breadth-first numbering.
+def _reachable(
+    label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], roots: Sequence[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The states reachable from ``roots``, numbered breadth-first, true
+    successor first: (new number or -1 per old state, label, on_true,
+    on_false)."""
+    index = [-1] * len(label)
+    order: list[int] = []
+    for root in roots:
+        if index[root] < 0:
+            index[root] = len(order)
+            order.append(root)
+    for state in order:  # the list grows while it is walked: a queue
+        for succ in (on_true[state], on_false[state]):
+            if index[succ] < 0:
+                index[succ] = len(order)
+                order.append(succ)
+    new_true = [index[on_true[s]] for s in order]
+    return index, [label[s] for s in order], new_true, [index[on_false[s]] for s in order]
 
-    Only the states reachable from the root are refined; whether two of them
-    are bisimilar depends on no other state.  They are numbered breadth-first
-    from the root, so the classes, numbered by first occurrence, come out in
-    breadth-first order of the quotient: a state whose class was met before
-    has the successor classes of that class's first state, so only first
-    states of classes introduce new classes, in the quotient's order.
+
+def _quotient(
+    kinds: Sequence, label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], root: int
+) -> RegularThread:
+    """Least-state thread bisimilar to state ``root`` of an array graph.
+
+    ``kinds[x]`` is what label ``x`` stands for: an action, or the class
+    ``Stop`` or ``Dead`` of a leaf.  Only the states reachable from the root
+    are refined, numbered breadth-first, so the classes, numbered by first
+    occurrence, come out in breadth-first order of the quotient: only the
+    first state of a class can introduce new successor classes.
     """
-    index = [-1] * len(t.nodes)
-    index[t.root] = 0
-    reachable = [t.root]
-    for state in reachable:  # the list grows while it is walked: a queue
-        node = t.nodes[state]
-        if type(node) is Branch:
-            for succ in (node.on_true, node.on_false):
-                if index[succ] < 0:
-                    index[succ] = len(reachable)
-                    reachable.append(succ)
-    states: list[Node] = []
-    for state in reachable:
-        node = t.nodes[state]
-        if type(node) is Branch:
-            node = Branch(node.action, index[node.on_true], index[node.on_false])
-        states.append(node)
-    classes = bisimulation_classes(states)
+    _, label, on_true, on_false = _reachable(label, on_true, on_false, (root,))
+    classes = _classes(label, on_true, on_false)
     nodes: list[Node] = []
-    for node, cls in zip(states, classes):
+    for state, cls in enumerate(classes):
         if cls == len(nodes):  # the first state of its class
-            if type(node) is Branch:
-                node = Branch(node.action, classes[node.on_true], classes[node.on_false])
-            nodes.append(node)
+            kind = kinds[label[state]]
+            succ = classes[on_true[state]], classes[on_false[state]]
+            nodes.append(kind() if kind is Stop or kind is Dead else Branch(kind, *succ))
     return RegularThread(tuple(nodes), 0)
+
+
+def _arrays(*node_lists: Sequence[Node]) -> tuple[dict, list[int], list[int], list[int]]:
+    """(kinds, label, on_true, on_false) of the disjoint union of node
+    lists; ``kinds`` interns each action and each leaf class as a label."""
+    kinds: dict = {}
+    label: list[int] = []
+    on_true: list[int] = []
+    on_false: list[int] = []
+    for nodes in node_lists:
+        offset = len(label)
+        for state, node in enumerate(nodes, offset):
+            if type(node) is Branch:
+                label.append(kinds.setdefault(node.action, len(kinds)))
+                on_true.append(node.on_true + offset)
+                on_false.append(node.on_false + offset)
+            else:
+                label.append(kinds.setdefault(type(node), len(kinds)))
+                on_true.append(state)
+                on_false.append(state)
+    return kinds, label, on_true, on_false
+
+
+def bisimulation_classes(nodes: Sequence[Node]) -> list[int]:
+    """Class index per state, numbered by first occurrence; equal class
+    means bisimilar."""
+    _, *graph = _arrays(nodes)
+    return _classes(*graph)
+
+
+def minimize(t: RegularThread) -> RegularThread:
+    """Least-state bisimilar thread with canonical breadth-first numbering."""
+    kinds, *graph = _arrays(t.nodes)
+    return _quotient(list(kinds), *graph, t.root)
 
 
 def threads_equal(t1: RegularThread, t2: RegularThread) -> bool:
     """Bisimilarity, decided over the disjoint union of the state sets."""
-    nodes = list(t1.nodes) + [_shift(n, len(t1.nodes)) for n in t2.nodes]
-    classes = bisimulation_classes(nodes)
+    _, *graph = _arrays(t1.nodes, t2.nodes)
+    classes = _classes(*graph)
     return classes[t1.root] == classes[len(t1.nodes) + t2.root]
 
 

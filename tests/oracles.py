@@ -3,7 +3,9 @@
 These are the straightforward implementations the library replaced with
 faster ones: the second canonical form by walking every jump chain from
 scratch, the position graph of extraction by per-position wrap/at lookups,
-and bisimilarity by round-by-round refinement that re-keys every state.
+bisimilarity by round-by-round refinement that re-keys every state, and the
+behavioural deciders as extract, minimize and compare, with behavioural
+congruence of finite sequences checked once per termination padding.
 They work on plain ``(prefix, period)`` tuples and node lists, so they
 share nothing with the code under test but the instruction and node types.
 """
@@ -205,3 +207,77 @@ def minimize(t):
             node = Branch(node.action, order[classes[node.on_true]], order[classes[node.on_false]])
         nodes[idx] = node
     return RegularThread(tuple(nodes), 0)
+
+
+def take(seq, count):
+    """The first ``count`` instructions of a sequence, fewer if it ends."""
+    out = []
+    for pos in range(1, count + 1):
+        instr = at(seq, pos)
+        if instr is None:
+            break
+        out.append(instr)
+    return out
+
+
+def shift(node, offset):
+    if isinstance(node, Branch):
+        return Branch(node.action, node.on_true + offset, node.on_false + offset)
+    return node
+
+
+def threads_equal(t1, t2):
+    """Bisimilarity over the disjoint union, by the reference refinement."""
+    union = list(t1.nodes) + [shift(n, len(t1.nodes)) for n in t2.nodes]
+    classes = bisimulation_classes(union)
+    return classes[t1.root] == classes[len(t1.nodes) + t2.root]
+
+
+def extract(prefix, period):
+    """Minimized thread of any (prefix, period) split of a sequence."""
+    nodes, entry = position_nodes(second_canonical(prefix, period))
+    return minimize(RegularThread(tuple(nodes), entry[0]))
+
+
+def behaviourally_equivalent(x, y):
+    """Extract both (prefix, period) splits, minimize, compare."""
+    return threads_equal(extract(*x), extract(*y))
+
+
+def pad_with_halts(seq, count):
+    """Finite sequence extended with ``count`` termination instructions."""
+    prefix, period = seq
+    assert not period, "only finite sequences can be padded"
+    return tuple(prefix) + (Halt(),) * count, ()
+
+
+def entry_classes(a, b):
+    """Bisimilarity classes of every entry position of both sequences."""
+    nodes_a, entry_a = position_nodes(a)
+    nodes_b, entry_b = position_nodes(b)
+    offset = len(nodes_a)
+    classes = bisimulation_classes(nodes_a + [shift(n, offset) for n in nodes_b])
+    return [classes[i] for i in entry_a], [classes[i + offset] for i in entry_b]
+
+
+def behaviourally_congruent(x, y):
+    """Every entry compared under every padding from 0 to max(jump, 2).
+
+    Past that padding no jump reaches beyond the padded end, so larger
+    paddings repeat the verdict of the largest one checked.
+    """
+    a, b = second_canonical(*x), second_canonical(*y)
+    if bool(a[1]) != bool(b[1]):
+        return False
+    if a[1]:
+        cls_a, cls_b = entry_classes(a, b)
+        m_a, m_b = len(a[0]), len(b[0])
+        return normalize(cls_a[:m_a], cls_a[m_a:]) == normalize(cls_b[:m_b], cls_b[m_b:])
+    if len(a[0]) != len(b[0]):
+        return False
+    reach = max([i.offset for i in a[0] + b[0] if isinstance(i, Jump)] + [2])
+    for padding in range(reach + 1):
+        cls_a, cls_b = entry_classes(pad_with_halts(a, padding), pad_with_halts(b, padding))
+        if cls_a != cls_b:
+            return False
+    return True

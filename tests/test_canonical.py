@@ -13,6 +13,7 @@ from iseq.canonical import (
 from iseq.interaction import unfold
 from iseq.syntax import parse_instruction_sequence as parse, render_term
 
+from . import oracles
 from .genterms import equal_variant, random_term
 
 
@@ -58,7 +59,7 @@ def test_isc_distinguishes_finite_lengths():
 def test_second_canonical_self_loop_jumps_become_zero():
     canon = to_second_canonical(parse("-a;#2;(+b;#2)*"))
     assert canon == to_second_canonical(parse("-a;#0;(+b;#0)*"))
-    flat = canon.take(6)
+    flat = oracles.take((canon.prefix, canon.period), 6)
     assert [str(i) for i in flat] == ["-a", "#0", "+b", "#0", "+b", "#0"]
 
 
@@ -114,10 +115,11 @@ def test_second_canonical_jump_conditions():
             for i, instr in enumerate(canon.prefix, start=1):
                 if isinstance(instr, Jump):
                     assert instr.offset <= k + m - i
+        seq = (canon.prefix, canon.period)
         for pos in range(1, canon.positions() + 1):
-            instr = canon.at(pos)
+            instr = oracles.at(seq, pos)
             if isinstance(instr, Jump) and instr.offset:
-                assert not isinstance(canon.at(pos + instr.offset), Jump)
+                assert not isinstance(oracles.at(seq, pos + instr.offset), Jump)
 
 
 # -- properties ----------------------------------------------------------------
@@ -134,18 +136,20 @@ def test_normalization_idempotent_randomized():
 
 
 def test_repetition_free_prefix_is_leaf_list():
-    from iseq.syntax import is_repetition_free, leaves
+    from iseq.syntax import leaves
 
     rng = random.Random(19)
     checked = 0
     while checked < 50:
         t = random_term(rng, 8)
-        if not is_repetition_free(t):
+        try:
+            flat = leaves(t)  # raises on a repetition
+        except ValueError:
             continue
         checked += 1
         canon = to_first_canonical(t)
         assert canon.period == ()
-        assert list(canon.prefix) == leaves(t)
+        assert list(canon.prefix) == flat
 
 
 def test_isc_implies_structural_on_variants():
@@ -178,7 +182,7 @@ def test_expansion_matches_independent_unfolder():
             direct.append(instr)
             if len(direct) >= 50:
                 break
-        assert canon.take(50) == direct
+        assert oracles.take((canon.prefix, canon.period), 50) == direct
 
 
 def test_render_of_canonical_is_parseable():

@@ -79,8 +79,14 @@ def test_computes_rejects_wrong_program():
 
 
 def test_computes_errors():
-    with pytest.raises(ValueError):
-        computes_check(parse("(a)*"), ID_TABLE, 0)  # repetition
+    for text in ("(a)*", "+in:1.i/i;(out:1.1/1;!)*"):  # repetition
+        for call in (
+            lambda: computes_check(parse(text), ID_TABLE, 0),
+            lambda: induced_table(parse(text), IoConvention(1, 1, 0)),
+            lambda: restrict_to_core(parse(text), IoConvention(1, 1, 0)),
+        ):
+            with pytest.raises(ValueError, match="^program must be repetition-free$"):
+                call()
     with pytest.raises(ValueError):
         computes_check(parse("f.i/i;!"), ID_TABLE, 0)  # foreign focus
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -279,3 +281,43 @@ def test_long_composition_compares_and_hashes():
     assert first == second and hash(first) == hash(second)
     assert first != other
     assert len({first, second, other}) == 2
+
+
+def dataclass_repr(node):
+    """The text the dataclass-generated ``repr`` gave, built recursively."""
+    if isinstance(node, (Concat, ComposeFamily)):
+        return f"{type(node).__name__}(left={dataclass_repr(node.left)}, right={dataclass_repr(node.right)})"
+    if isinstance(node, Repeat):
+        return f"Repeat(body={dataclass_repr(node.body)})"
+    if isinstance(node, HideFamily):
+        return f"HideFamily(hidden={node.hidden!r}, body={dataclass_repr(node.body)})"
+    return repr(node)
+
+
+def test_repr_of_short_terms_is_the_dataclass_text():
+    assert repr(Concat(Halt(), Concat(Jump(1), Halt()))) == (
+        "Concat(left=Halt(), right=Concat(left=Jump(offset=1), right=Halt()))"
+    )
+    assert repr(ComposeFamily(EmptyFamily(), EmptyFamily())) == (
+        "ComposeFamily(left=EmptyFamily(), right=EmptyFamily())"
+    )
+    for text in ("a;(+b;#2;(c;!)*)*", "(a;b);(c;d)", "-f.0/c;#0"):
+        t = parse_instruction_sequence(text)
+        assert repr(t) == dataclass_repr(t)
+    for text in ("{a=1} + {b=0} + {c=-}", "({a=1} + {b=0}) + hide{a}({a=1} + {c=0})"):
+        f = parse_register_family(text)
+        assert repr(f) == dataclass_repr(f)
+
+
+def test_long_terms_repr_and_pickle():
+    """5,000 instructions and 3,000 bindings: ``repr`` and pickling walk
+    them without recursion, and unpickling rebuilds an equal term."""
+    term = concat_all([Halt()] * 4999 + [Jump(2)])
+    text = repr(term)
+    assert text.startswith("Concat(left=Halt(), right=Concat(left=Halt(), ")
+    assert text.endswith("right=Jump(offset=2)" + ")" * 4999)
+    assert pickle.loads(pickle.dumps(term)) == term
+    family = parse_register_family(" + ".join(f"{{r{i}=1}}" for i in range(3000)))
+    assert repr(family).count("SingletonFamily(") == 3000
+    copy = pickle.loads(pickle.dumps(family))
+    assert copy == family and render_family_term(copy) == render_family_term(family)
