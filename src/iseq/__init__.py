@@ -20,6 +20,7 @@ from .canonical import (
 )
 from .compute import (
     IoConvention,
+    SearchBudgetExceeded,
     compile_table,
     computes_check,
     functionally_equivalent,

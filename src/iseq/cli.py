@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verdict subcommands (equiv, computes) exit 0 for true and 1 for false;
-search exits 1 when nothing is found within the budget; errors exit 2.
+search exits 1 when no program fits the length budget, and 2 when its node
+budget runs out first; errors exit 2.
 All output is a pure function of the inputs.
 """
 
@@ -137,6 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, metavar="PATH")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--aux", type=int, default=0)
+    p.add_argument(
+        "--max-nodes",
+        type=int,
+        default=compute.DEFAULT_MAX_NODES,
+        help="frontier nodes the search may expand before it gives up with exit 2 "
+        f"(default {compute.DEFAULT_MAX_NODES})",
+    )
 
     return parser
 
@@ -216,7 +224,7 @@ def _dispatch(args, out, err) -> int:
         return 0
     if args.command == "search":
         table = _table_argument(args)
-        result = compute.search_shortest(table, args.aux, args.max_len)
+        result = compute.search_shortest(table, args.aux, args.max_len, args.max_nodes)
         if result is None:
             print("none", file=out)
             return 1
@@ -228,7 +236,7 @@ def _dispatch(args, out, err) -> int:
 _VALUE_OPTIONS = {
     "-e", "--expr", "--file", "-f", "--family", "--family-file", "--table",
     "--form", "--relation", "--fuel", "--aux", "--inputs", "--outputs",
-    "--max-len",
+    "--max-len", "--max-nodes",
 }
 
 

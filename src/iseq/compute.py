@@ -31,13 +31,21 @@ program by at most three instructions, except where a skipping core test
 directly precedes a block that cannot catch its skip and must take an
 explicit jump: 36 of the 22,350 programs of length at most 2 over in:1,
 out:1 and aux:1.
+
+The shortest-program search fixes the positions of each candidate length
+left to right, over the same decoded instructions.  Jumps only go forward,
+so after each position every input row has either ended or is parked
+further on with its registers; the search keeps one prefix per such
+frontier, the least, and so returns the length-lexicographically least
+program that enumerating every candidate would.  A budget on the
+frontiers it expands bounds its work.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .syntax import (
     F0,
@@ -107,7 +115,7 @@ def _validate_program(t: InstructionSequenceTerm, conv: IoConvention) -> list[Pr
 # A decoded instruction is None for ``!``, its step for a jump (0 is
 # inaction), or (slot, effect_on_0, effect_on_1, step_on_0, step_on_1) for a
 # register instruction.  Register slots lay out in:1..n, out:1..m, aux:1..k.
-_Op = Union[None, int, tuple]
+_Op = None | int | tuple
 
 # (effect_on_0, effect_on_1, step_on_0, step_on_1) of every register form
 _BEHAVIOUR = {
@@ -214,7 +222,7 @@ def functionally_equivalent(
 
 
 _Label = tuple[str, str]
-_Item = Union[PrimitiveInstruction, tuple]
+_Item = PrimitiveInstruction | tuple
 
 
 def _assemble(items: Sequence[_Item]) -> list[PrimitiveInstruction]:
@@ -333,7 +341,7 @@ _CORE_OPTIONS = {
 _TOKEN_KIND = {"": Plain, "+": PosTest, "-": NegTest}
 
 
-def _core_slot(token: str, focus: Focus, i: int) -> Union[PrimitiveInstruction, int]:
+def _core_slot(token: str, focus: Focus, i: int) -> PrimitiveInstruction | int:
     """A block token as a core instruction, or an exit as its 0-based target."""
     if token[0] == ">":
         return i + int(token[1])
@@ -420,39 +428,128 @@ def _search_alphabet(conv: IoConvention, length: int) -> list[PrimitiveInstructi
     return instrs
 
 
+DEFAULT_MAX_NODES = 250_000
+
+
+class SearchBudgetExceeded(ValueError):
+    """The search expanded more frontier nodes than its budget allows."""
+
+    def __init__(self, max_nodes: int, searched: int):
+        super().__init__(
+            f"search node budget of {max_nodes} exhausted; "
+            f"no program of length {searched} or less computes the table"
+        )
+
+
 def search_shortest(
-    table: FunctionTable, k: int, max_len: int
+    table: FunctionTable, k: int, max_len: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> Optional[InstructionSequenceTerm]:
     """Length-lexicographically least core program computing the table.
 
-    Enumerates all programs over the core instructions, forward jumps with
-    literals up to the candidate length, and termination; returns None when
-    no program of length up to ``max_len`` computes the table.
+    The candidates are all programs over the core instructions, forward
+    jumps with literals up to the candidate length, and termination, in the
+    order of ``_search_alphabet``.  For each length, a depth-first walk
+    fixes one position at a time, trying the symbols in that order.  Jumps
+    only go forward, so once the first p positions are fixed every input
+    row has either ended or is parked at a later position with some
+    register contents; the tuple of these row states is the *frontier*.
+    Three exact rules prune the walk:
+
+    - a row that ends with the wrong result (it halts with other outputs,
+      halts on an undefined row, or goes inactive on a defined one) kills
+      the prefix;
+    - a position where no row is parked gets only ``!``, the first symbol,
+      since every symbol leaves the frontier as it is;
+    - a frontier met before with as many positions left is dropped: equal
+      frontiers accept the same completions, and the earlier one came from
+      a smaller prefix of this length, or from a shorter length that found
+      no program.  Positions are counted from the end, so the memo
+      carries over from one length to the next.  A jump past the end
+      gives the frontier of ``#0``, which comes first.
+
+    Each rule drops only prefixes that cannot complete, or that complete no
+    earlier than one the walk keeps, so the first program it completes is
+    the one a full enumeration finds first.  Marking a frontier when it is
+    generated is enough: the walk expands prefixes in lexicographic order,
+    so it generates those of one length in that order too.
+
+    Returns None when no program of length up to ``max_len`` computes the
+    table.  Raises :class:`SearchBudgetExceeded`, naming the last length
+    searched in full, when the walk would expand more than ``max_nodes``
+    frontiers in all.  With no output registers every program computes the
+    table, so the answer is ``!``.
     """
     if max_len < 0:
         raise ValueError("max_len must be a natural number")
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be a natural number")
     conv = IoConvention(table.n, table.m, k)
-    outputs = slice(conv.n, conv.n + conv.m)
-    rows = [
-        (_start_row(conv, bits), None if want is None else [bit == "1" for bit in want])
-        for bits, want in table.rows()
-    ]
+    if conv.m == 0:
+        return Halt() if max_len else None
+    # A row's state is -1 once it ended with the right result; otherwise
+    # the number of positions from its position to the end, above its
+    # registers, one bit per slot.  Counted from the end, a state means the
+    # same at every length, so the memo holds across lengths.
+    width = conv.n + conv.m + conv.k
+    outputs = ((1 << conv.m) - 1) << conv.n
+    starts = [int(bits[::-1] or "0", 2) for bits, _ in table.rows()]
+    wants = [None if want is None else int(want[::-1], 2) << conv.n for _, want in table.rows()]
 
-    def passes(code: tuple[_Op, ...]) -> bool:
-        for start, want in rows:
-            regs = list(start)
-            if (regs[outputs] if _run(code, regs) else None) != want:
-                return False
-        return True
+    def advance(frontier: tuple, left: int, parked: list[int], op: _Op) -> Optional[tuple]:
+        """The frontier after ``op`` at the position ``left`` positions from
+        the end, or None if a row parked there ends with the wrong result."""
+        child = list(frontier)
+        base = left << width
+        for r in parked:
+            regs = frontier[r] - base
+            if op is None:
+                if regs & outputs != wants[r]:
+                    return None
+                child[r] = -1
+                continue
+            if type(op) is int:
+                step = op or left  # #0 is inaction, like running past the end
+            else:
+                slot, effect0, effect1, step0, step1 = op
+                if (regs >> slot) & 1:
+                    step = step1
+                    if not effect1:
+                        regs -= 1 << slot
+                else:
+                    step = step0
+                    if effect0:
+                        regs += 1 << slot
+            if step < left:
+                child[r] = (left - step) << width | regs
+            elif wants[r] is None:
+                child[r] = -1
+            else:
+                return None
+        return tuple(child)
 
+    seen: list[set] = [set()]  # frontiers met, by the number of positions left
+    visited = 0
     for length in range(1, max_len + 1):
         alphabet = _search_alphabet(conv, length)
-        decoded = _decode(alphabet, conv)
-        candidates = zip(
-            itertools.product(alphabet, repeat=length),
-            itertools.product(decoded, repeat=length),
-        )
-        for candidate, code in candidates:
-            if passes(code):
-                return concat_all(candidate)
+        code = _decode(alphabet, conv)
+        seen.append(set())
+        # (prefix as symbol indices, frontier); the least prefix on top
+        stack = [((), tuple(length << width | regs for regs in starts))]
+        while stack:
+            prefix, frontier = stack.pop()
+            left = length - len(prefix)
+            if not left:
+                return concat_all(alphabet[i] for i in prefix)
+            visited += 1
+            if visited > max_nodes:
+                raise SearchBudgetExceeded(max_nodes, length - 1)
+            parked = [r for r, s in enumerate(frontier) if s >> width == left]
+            children = []
+            # where no row is parked, every symbol gives this frontier: only ``!``
+            for i, op in enumerate(code if parked else code[:1]):
+                child = advance(frontier, left, parked, op)
+                if child is not None and child not in seen[left - 1]:
+                    seen[left - 1].add(child)
+                    children.append((prefix + (i,), child))
+            stack.extend(reversed(children))
     return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 class ParseError(ValueError):
@@ -122,7 +122,7 @@ class RegisterAction:
         return f"{self.focus}.{self.reply.token}/{self.effect.token}"
 
 
-BasicInstruction = Union[AbstractAction, RegisterAction]
+BasicInstruction = AbstractAction | RegisterAction
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ class Halt:
         return "!"
 
 
-PrimitiveInstruction = Union[Plain, PosTest, NegTest, Jump, Halt]
+PrimitiveInstruction = Plain | PosTest | NegTest | Jump | Halt
 
 
 def _preorder(node, cls):
@@ -245,7 +245,7 @@ class Repeat:
     body: "InstructionSequenceTerm"
 
 
-InstructionSequenceTerm = Union[PrimitiveInstruction, Concat, Repeat]
+InstructionSequenceTerm = PrimitiveInstruction | Concat | Repeat
 
 
 def is_primitive(t: InstructionSequenceTerm) -> bool:
@@ -318,7 +318,7 @@ class HideFamily:
     body: "RegisterFamilyTerm"
 
 
-RegisterFamilyTerm = Union[EmptyFamily, SingletonFamily, ComposeFamily, HideFamily]
+RegisterFamilyTerm = EmptyFamily | SingletonFamily | ComposeFamily | HideFamily
 
 
 # ---------------------------------------------------------------------------

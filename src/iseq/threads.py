@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .syntax import AbstractAction, BasicInstruction, RegisterAction
 
@@ -58,7 +58,7 @@ class _Tau:
 
 TAU = _Tau()
 
-Action = Union[BasicInstruction, _Tau]
+Action = BasicInstruction | _Tau
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Branch:
     on_false: int
 
 
-Node = Union[Stop, Dead, Branch]
+Node = Stop | Dead | Branch
 
 
 @dataclass(frozen=True)

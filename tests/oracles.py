@@ -8,11 +8,28 @@ behavioural deciders as extract, minimize and compare, with behavioural
 congruence of finite sequences checked once per termination padding.
 They work on plain ``(prefix, period)`` tuples and node lists, so they
 share nothing with the code under test but the instruction and node types.
+The last one is the shortest-program search by enumerating every program
+of each length; it shares the execution kernel and the alphabet with the
+search under test, and the kernel has tests of its own against ``use``
+and ``apply``.
 """
 
 from __future__ import annotations
 
-from iseq.syntax import Halt, Jump, NegTest, Plain, PosTest
+import itertools
+from typing import Optional
+
+from iseq.compute import IoConvention, _decode, _run, _search_alphabet, _start_row
+from iseq.syntax import (
+    FunctionTable,
+    Halt,
+    InstructionSequenceTerm,
+    Jump,
+    NegTest,
+    Plain,
+    PosTest,
+    concat_all,
+)
 from iseq.threads import TAU, Branch, Dead, RegularThread, Stop
 
 
@@ -281,3 +298,41 @@ def behaviourally_congruent(x, y):
         if cls_a != cls_b:
             return False
     return True
+
+
+def search_shortest(
+    table: FunctionTable, k: int, max_len: int
+) -> Optional[InstructionSequenceTerm]:
+    """Length-lexicographically least core program computing the table.
+
+    Enumerates all programs over the core instructions, forward jumps with
+    literals up to the candidate length, and termination; returns None when
+    no program of length up to ``max_len`` computes the table.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be a natural number")
+    conv = IoConvention(table.n, table.m, k)
+    outputs = slice(conv.n, conv.n + conv.m)
+    rows = [
+        (_start_row(conv, bits), None if want is None else [bit == "1" for bit in want])
+        for bits, want in table.rows()
+    ]
+
+    def passes(code) -> bool:
+        for start, want in rows:
+            regs = list(start)
+            if (regs[outputs] if _run(code, regs) else None) != want:
+                return False
+        return True
+
+    for length in range(1, max_len + 1):
+        alphabet = _search_alphabet(conv, length)
+        decoded = _decode(alphabet, conv)
+        candidates = zip(
+            itertools.product(alphabet, repeat=length),
+            itertools.product(decoded, repeat=length),
+        )
+        for candidate, code in candidates:
+            if passes(code):
+                return concat_all(candidate)
+    return None

@@ -151,6 +151,32 @@ def test_search_cli(tmp_path):
     assert code == 1 and out == "none\n"
 
 
+XOR_TABLE = "inputs 2 outputs 1\n00 -> 0\n01 -> 1\n10 -> 1\n11 -> 0\n"
+
+
+def test_search_cli_finds_xor_at_length_8(tmp_path):
+    table = tmp_path / "xor.tbl"
+    table.write_text(XOR_TABLE)
+    code, out, err = run("search", "--table", str(table), "--max-len", "40")
+    assert (code, err) == (0, "")
+    assert out == "+in:1.i/i;#3;-in:2.i/i;!;+in:1.i/i;-in:2.i/i;out:1.1/1;!\n"
+
+
+def test_search_node_budget_exits_2(tmp_path):
+    table = tmp_path / "xor.tbl"
+    table.write_text(XOR_TABLE)
+    code, out, err = run("search", "--table", str(table), "--max-len", "40", "--max-nodes", "100")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: search node budget of 100 exhausted; "
+        "no program of length 3 or less computes the table\n"
+    )
+    code, out, err = run("search", "--table", str(table), "--max-len", "3", "--max-nodes", "-1")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run("search", "--help")
+    assert code == 0 and "default 250000" in " ".join(out.split())
+
+
 def test_unknown_subcommand_exits_2():
     code, _, _ = run("frobnicate")
     assert code == 2

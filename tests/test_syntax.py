@@ -1,8 +1,13 @@
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iseq
 from iseq.syntax import (
     AbstractAction,
     ComposeFamily,
@@ -321,3 +326,31 @@ def test_long_terms_repr_and_pickle():
     assert repr(family).count("SingletonFamily(") == 3000
     copy = pickle.loads(pickle.dumps(family))
     assert copy == family and render_family_term(copy) == render_family_term(family)
+
+
+def test_a_fresh_import_frees_the_previous_classes():
+    """The module-level unions are ``|`` unions: ``typing.Union`` caches its
+    arguments, which kept every earlier import of the package alive."""
+    script = textwrap.dedent(
+        """
+        import gc, importlib, sys, weakref
+
+        def fresh():
+            for name in [n for n in sys.modules if n == "iseq" or n.startswith("iseq.")]:
+                del sys.modules[name]
+            return importlib.import_module("iseq")
+
+        pkg = fresh()
+        refs = [weakref.ref(pkg.syntax.Plain), weakref.ref(pkg.threads.Branch)]
+        del pkg
+        fresh()
+        gc.collect()
+        print([ref() is None for ref in refs])
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        cwd=Path(iseq.__file__).parent.parent,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[True, True]\n", "")
