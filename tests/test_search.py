@@ -12,6 +12,7 @@ more than ``computes_check`` does, are checked on their own.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -69,7 +70,9 @@ def test_memo_expands_far_fewer_frontiers_than_the_enumeration_runs():
     # of length 5 alone, and the walk expands fewer than 34**2 frontiers
     alphabet = len(_search_alphabet(IoConvention(2, 1, 0), 5))
     assert alphabet == 34
+    start = time.perf_counter()
     assert search_shortest(XOR, 0, 5, max_nodes=alphabet**2) is None
+    assert time.perf_counter() - start < 1.0  # the enumeration took 51 s
 
 
 def test_node_budget_names_the_last_length_searched_in_full():
