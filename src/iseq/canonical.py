@@ -105,7 +105,7 @@ def _canonical(
     return CanonicalSeq(pre, per)
 
 
-def _flatten(
+def flatten(
     t: InstructionSequenceTerm,
 ) -> tuple[list[PrimitiveInstruction], list[PrimitiveInstruction]]:
     """Term -> (finite part, repeating part); repeating part may be empty.
@@ -130,7 +130,7 @@ def _flatten(
                 prefix.append(left)
                 node = node.right
         if type(node) is Repeat:
-            body_pre, body_per = _flatten(node.body)
+            body_pre, body_per = flatten(node.body)
             # whatever follows an infinite sequence is unreachable
             if body_per:
                 return prefix + body_pre, body_per
@@ -141,7 +141,7 @@ def _flatten(
 
 def to_first_canonical(t: InstructionSequenceTerm) -> CanonicalSeq:
     """Minimized first canonical form (decides the sequence the term denotes)."""
-    prefix, period = _flatten(t)
+    prefix, period = flatten(t)
     return _canonical(prefix, period)
 
 

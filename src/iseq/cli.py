@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=compute.DEFAULT_MAX_NODES,
         help="frontier nodes the search may expand before it gives up with exit 2 "
-        f"(default {compute.DEFAULT_MAX_NODES})",
+        f"(default {compute.DEFAULT_MAX_NODES}); each is kept until the search ends, "
+        "and using up the default on 3-input majority took peak memory from 16 to 53 MB",
     )
 
     return parser

@@ -1,18 +1,21 @@
 """Thread extraction and the behavioural equivalence/congruence deciders.
 
-Extraction builds the behaviour graph over the positions of the second
+Extraction builds the behaviour graph over the positions of the flat
+``(prefix, period)`` parts of a term (``canonical.flatten``), with no
 canonical form: a plain instruction performs its action and continues, a
-test branches between the next position and the one after, a 0-jump and any
-position past the end of a finite sequence are inactive, termination stops,
-and positions of the repeating part wrap around.  Chained jumps were removed
-by normalization, so a jump position is an alias for its target.
+test branches between the next position and the one after, termination
+stops, and positions of the repeating part wrap around.  A jump is an
+alias for the end of its chain, which one memoized pass finds for every
+jump: Dead for a 0-jump, a cycle or a finite end, else the first position
+on the chain that is not a jump.
 
 The graph is written straight into the int arrays of the refinement kernel
 in :mod:`threads` (a label and two successors per state, leaves as
 self-loops), one state per instruction that acts and shared leaves for
-Stop and Dead.  Each decider writes both sequences into one set of arrays
-and runs exactly one refinement; ``extract`` builds nodes only for the
-minimized quotient.
+Stop and Dead.  Labels are found by object identity, which a parse shares
+per distinct instruction, and by equality once per object.  Each decider
+writes both sequences into one set of arrays and runs one refinement;
+``extract`` builds nodes only for the minimized quotient.
 
 Behavioural congruence quantifies over every jump-in entry and every
 termination padding.  Entries are positions, so the first quantifier is a
@@ -23,7 +26,9 @@ of its own (see ``behaviourally_congruent``).
 
 from __future__ import annotations
 
-from .canonical import CanonicalSeq, normalize_ultimately_periodic, to_second_canonical
+from typing import Sequence
+
+from .canonical import CanonicalSeq, flatten, normalize_ultimately_periodic
 from .syntax import (
     Halt,
     InstructionSequenceTerm,
@@ -55,76 +60,85 @@ def _graph() -> tuple[dict, list[int], list[int], list[int]]:
     return {Dead: _DEAD, Stop: _STOP}, [_DEAD, _STOP], [_DEAD, _STOP], [_DEAD, _STOP]
 
 
-def _write(canon: CanonicalSeq, graph: tuple, ends: dict | None = None) -> list[int]:
-    """Append the position graph of ``canon``; the state of each position.
+def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None = None) -> list[int]:
+    """Append the position graph of ``prefix + period^omega`` to ``graph``;
+    the state of each position.
 
-    Each instruction that acts gets a state, numbered in position order
-    after those the graph holds; a termination is the Stop leaf and a jump
-    an alias for the state it leads to.  The state of every stored position
-    is found once, and each instruction's successors are the states of the
-    next one or two positions, wrapping into the repeating part.  Past the
-    end of a finite sequence lies the Dead leaf, or, with ``ends`` given,
-    at position m + j a leaf labelled ``("end", j)``, kept in ``ends`` so
-    that both sequences of a comparison share it.
+    Acting positions get states in position order after those the graph
+    holds; a termination is the Stop leaf and a jump the state its chain
+    ends in.  Past the end of a finite sequence lies the Dead leaf, or, with
+    ``ends`` given, at position m + j a leaf labelled ``("end", j)``, kept in
+    ``ends`` so that both sequences of a comparison share it.
     """
     kinds, label, on_true, on_false = graph
-    seq = canon.prefix + canon.period
-    m = len(canon.prefix)
+    seq = prefix + period
+    m = len(prefix)
     total = len(seq)
     k = total - m
+    by_id: dict[int, int] = {}
     state = []
-    for instr in seq:
+    acts = []
+    for q, instr in enumerate(seq):
         kind = type(instr)
         if kind is Halt:
             state.append(_STOP)
         elif kind is Jump:
-            state.append(-1)
+            state.append(-1)  # resolved below; -2 while on the chain walked
         else:
+            acts.append(q)
             state.append(len(label))
-            label.append(kinds.setdefault(instr.basic, len(kinds)))
+            lab = by_id.get(id(instr.basic))
+            if lab is None:
+                lab = by_id[id(instr.basic)] = kinds.setdefault(instr.basic, len(kinds))
+            label.append(lab)
     # successors are set below, once every position has its state
     on_true.extend(range(len(on_true), len(label)))
     on_false.extend(range(len(on_false), len(label)))
 
     def target(q: int) -> int:
-        """State behaving like execution from 0-based index ``q``."""
-        guard = 0
+        """State behaving like execution from 0-based index ``q``; every jump
+        on the way gets that state too."""
+        chain = []
         while True:
             if q >= total:
-                if k:
-                    q = m + (q - m) % k
-                elif ends is None:
-                    return _DEAD
-                else:
+                if not k:
                     j = q - total + 1  # position m + j
-                    if j not in ends:
-                        ends[j] = len(label)
+                    s = _DEAD if ends is None else ends.get(j, -1)
+                    if s < 0:  # met first here
+                        s = ends[j] = len(label)
                         label.append(kinds.setdefault(("end", j), len(kinds)))
-                        on_true.append(ends[j])
-                        on_false.append(ends[j])
-                    return ends[j]
+                        on_true.append(s)
+                        on_false.append(s)
+                    break
+                q = m + (q - m) % k
             s = state[q]
-            if s >= 0:
-                return s
-            if not seq[q].offset:
-                return _DEAD
-            q += seq[q].offset
-            guard += 1
-            if guard > total + 1:  # a cycle of jumps; not on canonical input
-                return _DEAD
+            if s != -1:
+                break  # a state, or -2: a cycle through this chain
+            chain.append(q)
+            offset = seq[q].offset
+            if not offset:
+                break
+            state[q] = -2
+            q += offset
+        s = max(s, _DEAD)  # a 0-jump or a cycle is inactive
+        for q in chain:
+            state[q] = s
+        return s
 
-    entry = [s if s >= 0 else target(q) for q, s in enumerate(state)]
-    after = entry + [target(total), target(total + 1)]
-    for q, s in enumerate(state):
-        if s > _STOP:
-            kind = type(seq[q])
-            if kind is PosTest:
-                on_true[s], on_false[s] = after[q + 1], after[q + 2]
-            elif kind is NegTest:
-                on_true[s], on_false[s] = after[q + 2], after[q + 1]
-            else:
-                on_true[s] = on_false[s] = after[q + 1]
-    return entry
+    for q in range(total):
+        if state[q] < 0:
+            target(q)
+    after = state + [target(total), target(total + 1)]
+    for q in acts:
+        s = state[q]
+        kind = type(seq[q])
+        if kind is PosTest:
+            on_true[s], on_false[s] = after[q + 1], after[q + 2]
+        elif kind is NegTest:
+            on_true[s], on_false[s] = after[q + 2], after[q + 1]
+        else:
+            on_true[s] = on_false[s] = after[q + 1]
+    return state
 
 
 def _position_nodes(canon: CanonicalSeq) -> tuple[list[Node], list[int]]:
@@ -137,7 +151,7 @@ def _position_nodes(canon: CanonicalSeq) -> tuple[list[Node], list[int]]:
     in ``tests/oracles.py``, which the deciders themselves never build.
     """
     graph = _graph()
-    entry = _write(canon, graph)
+    entry = _write(canon.prefix, canon.period, graph)
     kinds, label, on_true, on_false = graph
     seq = canon.prefix + canon.period
     kind_of = list(kinds)
@@ -153,7 +167,7 @@ def _position_nodes(canon: CanonicalSeq) -> tuple[list[Node], list[int]]:
 def extract(t: InstructionSequenceTerm) -> RegularThread:
     """The regular thread produced by executing the instruction sequence."""
     graph = _graph()
-    root = _write(to_second_canonical(t), graph)[0]
+    root = _write(*flatten(t), graph)[0]
     kinds, *arrays = graph
     return _quotient(list(kinds), *arrays, root)
 
@@ -164,8 +178,8 @@ def behaviourally_equivalent(
     """Bisimilarity of the extracted threads, decided by one refinement of
     the states reachable from the two roots."""
     graph = _graph()
-    root = _write(to_second_canonical(t), graph)[0]
-    root2 = _write(to_second_canonical(t2), graph)[0]
+    root = _write(*flatten(t), graph)[0]
+    root2 = _write(*flatten(t2), graph)[0]
     index, *arrays = _reachable(*graph[1:], (root, root2))
     classes = _classes(*arrays)
     return classes[index[root]] == classes[index[root2]]
@@ -198,23 +212,32 @@ def behaviourally_congruent(
     p = 0; Dead against ``end j`` under p = j; and ``end i`` against
     ``end j`` with i < j under p = i.  Hence labelled bisimilarity is
     exactly bisimilarity under all paddings at once.
+
+    No canonical form is needed.  The flat parts of a term spell out the
+    sequence it denotes: a finite one position by position, so finiteness
+    and length are read off them directly; a periodic one as some prefix
+    and some repetition of a period.  The class of a position is the
+    behaviour from it, which jump chains and jump lengths do not change.
+    So the classes per position form the same eventually periodic sequence
+    however the term is written, and ``normalize_ultimately_periodic``
+    gives that sequence one form: least preperiod, primitive period.
     """
-    a = to_second_canonical(t)
-    b = to_second_canonical(t2)
-    if a.is_finite != b.is_finite:
+    pre_a, per_a = flatten(t)
+    pre_b, per_b = flatten(t2)
+    if bool(per_a) != bool(per_b):
         return False
-    if a.is_finite and len(a.prefix) != len(b.prefix):
+    if not per_a and len(pre_a) != len(pre_b):
         return False
     graph = _graph()
     ends: dict[int, int] = {}
-    entry_a = _write(a, graph, ends)
-    entry_b = _write(b, graph, ends)
+    entry_a = _write(pre_a, per_a, graph, ends)
+    entry_b = _write(pre_b, per_b, graph, ends)
     classes = _classes(*graph[1:])
     cls_a = [classes[s] for s in entry_a]
     cls_b = [classes[s] for s in entry_b]
-    if a.is_finite:
+    if not per_a:
         return cls_a == cls_b
-    m_a, m_b = len(a.prefix), len(b.prefix)
+    m_a, m_b = len(pre_a), len(pre_b)
     return normalize_ultimately_periodic(cls_a[:m_a], cls_a[m_a:]) == normalize_ultimately_periodic(
         cls_b[:m_b], cls_b[m_b:]
     )

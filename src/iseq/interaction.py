@@ -9,13 +9,14 @@ on termination and the empty family on inaction, divergence, an unknown
 focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 
 ``simulate`` is an independent small-step interpreter over the lazily
-unfolded instruction stream, used as a cross-checking oracle for the
-algebraic route (apply after extract).
+unfolded instruction stream, read modulo its period once it repeats, used
+as a cross-checking oracle for the algebraic route (apply after extract).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from typing import Iterator
 
@@ -172,43 +173,54 @@ class Outcome(enum.Enum):
 
 
 def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
-    """Lazy expansion of a term into its instruction stream.
-
-    Anything following an infinite part is unreachable and never produced.
-    A repetition re-enqueues itself after its body, so the stream never
-    ends once one is reached; an explicit stack avoids nested generators.
-    """
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Concat):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Repeat):
-            stack.append(node)
-            stack.append(node.body)
-        else:
-            yield node
+    """Lazy expansion of a term into its instruction stream; anything
+    following an infinite part is unreachable and never produced."""
+    stream = _Stream(t)
+    for pos in itertools.count(1):
+        instr = stream.at(pos)
+        if instr is None:
+            return
+        yield instr
 
 
 class _Stream:
-    """Random access over a possibly infinite instruction stream."""
+    """Random access over a possibly infinite instruction stream.
+
+    The term unfolds along an explicit stack, on which a repetition
+    re-enqueues itself after its body.  When the repetition first popped
+    last comes back off the stack, the stack is as it was then, so the
+    instructions emitted in between are the stream's period; later
+    positions are read modulo it, and a long jump unfolds nothing.
+    """
 
     def __init__(self, t: InstructionSequenceTerm):
-        self._iter = unfold(t)
+        self._stack = [t]
         self._cache: list[PrimitiveInstruction] = []
-        self._done = False
+        self._repeat: Repeat | None = None
+        self._start = 0  # stream length when ``_repeat`` was popped
+        self._period = 0  # nonzero once the stream is known to repeat
 
     def at(self, pos: int) -> PrimitiveInstruction | None:
         """Instruction at 1-based position ``pos``; None past a finite end."""
-        while not self._done and len(self._cache) < pos:
-            try:
-                self._cache.append(next(self._iter))
-            except StopIteration:
-                self._done = True
-        if len(self._cache) < pos:
-            return None
-        return self._cache[pos - 1]
+        cache, stack = self._cache, self._stack
+        while len(cache) < pos and stack and not self._period:
+            node = stack.pop()
+            if isinstance(node, Concat):
+                stack.append(node.right)
+                stack.append(node.left)
+            elif node is self._repeat:
+                self._period = len(cache) - self._start
+            elif isinstance(node, Repeat):
+                self._repeat, self._start = node, len(cache)
+                stack.append(node)
+                stack.append(node.body)
+            else:
+                cache.append(node)
+        if len(cache) < pos:
+            if not self._period:
+                return None
+            pos = self._start + 1 + (pos - 1 - self._start) % self._period
+        return cache[pos - 1]
 
 
 def simulate(

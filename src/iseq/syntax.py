@@ -411,6 +411,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# enum members by source token; a table lookup is much cheaper than the call
+_FUNC_OF = {f.token: f for f in UnaryBoolFunc}
+_CONTENT_OF = {c.token: c for c in RegisterContent}
+
 # deepest nesting of parentheses (and so of repetitions and encapsulations)
 # the parsers accept; it keeps every recursive walk of a parsed term far
 # from the interpreter's recursion limit
@@ -422,6 +426,8 @@ class _Cursor:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # one object per distinct instruction of this parse, by source key
+        self.shared: dict = {}
 
     def enter(self, position: int) -> None:
         """Open one more level of nesting; refuse one past ``MAX_NESTING``."""
@@ -440,14 +446,16 @@ class _Cursor:
         self.pos += 1
         return tok
 
+    # expect and at run for nearly every token, so they index tokens directly
     def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.next()
+        self.pos += 1
+        return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek()[0] == kind
+        return self.tokens[self.pos][0] == kind
 
     def done(self) -> bool:
         return self.at("eof")
@@ -493,56 +501,50 @@ def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
         cur.expect(")")
         cur.leave()
         return inner
+    shared = cur.shared
     if kind == "!":
         cur.next()
-        return Halt()
+        return shared.get(Halt) or shared.setdefault(Halt, Halt())
     if kind == "#":
         cur.next()
         _, digits, npos = cur.expect("nat")
         offset = int(digits)
         if offset > _MAX_JUMP:
             raise ParseError(f"jump literal {digits} is too large", npos)
-        return Jump(offset)
-    if kind == "+":
-        cur.next()
-        return PosTest(_parse_basic(cur))
-    if kind == "-":
-        cur.next()
-        return NegTest(_parse_basic(cur))
-    if kind == "ident":
-        return Plain(_parse_basic(cur))
+        return shared.get(offset) or shared.setdefault(offset, Jump(offset))
+    if kind in ("+", "-", "ident"):
+        cls = PosTest if kind == "+" else NegTest if kind == "-" else Plain
+        if cls is not Plain:
+            cur.next()
+        basic = _parse_basic(cur)
+        key = (cls, id(basic))  # the basic instruction is shared, so its id stands for it
+        return shared.get(key) or shared.setdefault(key, cls(basic))
     raise ParseError(f"expected an instruction, found {value or 'end of input'!r}", pos)
 
 
 def _parse_basic(cur: _Cursor) -> BasicInstruction:
-    _, name, pos = cur.expect("ident")
-    index = None
-    if cur.at(":"):
-        cur.next()
-        _, digits, ipos = cur.expect("nat")
-        index = int(digits)
-        if index < 1:
-            raise ParseError("focus index must be >= 1", ipos)
+    name, index = _parse_focus_name(cur)
     if cur.at("."):
         cur.next()
         reply = _parse_func(cur)
         cur.expect("/")
         effect = _parse_func(cur)
-        return RegisterAction(Focus(name, index), reply, effect)
+        key = (name, index, reply, effect)
+        return cur.shared.get(key) or cur.shared.setdefault(
+            key, RegisterAction(Focus(name, index), _FUNC_OF[reply], _FUNC_OF[effect])
+        )
     if index is not None:
         tok = cur.peek()
         raise ParseError("indexed focus must name a register operation ('.')", tok[2])
-    return AbstractAction(name)
+    return cur.shared.get(name) or cur.shared.setdefault(name, AbstractAction(name))
 
 
-def _parse_func(cur: _Cursor) -> UnaryBoolFunc:
+def _parse_func(cur: _Cursor) -> str:
+    """The token of a unary Boolean function: 0, 1, i or c."""
     kind, value, pos = cur.peek()
-    if kind == "nat" and value in ("0", "1"):
+    if (kind == "nat" and value in ("0", "1")) or (kind == "ident" and value in ("i", "c")):
         cur.next()
-        return UnaryBoolFunc(value)
-    if kind == "ident" and value in ("i", "c"):
-        cur.next()
-        return UnaryBoolFunc(value)
+        return value
     raise ParseError(f"expected a register operation token 0, 1, i or c, found {value!r}", pos)
 
 
@@ -599,10 +601,10 @@ def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
     if kind == "ident" and value == "hide":
         cur.next()
         cur.expect("{")
-        hidden = [_parse_focus(cur)]
+        hidden = [Focus(*_parse_focus_name(cur))]
         while cur.at(","):
             cur.next()
-            hidden.append(_parse_focus(cur))
+            hidden.append(Focus(*_parse_focus_name(cur)))
         cur.expect("}")
         _, _, open_pos = cur.expect("(")
         cur.enter(open_pos)
@@ -634,7 +636,8 @@ def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
     raise ParseError(f"expected a register family, found {value or 'end of input'!r}", pos)
 
 
-def _parse_focus(cur: _Cursor) -> Focus:
+def _parse_focus_name(cur: _Cursor) -> tuple[str, Optional[int]]:
+    """The name and the index, if any, of a focus such as ``aux:3``."""
     _, name, _ = cur.expect("ident")
     index = None
     if cur.at(":"):
@@ -643,16 +646,16 @@ def _parse_focus(cur: _Cursor) -> Focus:
         index = int(digits)
         if index < 1:
             raise ParseError("focus index must be >= 1", ipos)
-    return Focus(name, index)
+    return name, index
 
 
 def _parse_binding(cur: _Cursor) -> SingletonFamily:
-    focus = _parse_focus(cur)
+    focus = Focus(*_parse_focus_name(cur))
     cur.expect("=")
     kind, value, pos = cur.peek()
     if kind == "nat" and value in ("0", "1"):
         cur.next()
-        return SingletonFamily(focus, RegisterContent(value))
+        return SingletonFamily(focus, _CONTENT_OF[value])
     if kind == "-":
         cur.next()
         return SingletonFamily(focus, RegisterContent.INOPERATIVE)

@@ -11,7 +11,8 @@ share nothing with the code under test but the instruction and node types.
 The last one is the shortest-program search by enumerating every program
 of each length; it shares the execution kernel and the alphabet with the
 search under test, and the kernel has tests of its own against ``use``
-and ``apply``.
+and ``apply``.  ``fresh_copy`` undoes the parser's sharing of instruction
+objects, so that tests can show the sharing changes no result.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from typing import Optional
 
 from iseq.compute import IoConvention, _decode, _run, _search_alphabet, _start_row
 from iseq.syntax import (
+    AbstractAction,
+    Concat,
+    Focus,
     FunctionTable,
     Halt,
     InstructionSequenceTerm,
@@ -28,6 +32,8 @@ from iseq.syntax import (
     NegTest,
     Plain,
     PosTest,
+    RegisterAction,
+    Repeat,
     concat_all,
 )
 from iseq.threads import TAU, Branch, Dead, RegularThread, Stop
@@ -224,6 +230,26 @@ def minimize(t):
             node = Branch(node.action, order[classes[node.on_true]], order[classes[node.on_false]])
         nodes[idx] = node
     return RegularThread(tuple(nodes), 0)
+
+
+def fresh_copy(t):
+    """``t`` rebuilt with new instruction objects: equal to the old ones, but
+    no two leaves, basic instructions or foci are the same object, where a
+    parse shares one object per distinct instruction."""
+    if isinstance(t, Concat):
+        return Concat(fresh_copy(t.left), fresh_copy(t.right))
+    if isinstance(t, Repeat):
+        return Repeat(fresh_copy(t.body))
+    if isinstance(t, Jump):
+        return Jump(t.offset)
+    if isinstance(t, Halt):
+        return Halt()
+    basic = t.basic
+    if isinstance(basic, AbstractAction):
+        basic = AbstractAction(basic.name)
+    else:
+        basic = RegisterAction(Focus(basic.focus.name, basic.focus.index), basic.reply, basic.effect)
+    return type(t)(basic)
 
 
 def take(seq, count):

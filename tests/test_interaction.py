@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
+from iseq.canonical import to_first_canonical
+from iseq.cli import run_command
 from iseq.extraction import extract
-from iseq.interaction import Outcome, abstract_tau, apply, simulate, use
+from iseq.interaction import Outcome, _Stream, abstract_tau, apply, simulate, use
 from iseq.registers import evaluate_family
 from iseq.syntax import (
     AbstractAction,
@@ -27,7 +30,8 @@ from iseq.threads import (
     threads_equal,
 )
 
-from .genterms import random_register_program
+from . import oracles
+from .genterms import random_register_program, random_term
 
 ID = UnaryBoolFunc.IDENTITY
 
@@ -160,6 +164,37 @@ def test_simulate_fuel_bounds_divergence():
 def test_simulate_past_end_inactive():
     outcome, _ = simulate(parse("f.i/i"), fam("{f=1}"), 10)
     assert outcome is Outcome.INACTIVE
+
+
+def test_stream_matches_first_canonical_form_on_seeded_terms():
+    """Random access modulo the detected period reads the sequence the
+    first canonical form spells out, on 400 seeded terms (seed 79) with
+    nested repetitions, at positions 1 to 60 in random order."""
+    rng = random.Random(79)
+    for _ in range(400):
+        t = random_term(rng, 8)
+        canon = to_first_canonical(t)
+        want = oracles.take((canon.prefix, canon.period), 60)
+        stream = _Stream(t)
+        positions = list(range(1, 61))
+        rng.shuffle(positions)
+        for pos in positions:
+            assert stream.at(pos) == (want[pos - 1] if pos <= len(want) else None), (t, pos)
+
+
+def test_simulate_long_jump_in_a_repetition_is_bounded():
+    """The cost follows the fuel, not the jump literal."""
+    start = time.perf_counter()
+    code, out, err = run_command(["simulate", "--fuel", "5", "-e", "(#100000000;!)*", "-f", "{}"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "fuel-exhausted {}\n", "")
+    outcome, family = simulate(parse("f.1/1;(#99999999;!)*"), fam("{f=0}"), 3)
+    assert (outcome, family) == (Outcome.TERMINATED, fam("{f=1}"))  # an odd literal lands on !
+    # the inner repetition never ends, so the period is found there
+    start = time.perf_counter()
+    outcome, _ = simulate(parse("(f.1/1;(#100000000;f.0/0)*)*"), fam("{f=0}"), 5)
+    assert outcome is Outcome.FUEL_EXHAUSTED
+    assert time.perf_counter() - start < 1.0
 
 
 # -- triangulation --------------------------------------------------------------
