@@ -9,26 +9,27 @@ alias for the end of its chain, which one memoized pass finds for every
 jump: Dead for a 0-jump, a cycle or a finite end, else the first position
 on the chain that is not a jump.
 
-The graph is written straight into the int arrays of the refinement kernel
-in :mod:`threads` (a label and two successors per state, leaves as
-self-loops), one state per instruction that acts and shared leaves for
-Stop and Dead.  Labels are found by object identity, which a parse shares
-per distinct instruction, and by equality once per object.  Each decider
-writes both sequences into one set of arrays and runs one refinement;
-``extract`` builds nodes only for the minimized quotient.
+The graph is written straight into the int arrays of :mod:`threads` (a
+label and two successors per state, leaves as self-loops), one state per
+instruction that acts and shared leaves for Stop and Dead.  Labels are
+found by object identity, which a parse shares per distinct instruction,
+and by equality once per object.  ``extract`` refines the states reachable
+from the root and builds nodes only for the minimized quotient; each
+decider writes both sequences into one set of arrays and asks the
+union-find kernel whether the states it names are pairwise bisimilar.
 
 Behavioural congruence quantifies over every jump-in entry and every
-termination padding.  Entries are positions, so the first quantifier is a
-comparison position by position.  The paddings of finite sequences are all
-decided by one refinement in which each target past the end carries a label
-of its own (see ``behaviourally_congruent``).
+termination padding.  The entries are the positions, finitely many of
+which need comparing, and each target past a finite end carries a label of
+its own (see ``behaviourally_congruent``).
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
-from .canonical import CanonicalSeq, flatten, normalize_ultimately_periodic
+from .canonical import flatten
 from .syntax import (
     Halt,
     InstructionSequenceTerm,
@@ -38,17 +39,7 @@ from .syntax import (
     PrimitiveInstruction,
     concat_all,
 )
-from .threads import (
-    TAU,
-    Branch,
-    Dead,
-    Node,
-    RegularThread,
-    Stop,
-    _classes,
-    _quotient,
-    _reachable,
-)
+from .threads import TAU, Dead, RegularThread, Stop, _bisimilar, _quotient
 
 _DEAD = 0  # state and label of the shared Dead leaf
 _STOP = 1  # state and label of the shared Stop leaf
@@ -141,29 +132,6 @@ def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None =
     return state
 
 
-def _position_nodes(canon: CanonicalSeq) -> tuple[list[Node], list[int]]:
-    """The position graph of ``canon`` as nodes, one per stored position.
-
-    Returns (nodes, entry) where nodes[0] is Dead, nodes[1] is Stop,
-    nodes[1 + p] is the node of position p (Stop for a termination, Dead
-    for a jump, which its entry aliases) and entry[p-1] the node behaving
-    like execution from position p: the layout of the reference extraction
-    in ``tests/oracles.py``, which the deciders themselves never build.
-    """
-    graph = _graph()
-    entry = _write(canon.prefix, canon.period, graph)
-    kinds, label, on_true, on_false = graph
-    seq = canon.prefix + canon.period
-    kind_of = list(kinds)
-    node_of = [_DEAD, _STOP] + [2 + q for q, instr in enumerate(seq) if type(instr) not in (Halt, Jump)]
-    nodes: list[Node] = [Dead(), Stop()] + [
-        Stop() if type(instr) is Halt else Dead() if type(instr) is Jump
-        else Branch(kind_of[label[s]], node_of[on_true[s]], node_of[on_false[s]])
-        for instr, s in zip(seq, entry)
-    ]
-    return nodes, [node_of[s] for s in entry]
-
-
 def extract(t: InstructionSequenceTerm) -> RegularThread:
     """The regular thread produced by executing the instruction sequence."""
     graph = _graph()
@@ -175,14 +143,11 @@ def extract(t: InstructionSequenceTerm) -> RegularThread:
 def behaviourally_equivalent(
     t: InstructionSequenceTerm, t2: InstructionSequenceTerm
 ) -> bool:
-    """Bisimilarity of the extracted threads, decided by one refinement of
-    the states reachable from the two roots."""
+    """Bisimilarity of the extracted threads, by the union-find kernel."""
     graph = _graph()
     root = _write(*flatten(t), graph)[0]
     root2 = _write(*flatten(t2), graph)[0]
-    index, *arrays = _reachable(*graph[1:], (root, root2))
-    classes = _classes(*arrays)
-    return classes[index[root]] == classes[index[root2]]
+    return _bisimilar(*graph[1:], [(root, root2)])
 
 
 def behaviourally_congruent(
@@ -192,8 +157,8 @@ def behaviourally_congruent(
 
     Entering at every jump distance amounts to comparing the threads from
     every position of both sequences (plus the trivially equal inactive
-    entry), so the entry quantifier is decided position by position, over
-    one refinement of the union of both position graphs.
+    entry), so the entry quantifier asks whether both states of each
+    position are bisimilar, which the union-find kernel answers at once.
 
     Paddings: appending terminations to a sequence with a repeating part
     changes nothing, and two finite sequences of different lengths differ
@@ -201,7 +166,7 @@ def behaviourally_congruent(
     of equal length m, padding with p terminations turns position m + j
     into Stop for j <= p and leaves it inactive beyond; the padded positions
     themselves agree on both sides.  So give each target m + j its own leaf
-    label ``end j`` and refine once.  For a padding p, relabelling ``end j``
+    label ``end j`` and compare once.  For a padding p, relabelling ``end j``
     as Stop when j <= p and as Dead otherwise maps this labelled graph onto
     the padded one, so labelled bisimilarity implies bisimilarity under
     every padding.  Conversely, threads are deterministic, so two states
@@ -215,12 +180,17 @@ def behaviourally_congruent(
 
     No canonical form is needed.  The flat parts of a term spell out the
     sequence it denotes: a finite one position by position, so finiteness
-    and length are read off them directly; a periodic one as some prefix
-    and some repetition of a period.  The class of a position is the
-    behaviour from it, which jump chains and jump lengths do not change.
-    So the classes per position form the same eventually periodic sequence
-    however the term is written, and ``normalize_ultimately_periodic``
-    gives that sequence one form: least preperiod, primitive period.
+    and length are read off them directly; a periodic one as a prefix of
+    length m and a period of length k, so position q >= m behaves like
+    position m + (q - m) mod k.  Past M = max(m_a, m_b), the classes of the
+    positions of both sequences form a k_a- and a k_b-periodic sequence.
+    If these agree on their first k_a + k_b - gcd(k_a, k_b) terms, that
+    common word has both periods, so by Fine and Wilf's lemma ("Uniqueness
+    theorems for periodic functions", 1965) it has period g = gcd(k_a, k_b).
+    It is at least max(k_a, k_b) long and g divides both periods, so both
+    sequences are g-periodic, and as they agree on g terms they agree
+    everywhere.  Hence positions q < M + k_a + k_b - g suffice; two finite
+    sequences of equal length m give k_a = k_b = 0 and their m positions.
     """
     pre_a, per_a = flatten(t)
     pre_b, per_b = flatten(t2)
@@ -232,15 +202,13 @@ def behaviourally_congruent(
     ends: dict[int, int] = {}
     entry_a = _write(pre_a, per_a, graph, ends)
     entry_b = _write(pre_b, per_b, graph, ends)
-    classes = _classes(*graph[1:])
-    cls_a = [classes[s] for s in entry_a]
-    cls_b = [classes[s] for s in entry_b]
-    if not per_a:
-        return cls_a == cls_b
-    m_a, m_b = len(pre_a), len(pre_b)
-    return normalize_ultimately_periodic(cls_a[:m_a], cls_a[m_a:]) == normalize_ultimately_periodic(
-        cls_b[:m_b], cls_b[m_b:]
-    )
+    m_a, k_a, m_b, k_b = len(pre_a), len(per_a), len(pre_b), len(per_b)
+    limit = max(m_a, m_b) + k_a + k_b - gcd(k_a, k_b)
+    pairs = [
+        (entry_a[q if q < m_a else m_a + (q - m_a) % k_a], entry_b[q if q < m_b else m_b + (q - m_b) % k_b])
+        for q in range(limit)
+    ]
+    return _bisimilar(*graph[1:], pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,41 +5,44 @@ action and branches on the Boolean reply (Branch).  The internal action tau
 always replies true; branches labelled tau are normalized at construction so
 that both successors coincide.
 
-Equality of threads is bisimilarity, decided by partition refinement; by the
-approximation induction principle this coincides with equality of all finite
-projections.
+Equality of threads is bisimilarity; by the approximation induction
+principle this coincides with equality of all finite projections.  Both
+kernels here work on three int arrays: a label, a true successor and a
+false successor per state, with each leaf a self-loop under a label of its
+own.  ``bisimulation_classes``, ``minimize`` and ``threads_equal`` translate
+nodes into these arrays; :mod:`extraction` writes its position graphs into
+them directly.
 
-The refinement is a kernel over three int arrays: a label, a true successor
-and a false successor per state, with each leaf a self-loop under a label
-of its own.  ``bisimulation_classes``, ``minimize`` and ``threads_equal``
-translate nodes into these arrays; :mod:`extraction` writes its position
-graphs into them directly.  The refinement starts from one block per label.
-Moore rounds re-key every state by its successors' blocks until a round
-changes nothing or two rounds in a row fail to double the number of blocks.
-Every round that fails to double is followed by one that doubles or by the
-last one, so there are at most 2 log2(n) + 3 rounds, at O(n) each.  Then
-Hopcroft's algorithm (Hopcroft 1971, in the array form of Valmari, "Fast
-brief practical DFA minimization", IPL 2012) finishes: a splitter block
-marks the predecessors of its states under one successor map, every block
-it cuts is split, and the smaller part becomes a new splitter.  A state then
-lies in a splitter at most log2(n) + 1 times, and each state has two
-successor edges, so the whole refinement is O(n log n) for n states.
+Where the answer is a partition (``bisimulation_classes``, and ``minimize``
+and ``extract`` through ``_quotient``), ``_classes`` refines every state.
+It starts from one block per label.  Moore rounds re-key every state by its
+successors' blocks until a round changes nothing or two rounds in a row
+fail to double the number of blocks: at most 2 log2(n) + 3 rounds, at O(n)
+each.  Then Hopcroft's algorithm (Hopcroft 1971, in the array form of
+Valmari, "Fast brief practical DFA minimization", IPL 2012) finishes: a
+splitter block marks the predecessors of its states under one successor
+map, every block it cuts is split, and the smaller part becomes a new
+splitter.  A state then lies in a splitter at most log2(n) + 1 times, and
+each state has two successor edges, so the whole refinement is O(n log n)
+for n states, where rounds alone are quadratic on a chain.  Measured on
+CPython 3.11 (2-vCPU VM, median of three runs) over the graphs one pass of
+each benchmark workload refines: on the 520 graphs of ``cli-small`` (1 to
+68 states, median 5), Hopcroft's refinement from the label blocks alone
+costs 2.6 to 3.1 times the plain round-by-round refinement, and this
+combination 1.1 times; on the 44 graphs of ``large-terms`` (2 to 667
+states, median 56) they cost 1.9 and 1.4 times.
 
-Small graphs usually settle within the Moore rounds, where building
-Hopcroft's arrays would cost more than the rounds do.  Measured on CPython
-3.11 (2-vCPU VM, median of three runs) over the graphs one pass of each
-benchmark workload refines: on the 552 graphs of ``cli-small`` (1 to 68
-states, median 6), Hopcroft's refinement from the label blocks alone costs
-2.3 times the plain round-by-round refinement, and this combination 1.0
-times; on the 220 graphs of ``large-terms`` (2 to 1696 states, median 164)
-they cost 0.37 and 0.24 times.
+Where the answer is whether given pairs of states are bisimilar
+(``threads_equal`` and both behavioural deciders), ``_bisimilar`` runs
+Hopcroft and Karp's union-find test, which visits only the pairs reachable
+from those given and stops at the first pair of different labels.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .syntax import AbstractAction, BasicInstruction, RegisterAction
 
@@ -136,7 +139,7 @@ def _shift(node: Node, offset: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# bisimilarity by partition refinement
+# bisimilarity: partition refinement and the union-find test
 
 
 def _classes(label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int]) -> list[int]:
@@ -259,6 +262,37 @@ def _refine(
     return classes
 
 
+def _bisimilar(
+    label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], pairs: Iterable[tuple[int, int]]
+) -> bool:
+    """Whether every pair of states of an array graph is bisimilar.
+
+    Hopcroft and Karp's test ("A linear algorithm for testing equivalence
+    of finite automata", 1971): pop a pair, find both representatives with
+    path halving, and unless they are one, fail on different labels or
+    merge them and push their successor pairs.  If every pair given is
+    bisimilar, so is every pair pushed, so no class merges two labels;
+    otherwise some pushed pair has two labels.  Only pairs reachable from
+    those given are visited.
+    """
+    parent = list(range(len(label)))
+    stack = list(pairs)
+    while stack:
+        s, t = stack.pop()
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        if s == t:
+            continue
+        if label[s] != label[t]:
+            return False
+        parent[s] = t
+        stack.append((on_true[s], on_true[t]))
+        stack.append((on_false[s], on_false[t]))
+    return True
+
+
 def _reachable(
     label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], roots: Sequence[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -339,8 +373,7 @@ def minimize(t: RegularThread) -> RegularThread:
 def threads_equal(t1: RegularThread, t2: RegularThread) -> bool:
     """Bisimilarity, decided over the disjoint union of the state sets."""
     _, *graph = _arrays(t1.nodes, t2.nodes)
-    classes = _classes(*graph)
-    return classes[t1.root] == classes[len(t1.nodes) + t2.root]
+    return _bisimilar(*graph, [(t1.root, len(t1.nodes) + t2.root)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ of each length; it shares the execution kernel and the alphabet with the
 search under test, and the kernel has tests of its own against ``use``
 and ``apply``.  ``fresh_copy`` undoes the parser's sharing of instruction
 objects, so that tests can show the sharing changes no result.
+``_position_nodes`` is no oracle: it lays the library's own position graph
+out as nodes, for comparison with ``position_nodes``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from iseq.canonical import CanonicalSeq
 from iseq.compute import IoConvention, _decode, _run, _search_alphabet, _start_row
+from iseq.extraction import _DEAD, _STOP, _graph, _write
 from iseq.syntax import (
     AbstractAction,
     Concat,
@@ -180,6 +184,31 @@ def position_nodes(seq):
         else:
             nodes.append(Dead())
     return nodes, [resolve(pos) for pos in range(1, total + 1)]
+
+
+def _position_nodes(canon: CanonicalSeq):
+    """The library's position graph of ``canon`` as nodes, one per stored
+    position, so that ``extraction._write`` can be compared with
+    ``position_nodes``.
+
+    Returns (nodes, entry) where nodes[0] is Dead, nodes[1] is Stop,
+    nodes[1 + p] is the node of position p (Stop for a termination, Dead
+    for a jump, which its entry aliases) and entry[p-1] the node behaving
+    like execution from position p.  Unlike the rest of this module it runs
+    the code under test: only the node layout is built here.
+    """
+    graph = _graph()
+    entry = _write(canon.prefix, canon.period, graph)
+    kinds, label, on_true, on_false = graph
+    seq = canon.prefix + canon.period
+    kind_of = list(kinds)
+    node_of = [_DEAD, _STOP] + [2 + q for q, instr in enumerate(seq) if type(instr) not in (Halt, Jump)]
+    nodes = [Dead(), Stop()] + [
+        Stop() if type(instr) is Halt else Dead() if type(instr) is Jump
+        else Branch(kind_of[label[s]], node_of[on_true[s]], node_of[on_false[s]])
+        for instr, s in zip(seq, entry)
+    ]
+    return nodes, [node_of[s] for s in entry]
 
 
 def bisimulation_classes(nodes):
