@@ -12,19 +12,20 @@ they coincide after additionally collapsing chained jumps and making all
 jumps as short as possible (second canonical forms coincide).
 
 The second canonical form works on the flat ``prefix + period`` tuple of
-the first, by index.  Chain resolution is one pass: each stored jump is
-resolved once, and a chain that lands on a jump resolved before adds its
-own offsets to that jump's displacement, so a step costs O(n) for n stored
-positions where walking every chain from scratch cost O(n^2).  Shortening
-is arithmetic per jump, and unchanged jumps keep their objects.  A step is
-repeated only while normalizing it shortens the prefix or the period, so
-there are at most n steps and usually one.
+the first, by index.  ``_landings`` holds the one rule for where a chain of
+jumps ends, which thread extraction shares: one memoized pass gives every
+jump its landing, the first non-jump on its chain, an index past a finite
+end, or inaction for a 0-jump or a cycle, so a step costs O(n) for n stored
+positions.  Each jump then becomes the shortest jump to its landing:
+``(end - q) mod k`` in a period of length k, ``end - q`` elsewhere, and
+``#0`` for inaction.  A step is repeated only while normalizing it shortens
+the prefix or the period, so there are at most n steps and usually one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .syntax import (
     Concat,
@@ -155,91 +156,61 @@ def instruction_sequence_congruent(
 # second canonical form: chained-jump collapse plus jump shortening
 
 
-def _resolve_chains(seq: Sequence[PrimitiveInstruction], m: int) -> list[PrimitiveInstruction]:
-    """Replace every jump by a direct jump to its ultimate non-jump target.
+def _landings(seq: Sequence[PrimitiveInstruction], m: int, jumps: Sequence[int]) -> list[int]:
+    """Where execution from each index of ``seq`` first meets a non-jump.
 
-    ``seq`` is the flat ``prefix + period`` of a canonical sequence whose
-    prefix has ``m`` positions.  A chain that reaches a 0-jump or that
-    cycles (possible only through the repeating part) collapses to a 0-jump;
-    a chain running past the end of a finite sequence keeps its accumulated
-    displacement.  Each stored jump is resolved once: a chain stops at the
-    first jump already resolved and adds its own offsets to that jump's
-    displacement.
+    ``seq`` is the flat ``prefix + period`` of a sequence whose prefix has
+    ``m`` positions, and ``jumps`` lists the indices of its jumps.  A
+    non-jump lands on itself.  A jump lands where its
+    chain first reaches a non-jump, wrapping through the repeating part; at
+    an index of ``len(seq)`` or more if the chain runs past the end of a
+    finite sequence; and at -1, inaction, if the chain reaches a 0-jump or
+    cycles.  Each jump is walked once: a chain stops at the first jump whose
+    landing is known and shares it.
     """
     total = len(seq)
     k = total - m
-    on_chain = -1
-    # resolved displacement per 0-based index; None until resolved
-    disp: list[Optional[int]] = [None] * total
-    out = list(seq)
-    for start, instr in enumerate(seq):
-        if type(instr) is not Jump or disp[start] is not None:
+    land = list(range(total))
+    for q in jumps:
+        land[q] = -2  # unknown; -3 while on the chain walked
+    for start in jumps:
+        if land[start] != -2:
             continue
         chain = []
         q = start
-        tail: Optional[int] = 0  # displacement past the chain's end; None for a 0-jump
         while True:
-            offset = seq[q].offset
-            if offset == 0:
-                disp[q] = 0
-                tail = None
-                break
-            disp[q] = on_chain
-            chain.append(q)
-            q += offset
             if q >= total:
                 if not k:
-                    break  # past the end of a finite sequence
+                    end = q  # past the end of a finite sequence
+                    break
                 q = m + (q - m) % k
-            if type(seq[q]) is not Jump:
+            end = land[q]
+            if end != -2:
+                break  # a landing, or -3: a cycle through this chain
+            chain.append(q)
+            offset = seq[q].offset
+            if not offset:
                 break
-            landed = disp[q]
-            if landed is None:
-                continue
-            tail = landed if landed > 0 else None  # a 0-jump or a cycle through the chain
-            break
-        if tail is None:
-            for q in chain:
-                disp[q] = 0
-        else:
-            for q in reversed(chain):
-                tail += seq[q].offset
-                disp[q] = tail
-    for q, instr in enumerate(seq):
-        if type(instr) is Jump and disp[q] != instr.offset:
-            out[q] = Jump(disp[q])
-    return out
-
-
-def _shorten_jumps(seq: list[PrimitiveInstruction], m: int) -> None:
-    """Reduce jump literals in place to the shortest-possible form.
-
-    Only sequences with a repeating part shorten: period jumps reduce modulo
-    the period length and prefix jumps reaching past the first period copy
-    reduce by the fewest multiples of it that bring them back.  Jumps past
-    the end of a finite sequence are left untouched.
-    """
-    k = len(seq) - m
-    if not k:
-        return
-    for q, instr in enumerate(seq):
-        if type(instr) is not Jump:
-            continue
-        offset = instr.offset
-        if q >= m:
-            offset %= k
-        else:
-            limit = k + m - q - 1  # the farthest target within the first period copy
-            if offset > limit:
-                offset -= k * ((offset - limit + k - 1) // k)
-        if offset != instr.offset:
-            seq[q] = Jump(offset)
+            land[q] = -3
+            q += offset
+        end = max(end, -1)
+        for q in chain:
+            land[q] = end
+    return land
 
 
 def _second_step(canon: CanonicalSeq) -> CanonicalSeq:
+    """Each jump replaced by the shortest jump to its landing."""
+    seq = list(canon.prefix + canon.period)
     m = len(canon.prefix)
-    seq = _resolve_chains(canon.prefix + canon.period, m)
-    _shorten_jumps(seq, m)
+    k = len(seq) - m
+    jumps = [q for q, instr in enumerate(seq) if type(instr) is Jump]
+    land = _landings(seq, m, jumps)
+    for q in jumps:
+        end = land[q]
+        offset = 0 if end < 0 else (end - q) % k if q >= m else end - q
+        if offset != seq[q].offset:
+            seq[q] = Jump(offset)
     return _canonical(seq[:m], seq[m:])
 
 

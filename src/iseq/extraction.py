@@ -5,9 +5,10 @@ Extraction builds the behaviour graph over the positions of the flat
 canonical form: a plain instruction performs its action and continues, a
 test branches between the next position and the one after, termination
 stops, and positions of the repeating part wrap around.  A jump is an
-alias for the end of its chain, which one memoized pass finds for every
-jump: Dead for a 0-jump, a cycle or a finite end, else the first position
-on the chain that is not a jump.
+alias for its landing, which ``canonical._landings`` finds for every jump
+in one memoized pass, as it does for the second canonical form: the state
+of the first non-jump on its chain, a leaf past a finite end, or Dead for
+a 0-jump or a cycle.
 
 The graph is written straight into the int arrays of :mod:`threads` (a
 label and two successors per state, leaves as self-loops), one state per
@@ -29,7 +30,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .canonical import flatten
+from .canonical import _landings, flatten
 from .syntax import (
     Halt,
     InstructionSequenceTerm,
@@ -56,8 +57,8 @@ def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None =
     the state of each position.
 
     Acting positions get states in position order after those the graph
-    holds; a termination is the Stop leaf and a jump the state its chain
-    ends in.  Past the end of a finite sequence lies the Dead leaf, or, with
+    holds; a termination is the Stop leaf and a jump the state of its
+    landing.  Past the end of a finite sequence lies the Dead leaf, or, with
     ``ends`` given, at position m + j a leaf labelled ``("end", j)``, kept in
     ``ends`` so that both sequences of a comparison share it.
     """
@@ -69,12 +70,14 @@ def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None =
     by_id: dict[int, int] = {}
     state = []
     acts = []
+    jumps = []
     for q, instr in enumerate(seq):
         kind = type(instr)
         if kind is Halt:
             state.append(_STOP)
         elif kind is Jump:
-            state.append(-1)  # resolved below; -2 while on the chain walked
+            jumps.append(q)
+            state.append(_DEAD)  # inactive unless it lands below
         else:
             acts.append(q)
             state.append(len(label))
@@ -86,40 +89,27 @@ def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None =
     on_true.extend(range(len(on_true), len(label)))
     on_false.extend(range(len(on_false), len(label)))
 
-    def target(q: int) -> int:
-        """State behaving like execution from 0-based index ``q``; every jump
-        on the way gets that state too."""
-        chain = []
-        while True:
-            if q >= total:
-                if not k:
-                    j = q - total + 1  # position m + j
-                    s = _DEAD if ends is None else ends.get(j, -1)
-                    if s < 0:  # met first here
-                        s = ends[j] = len(label)
-                        label.append(kinds.setdefault(("end", j), len(kinds)))
-                        on_true.append(s)
-                        on_false.append(s)
-                    break
-                q = m + (q - m) % k
-            s = state[q]
-            if s != -1:
-                break  # a state, or -2: a cycle through this chain
-            chain.append(q)
-            offset = seq[q].offset
-            if not offset:
-                break
-            state[q] = -2
-            q += offset
-        s = max(s, _DEAD)  # a 0-jump or a cycle is inactive
-        for q in chain:
-            state[q] = s
+    def past(q: int) -> int:
+        """The leaf at 0-based index ``q`` past the end of a finite sequence."""
+        if ends is None:
+            return _DEAD
+        j = q - total + 1  # position m + j
+        s = ends.get(j)
+        if s is None:  # met first here
+            s = ends[j] = len(label)
+            label.append(kinds.setdefault(("end", j), len(kinds)))
+            on_true.append(s)
+            on_false.append(s)
         return s
 
-    for q in range(total):
-        if state[q] < 0:
-            target(q)
-    after = state + [target(total), target(total + 1)]
+    land = _landings(seq, m, jumps)
+    for q in jumps:
+        end = land[q]
+        if end >= total:
+            state[q] = past(end)
+        elif end >= 0:
+            state[q] = state[end]
+    after = state + ([state[m], state[m + 1 % k]] if k else [past(total), past(total + 1)])
     for q in acts:
         s = state[q]
         kind = type(seq[q])

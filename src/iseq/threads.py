@@ -14,23 +14,14 @@ nodes into these arrays; :mod:`extraction` writes its position graphs into
 them directly.
 
 Where the answer is a partition (``bisimulation_classes``, and ``minimize``
-and ``extract`` through ``_quotient``), ``_classes`` refines every state.
-It starts from one block per label.  Moore rounds re-key every state by its
-successors' blocks until a round changes nothing or two rounds in a row
-fail to double the number of blocks: at most 2 log2(n) + 3 rounds, at O(n)
-each.  Then Hopcroft's algorithm (Hopcroft 1971, in the array form of
-Valmari, "Fast brief practical DFA minimization", IPL 2012) finishes: a
-splitter block marks the predecessors of its states under one successor
-map, every block it cuts is split, and the smaller part becomes a new
-splitter.  A state then lies in a splitter at most log2(n) + 1 times, and
-each state has two successor edges, so the whole refinement is O(n log n)
-for n states, where rounds alone are quadratic on a chain.  Measured on
-CPython 3.11 (2-vCPU VM, median of three runs) over the graphs one pass of
-each benchmark workload refines: on the 520 graphs of ``cli-small`` (1 to
-68 states, median 5), Hopcroft's refinement from the label blocks alone
-costs 2.6 to 3.1 times the plain round-by-round refinement, and this
-combination 1.1 times; on the 44 graphs of ``large-terms`` (2 to 667
-states, median 56) they cost 1.9 and 1.4 times.
+and ``extract`` through ``_quotient``), ``_classes`` refines every state by
+Hopcroft's algorithm (Hopcroft 1971, in the array form of Valmari, "Fast
+brief practical DFA minimization", IPL 2012), starting from one block per
+label: a splitter block marks the predecessors of its states under one
+successor map, every block it cuts is split, and the smaller part becomes a
+new splitter.  A state then lies in a splitter at most log2(n) + 1 times,
+and each state has two successor edges, so the refinement is O(n log n) for
+n states.  A graph whose labels are all distinct is returned at once.
 
 Where the answer is whether given pairs of states are bisimilar
 (``threads_equal`` and both behavioural deciders), ``_bisimilar`` runs
@@ -147,42 +138,18 @@ def _classes(label: Sequence[int], on_true: Sequence[int], on_false: Sequence[in
 
     Classes are numbered in order of first occurrence.  Determinism makes
     bisimilarity the coarsest partition that refines the labels and is
-    stable under both successor maps.  Moore rounds split every block by its
-    successors' blocks until a round changes nothing or two rounds in a row
-    fail to double the number of blocks; Hopcroft's refinement finishes the
-    job from there (see the module docstring).
+    stable under both successor maps.  Hopcroft's refinement starts from one
+    block per label; that partition is stable under the single block of all
+    states, so every block but the largest suffices as a splitter.  Each
+    block is a contiguous run of ``elems``; the states a splitter marks in a
+    block are moved to the front of its run, and the smaller of the marked
+    and unmarked parts becomes a new block and a new splitter.
     """
-    parent = label
-    count = len(set(label))
-    slow = False  # the last round failed to double the number of blocks
-    while True:
-        keys: dict = {}
-        block = [
-            keys.setdefault(key, len(keys))
-            for key in zip(parent, [parent[s] for s in on_true], [parent[s] for s in on_false])
-        ]
-        if len(keys) == count:
-            return block  # stable, and numbered by first occurrence
-        if slow and len(keys) < 2 * count:
-            break
-        slow = len(keys) < 2 * count
-        parent = block
-        count = len(keys)
-    return _refine(on_true, on_false, parent, block, len(keys))
-
-
-def _refine(
-    on_true: Sequence[int], on_false: Sequence[int], parent: list[int], block: list[int], count: int
-) -> list[int]:
-    """Hopcroft's refinement of ``block`` to the coarsest stable partition.
-
-    ``block`` (``count`` blocks) must be stable under the blocks of
-    ``parent``, which it refines.  Then every block of ``block`` but the
-    largest part of each ``parent`` block suffices as a splitter.  Each block
-    is a contiguous run of ``elems``; the states a splitter marks in a block
-    are moved to the front of its run, and the smaller of the marked and
-    unmarked parts becomes a new block and a new splitter.
-    """
+    keys: dict[int, int] = {}
+    block = [keys.setdefault(lab, len(keys)) for lab in label]
+    count = len(keys)
+    if count == len(block):
+        return block  # every label distinct, numbered by first occurrence
     pred_true: list[list[int]] = [[] for _ in block]
     pred_false: list[list[int]] = [[] for _ in block]
     groups: list[list[int]] = [[] for _ in range(count)]
@@ -193,16 +160,12 @@ def _refine(
     elems: list[int] = []
     first: list[int] = []
     end: list[int] = []
-    largest: dict[int, int] = {}
-    for b, members in enumerate(groups):
+    for members in groups:
         first.append(len(elems))
         elems += members
         end.append(len(elems))
-        other = largest.get(parent[members[0]])
-        if other is None or len(groups[other]) < len(members):
-            largest[parent[members[0]]] = b
-    kept = set(largest.values())
-    pending = [b for b in range(count) if b not in kept]
+    largest = max(range(count), key=lambda b: len(groups[b]))
+    pending = [b for b in range(count) if b != largest]
     where = [0] * len(block)
     for i, state in enumerate(elems):
         where[state] = i
@@ -381,29 +344,37 @@ def threads_equal(t1: RegularThread, t2: RegularThread) -> bool:
 
 
 def project(t: RegularThread, depth: int) -> RegularThread:
-    """Approximation up to ``depth`` actions; the depth-0 projection is Dead."""
+    """Approximation up to ``depth`` actions; the depth-0 projection is Dead.
+
+    States are numbered depth first, true successor first, with an explicit
+    stack, so any depth works.
+    """
     memo: dict[tuple[int, int], int] = {}
     nodes: list[Node] = []
+    stack: list[tuple[int, Branch, int, list[int]]] = []
 
-    def build(state: int, remaining: int) -> int:
-        key = (state, remaining)
-        if key in memo:
-            return memo[key]
-        index = len(nodes)
-        memo[key] = index
-        nodes.append(Dead())  # placeholder; patched below
-        node = t.node(state)
-        if remaining == 0 or isinstance(node, Dead):
-            nodes[index] = Dead()
-        elif isinstance(node, Stop):
-            nodes[index] = Stop()
-        else:
-            on_true = build(node.on_true, remaining - 1)
-            on_false = build(node.on_false, remaining - 1)
-            nodes[index] = Branch(node.action, on_true, on_false)
+    def visit(state: int, remaining: int) -> int:
+        index = memo.get((state, remaining))
+        if index is None:
+            index = memo[state, remaining] = len(nodes)
+            node = t.node(state)
+            if remaining == 0 or isinstance(node, Dead):
+                nodes.append(Dead())
+            elif isinstance(node, Stop):
+                nodes.append(Stop())
+            else:
+                nodes.append(Dead())  # placeholder until both successors are known
+                stack.append((index, node, remaining - 1, []))
         return index
 
-    root = build(t.root, depth)
+    root = visit(t.root, depth)
+    while stack:
+        index, node, remaining, succ = stack[-1]
+        if len(succ) == 2:
+            stack.pop()
+            nodes[index] = Branch(node.action, *succ)
+        else:
+            succ.append(visit(node.on_false if succ else node.on_true, remaining))
     return RegularThread(tuple(nodes), root)
 
 

@@ -30,6 +30,8 @@ def test_parse_error_exits_2():
     code, out, err = run("parse", "-e", "a;;b")
     assert code == 2
     assert "error" in err
+    code, out, err = run("parse", "-e", "#²")
+    assert (code, out, err) == (2, "", "error: unexpected character '²' (at position 1)\n")
 
 
 def test_normalize_second_form():

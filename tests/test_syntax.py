@@ -82,23 +82,68 @@ def test_render_parenthesizes_left_nesting():
 
 
 @pytest.mark.parametrize(
-    "text,message_part",
+    "text,message,position",
     [
-        ("", "instruction"),
-        ("a;;b", "instruction"),
-        ("#x", "nat"),
-        ("a*;(b", ")"),
-        ("f.2/1;!", "register operation"),
-        ("in:0.i/i", ">= 1"),
-        ("in:1;!", "register operation"),
-        ("a**", "trailing"),
+        pytest.param("", "expected an instruction, found 'end of input'", 0, id="-instruction"),
+        pytest.param("a;;b", "expected an instruction, found ';'", 2, id="a;;b-instruction"),
+        pytest.param("#x", "expected 'nat', found 'x'", 1, id="#x-nat"),
+        pytest.param("a*;(b", "expected ')', found 'end of input'", 5, id="a*;(b-)"),
+        pytest.param(
+            "f.2/1;!",
+            "expected a register operation token 0, 1, i or c, found '2'",
+            2,
+            id="f.2/1;!-register operation",
+        ),
+        pytest.param("in:0.i/i", "focus index must be >= 1", 3, id="in:0.i/i->= 1"),
+        pytest.param(
+            "in:1;!",
+            "indexed focus must name a register operation ('.')",
+            4,
+            id="in:1;!-register operation",
+        ),
+        pytest.param("a**", "trailing input '*'", 2, id="a**-trailing"),
+        # str.isdigit admits '²', which int() cannot read
+        pytest.param("#²", "unexpected character '²'", 1, id="#²-unexpected"),
+        pytest.param("f:².1/1", "unexpected character '²'", 2, id="f:².1/1-unexpected"),
     ],
 )
-def test_parse_errors_have_positions(text, message_part):
+def test_parse_errors_have_positions(text, message, position):
     with pytest.raises(ParseError) as err:
         parse_instruction_sequence(text)
-    assert message_part in str(err.value)
-    assert err.value.position >= 0
+    assert (err.value.message, err.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("", "expected a register family, found 'end of input'", 0),
+        ("x", "expected a register family, found 'x'", 0),
+        ("{", "expected 'ident', found 'end of input'", 1),
+        ("{f}", "expected '=', found '}'", 2),
+        ("{f.1=0}", "expected '=', found '.'", 2),
+        ("{f=2}", "expected register content 0, 1 or -, found '2'", 3),
+        ("{f=1,}", "expected 'ident', found '}'", 5),
+        ("{f=1;g=0}", "expected '}', found ';'", 4),
+        ("{f:0=1}", "focus index must be >= 1", 3),
+        ("{f:x=1}", "expected 'nat', found 'x'", 3),
+        ("{f=1} +", "expected a register family, found 'end of input'", 7),
+        ("{f=1} {g=0}", "trailing input '{'", 6),
+        ("hide(f)({})", "expected '{', found '('", 4),
+        ("hide{f}", "expected '(', found 'end of input'", 7),
+        ("hide{f}({f=1}", "expected ')', found 'end of input'", 13),
+        ("{f:²=1}", "unexpected character '²'", 3),
+    ],
+)
+def test_family_parse_errors_have_positions(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_register_family(text)
+    assert (err.value.message, err.value.position) == (message, position)
+
+
+def test_numerals_are_decimal_digits():
+    # any Unicode decimal digit is a numeral digit; other digits are not
+    assert parse_instruction_sequence("#٣") == Jump(3)
+    assert parse_instruction_sequence("a²") == Plain(AbstractAction("a²"))
 
 
 def test_tau_is_not_parseable():

@@ -41,6 +41,13 @@ def test_projection_of_loop():
     assert threads_equal(project(loop_a(), 2), expected)
 
 
+def test_projection_of_a_deep_loop():
+    # one state per level, built without recursion
+    deep = project(loop_a(), 5000)
+    assert len(deep.nodes) == 5001
+    assert deep.nodes[4999] == Branch(A, 5000, 5000) and deep.nodes[5000] == Dead()
+
+
 def test_projection_preserves_stop():
     assert threads_equal(project(STOP, 3), STOP)
 
