@@ -41,7 +41,7 @@ final = apply(thread, fourteen)
 print("final family (13)   :", render_family(final))
 print()
 
-# The independent stepper agrees.
+# The direct stepper agrees.
 outcome, family = simulate(decrement, fourteen, fuel=100)
 print("simulate            :", outcome.value, render_family(family))
 print()

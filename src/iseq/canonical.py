@@ -6,8 +6,10 @@ prefix plus an optional repeating block; the stored form always has the
 least preperiod and the primitive (shortest) period, subject to the prefix
 being nonempty.
 
-Two terms are instruction-sequence congruent iff they denote the same
-sequence (first canonical forms coincide), and structurally congruent iff
+``syntax.flatten`` spells out the sequence a term denotes as its finite
+and repeating parts; the first canonical form normalizes those parts.  Two
+terms are instruction-sequence congruent iff they denote the same sequence
+(first canonical forms coincide), and structurally congruent iff
 they coincide after additionally collapsing chained jumps and making all
 jumps as short as possible (second canonical forms coincide).
 
@@ -28,12 +30,12 @@ from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 from .syntax import (
-    Concat,
     InstructionSequenceTerm,
     Jump,
     PrimitiveInstruction,
     Repeat,
     concat_all,
+    flatten,
 )
 
 T = TypeVar("T")
@@ -104,40 +106,6 @@ def _canonical(
         pre = (per[0],)
         per = per[1:] + (per[0],)
     return CanonicalSeq(pre, per)
-
-
-def flatten(
-    t: InstructionSequenceTerm,
-) -> tuple[list[PrimitiveInstruction], list[PrimitiveInstruction]]:
-    """Term -> (finite part, repeating part); repeating part may be empty.
-
-    Concatenation after an infinite sequence is dropped and repetition of an
-    infinite sequence is the sequence itself, matching the intended
-    sequence model of the axioms.  Iterative over concatenation chains so
-    long flat programs flatten without deep recursion; recursion depth is
-    bounded by repetition nesting only.
-    """
-    prefix: list[PrimitiveInstruction] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        # walk the right spine; only a composite left operand is stacked
-        while type(node) is Concat:
-            left = node.left
-            if type(left) is Concat or type(left) is Repeat:
-                stack.append(node.right)
-                node = left
-            else:
-                prefix.append(left)
-                node = node.right
-        if type(node) is Repeat:
-            body_pre, body_per = flatten(node.body)
-            # whatever follows an infinite sequence is unreachable
-            if body_per:
-                return prefix + body_pre, body_per
-            return prefix, body_pre
-        prefix.append(node)
-    return prefix, []
 
 
 def to_first_canonical(t: InstructionSequenceTerm) -> CanonicalSeq:

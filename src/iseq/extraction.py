@@ -1,7 +1,7 @@
 """Thread extraction and the behavioural equivalence/congruence deciders.
 
 Extraction builds the behaviour graph over the positions of the flat
-``(prefix, period)`` parts of a term (``canonical.flatten``), with no
+``(prefix, period)`` parts of a term (``syntax.flatten``), with no
 canonical form: a plain instruction performs its action and continues, a
 test branches between the next position and the one after, termination
 stops, and positions of the repeating part wrap around.  A jump is an
@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .canonical import _landings, flatten
+from .canonical import _landings
 from .syntax import (
     Halt,
     InstructionSequenceTerm,
@@ -39,6 +39,7 @@ from .syntax import (
     PosTest,
     PrimitiveInstruction,
     concat_all,
+    flatten,
 )
 from .threads import TAU, Dead, RegularThread, Stop, _bisimilar, _quotient
 

@@ -8,22 +8,22 @@ deterministic run of the thread over the family, returning the final family
 on termination and the empty family on inaction, divergence, an unknown
 focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 
-``simulate`` is an independent small-step interpreter over the lazily
-unfolded instruction stream, read modulo its period once it repeats, used
-as a cross-checking oracle for the algebraic route (apply after extract).
+``simulate`` is a small-step interpreter over the flat instruction
+sequence (``syntax.flatten``), read modulo its period past the stored
+positions, used to cross-check the algebraic route (apply after extract).
+``use``, ``apply`` and ``simulate`` carry out a register action alike, by
+``_register_step``; each handles an unknown focus in its own way.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from typing import Iterator
 
 from .registers import RegisterFamily, family_key
 from .syntax import (
     AbstractAction,
-    Concat,
     Halt,
     InstructionSequenceTerm,
     Jump,
@@ -32,9 +32,20 @@ from .syntax import (
     PrimitiveInstruction,
     RegisterAction,
     RegisterContent,
-    Repeat,
+    flatten,
 )
 from .threads import TAU, Branch, Dead, Node, RegularThread, Stop, minimize
+
+
+def _register_step(action: RegisterAction, fam: RegisterFamily) -> bool | None:
+    """Carry out ``action`` on ``fam``, which names its focus: the reply,
+    or None for an inoperative register."""
+    content = fam[action.focus]
+    if content is RegisterContent.INOPERATIVE:
+        return None
+    bit = content is RegisterContent.ONE
+    fam[action.focus] = RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
+    return action.reply(bit)
 
 
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
@@ -74,16 +85,11 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
             on_false = state_id(node.on_false, fam_key)
             nodes.append(Branch(action, on_true, on_false))
             continue
-        content = fam[action.focus]
-        if content is RegisterContent.INOPERATIVE:
+        reply = _register_step(action, fam)
+        if reply is None:
             nodes.append(Dead())
             continue
-        bit = content is RegisterContent.ONE
-        fam[action.focus] = (
-            RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
-        )
-        succ_state = node.on_true if action.reply(bit) else node.on_false
-        succ = state_id(succ_state, family_key(fam))
+        succ = state_id(node.on_true if reply else node.on_false, family_key(fam))
         nodes.append(Branch(TAU, succ, succ))
     return minimize(RegularThread(tuple(nodes), 0))
 
@@ -112,14 +118,10 @@ def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
         assert isinstance(action, RegisterAction)
         if action.focus not in fam:
             return {}
-        content = fam[action.focus]
-        if content is RegisterContent.INOPERATIVE:
+        reply = _register_step(action, fam)
+        if reply is None:
             return {}
-        bit = content is RegisterContent.ONE
-        fam[action.focus] = (
-            RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
-        )
-        state = node.on_true if action.reply(bit) else node.on_false
+        state = node.on_true if reply else node.on_false
 
 
 def abstract_tau(thread: RegularThread) -> RegularThread:
@@ -163,7 +165,7 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
 
 
 # ---------------------------------------------------------------------------
-# independent small-step interpreter
+# small-step interpreter
 
 
 class Outcome(enum.Enum):
@@ -173,54 +175,12 @@ class Outcome(enum.Enum):
 
 
 def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
-    """Lazy expansion of a term into its instruction stream; anything
-    following an infinite part is unreachable and never produced."""
-    stream = _Stream(t)
-    for pos in itertools.count(1):
-        instr = stream.at(pos)
-        if instr is None:
-            return
-        yield instr
-
-
-class _Stream:
-    """Random access over a possibly infinite instruction stream.
-
-    The term unfolds along an explicit stack, on which a repetition
-    re-enqueues itself after its body.  When the repetition first popped
-    last comes back off the stack, the stack is as it was then, so the
-    instructions emitted in between are the stream's period; later
-    positions are read modulo it, and a long jump unfolds nothing.
-    """
-
-    def __init__(self, t: InstructionSequenceTerm):
-        self._stack = [t]
-        self._cache: list[PrimitiveInstruction] = []
-        self._repeat: Repeat | None = None
-        self._start = 0  # stream length when ``_repeat`` was popped
-        self._period = 0  # nonzero once the stream is known to repeat
-
-    def at(self, pos: int) -> PrimitiveInstruction | None:
-        """Instruction at 1-based position ``pos``; None past a finite end."""
-        cache, stack = self._cache, self._stack
-        while len(cache) < pos and stack and not self._period:
-            node = stack.pop()
-            if isinstance(node, Concat):
-                stack.append(node.right)
-                stack.append(node.left)
-            elif node is self._repeat:
-                self._period = len(cache) - self._start
-            elif isinstance(node, Repeat):
-                self._repeat, self._start = node, len(cache)
-                stack.append(node)
-                stack.append(node.body)
-            else:
-                cache.append(node)
-        if len(cache) < pos:
-            if not self._period:
-                return None
-            pos = self._start + 1 + (pos - 1 - self._start) % self._period
-        return cache[pos - 1]
+    """The instruction stream of a term: its finite part, then its repeating
+    part forever; anything following an infinite part is never produced."""
+    prefix, period = flatten(t)
+    yield from prefix
+    while period:
+        yield from period
 
 
 def simulate(
@@ -230,43 +190,44 @@ def simulate(
 
     Every executed primitive instruction consumes one unit of fuel.  An
     unknown focus or an inoperative register makes execution stick, which
-    reports as inaction.
+    reports as inaction.  A position q past the m + k stored ones reads
+    position m + (q - m) mod k of the repeating part, so a long jump
+    unfolds nothing.
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
-    stream = _Stream(t)
+    prefix, period = flatten(t)
+    seq = prefix + period
+    m, total, k = len(prefix), len(seq), len(period)
     fam = dict(family)
-    pos = 1
+    q = 0  # 0-based index of the next instruction
     while True:
         if fuel <= 0:
             return Outcome.FUEL_EXHAUSTED, fam
-        instr = stream.at(pos)
-        if instr is None:
-            return Outcome.INACTIVE, fam
+        if q >= total:
+            if not k:
+                return Outcome.INACTIVE, fam
+            q = m + (q - m) % k
+        instr = seq[q]
         fuel -= 1
         if isinstance(instr, Halt):
             return Outcome.TERMINATED, fam
         if isinstance(instr, Jump):
             if instr.offset == 0:
                 return Outcome.INACTIVE, fam
-            pos += instr.offset
+            q += instr.offset
             continue
         basic = instr.basic
         if not isinstance(basic, RegisterAction):
             raise ValueError(f"cannot execute abstract action {basic}")
         if basic.focus not in fam:
             return Outcome.INACTIVE, fam
-        content = fam[basic.focus]
-        if content is RegisterContent.INOPERATIVE:
+        reply = _register_step(basic, fam)
+        if reply is None:
             return Outcome.INACTIVE, fam
-        bit = content is RegisterContent.ONE
-        fam[basic.focus] = (
-            RegisterContent.ONE if basic.effect(bit) else RegisterContent.ZERO
-        )
-        reply = basic.reply(bit)
         if isinstance(instr, Plain):
-            pos += 1
+            q += 1
         elif isinstance(instr, PosTest):
-            pos += 1 if reply else 2
+            q += 1 if reply else 2
         else:
-            pos += 2 if reply else 1
+            q += 2 if reply else 1

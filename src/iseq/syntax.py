@@ -263,20 +263,49 @@ def concat_all(instrs) -> InstructionSequenceTerm:
     return term
 
 
-def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
-    """Leaf instructions of a repetition-free term, in order."""
-    out: list[PrimitiveInstruction] = []
+def flatten(
+    t: InstructionSequenceTerm,
+) -> tuple[list[PrimitiveInstruction], list[PrimitiveInstruction]]:
+    """Term -> (finite part, repeating part); repeating part may be empty.
+
+    The one linearization of a term.  Concatenation after an infinite
+    sequence is dropped and repetition of an infinite sequence is the
+    sequence itself, matching the intended sequence model of the axioms.
+    The walk is iterative at any nesting depth: a repetition drops the rest
+    of the stack, notes where its body starts and walks the body, so the
+    last repetition met starts the period.
+    """
+    seq: list[PrimitiveInstruction] = []
+    start = -1
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Concat):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Repeat):
-            raise ValueError("term has a repeating part")
+        # walk the right spine; only a composite left operand is stacked
+        while type(node) is Concat:
+            left = node.left
+            if type(left) is Concat or type(left) is Repeat:
+                stack.append(node.right)
+                node = left
+            else:
+                seq.append(left)
+                node = node.right
+        if type(node) is Repeat:
+            # whatever follows an infinite sequence is unreachable
+            stack = [node.body]
+            start = len(seq)
         else:
-            out.append(node)
-    return out
+            seq.append(node)
+    if start < 0:
+        return seq, []
+    return seq[:start], seq[start:]
+
+
+def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
+    """Leaf instructions of a repetition-free term, in order."""
+    prefix, period = flatten(t)
+    if period:  # a repetition's body is never empty
+        raise ValueError("term has a repeating part")
+    return prefix
 
 
 def iter_basics(t: InstructionSequenceTerm) -> Iterator[BasicInstruction]:

@@ -12,7 +12,10 @@ The last one is the shortest-program search by enumerating every program
 of each length; it shares the execution kernel and the alphabet with the
 search under test, and the kernel has tests of its own against ``use``
 and ``apply``.  ``fresh_copy`` undoes the parser's sharing of instruction
-objects, so that tests can show the sharing changes no result.
+objects, so that tests can show the sharing changes no result.  ``Stream``
+is a lazy unfolder: it finds the period by watching a repetition come back
+off an explicit stack, where the library flattens the term up front, so it
+checks ``flatten``, ``unfold`` and ``simulate`` from outside.
 ``_position_nodes`` is no oracle: it lays the library's own position graph
 out as nodes, for comparison with ``position_nodes``.
 """
@@ -36,6 +39,7 @@ from iseq.syntax import (
     NegTest,
     Plain,
     PosTest,
+    PrimitiveInstruction,
     RegisterAction,
     Repeat,
     concat_all,
@@ -290,6 +294,46 @@ def take(seq, count):
             break
         out.append(instr)
     return out
+
+
+class Stream:
+    """Random access over a possibly infinite instruction stream.
+
+    The term unfolds along an explicit stack, on which a repetition
+    re-enqueues itself after its body.  When the repetition first popped
+    last comes back off the stack, the stack is as it was then, so the
+    instructions emitted in between are the stream's period; later
+    positions are read modulo it, and a long jump unfolds nothing.
+    """
+
+    def __init__(self, t: InstructionSequenceTerm):
+        self._stack = [t]
+        self._cache: list[PrimitiveInstruction] = []
+        self._repeat: Repeat | None = None
+        self._start = 0  # stream length when ``_repeat`` was popped
+        self._period = 0  # nonzero once the stream is known to repeat
+
+    def at(self, pos: int) -> PrimitiveInstruction | None:
+        """Instruction at 1-based position ``pos``; None past a finite end."""
+        cache, stack = self._cache, self._stack
+        while len(cache) < pos and stack and not self._period:
+            node = stack.pop()
+            if isinstance(node, Concat):
+                stack.append(node.right)
+                stack.append(node.left)
+            elif node is self._repeat:
+                self._period = len(cache) - self._start
+            elif isinstance(node, Repeat):
+                self._repeat, self._start = node, len(cache)
+                stack.append(node)
+                stack.append(node.body)
+            else:
+                cache.append(node)
+        if len(cache) < pos:
+            if not self._period:
+                return None
+            pos = self._start + 1 + (pos - 1 - self._start) % self._period
+        return cache[pos - 1]
 
 
 def shift(node, offset):

@@ -10,7 +10,6 @@ from iseq.canonical import (
     to_first_canonical,
     to_second_canonical,
 )
-from iseq.interaction import unfold
 from iseq.syntax import parse_instruction_sequence as parse, render_term
 
 from . import oracles
@@ -150,6 +149,8 @@ def test_repetition_free_prefix_is_leaf_list():
         canon = to_first_canonical(t)
         assert canon.period == ()
         assert list(canon.prefix) == flat
+        stream = oracles.Stream(t)  # shares no code with ``flatten``
+        assert [stream.at(pos) for pos in range(1, len(flat) + 2)] == flat + [None]
 
 
 def test_isc_implies_structural_on_variants():
@@ -173,15 +174,19 @@ def test_isc_implies_structural_on_random_pairs():
 
 
 def test_expansion_matches_independent_unfolder():
+    """The first canonical form spells out the stream the lazy unfolder of
+    the oracles reads, which shares no code with ``flatten``."""
     rng = random.Random(17)
     for _ in range(100):
         t = random_term(rng, 9)
         canon = to_first_canonical(t)
+        stream = oracles.Stream(t)
         direct = []
-        for instr in unfold(t):
-            direct.append(instr)
-            if len(direct) >= 50:
+        for pos in range(1, 51):
+            instr = stream.at(pos)
+            if instr is None:
                 break
+            direct.append(instr)
         assert oracles.take((canon.prefix, canon.period), 50) == direct
 
 

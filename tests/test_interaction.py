@@ -7,15 +7,22 @@ import pytest
 from iseq.canonical import to_first_canonical
 from iseq.cli import run_command
 from iseq.extraction import extract
-from iseq.interaction import Outcome, _Stream, abstract_tau, apply, simulate, use
+from iseq.interaction import Outcome, abstract_tau, apply, simulate, unfold, use
 from iseq.registers import evaluate_family
 from iseq.syntax import (
     AbstractAction,
+    Concat,
     Focus,
+    Halt,
+    Jump,
+    Plain,
     RegisterAction,
     RegisterContent,
+    Repeat,
     UnaryBoolFunc,
+    concat_all,
     content_of_bit,
+    leaves,
     parse_instruction_sequence as parse,
     parse_register_family,
 )
@@ -166,20 +173,44 @@ def test_simulate_past_end_inactive():
     assert outcome is Outcome.INACTIVE
 
 
+def _probe(t, pos):
+    """What ``simulate`` makes of position ``pos`` of ``t``, reached by a
+    leading jump of ``pos`` with fuel for that one more instruction."""
+    try:
+        return simulate(Concat(Jump(pos), t), {}, 2)[0]
+    except ValueError as error:  # an abstract action, named in the message
+        return str(error)
+
+
+def _probe_of(instr):
+    """What ``_probe`` should find at a position holding ``instr``."""
+    if instr is None or instr == Jump(0):
+        return Outcome.INACTIVE
+    if isinstance(instr, Halt):
+        return Outcome.TERMINATED
+    if isinstance(instr, Jump):
+        return Outcome.FUEL_EXHAUSTED
+    return f"cannot execute abstract action {instr.basic}"
+
+
 def test_stream_matches_first_canonical_form_on_seeded_terms():
-    """Random access modulo the detected period reads the sequence the
-    first canonical form spells out, on 400 seeded terms (seed 79) with
-    nested repetitions, at positions 1 to 60 in random order."""
+    """The lazy unfolder of the oracles reads the sequence the first
+    canonical form spells out, and ``unfold`` and ``simulate`` read the
+    same, on 400 seeded terms (seed 79) with nested repetitions, at
+    positions 1 to 60 in random order."""
     rng = random.Random(79)
     for _ in range(400):
         t = random_term(rng, 8)
         canon = to_first_canonical(t)
         want = oracles.take((canon.prefix, canon.period), 60)
-        stream = _Stream(t)
+        assert list(itertools.islice(unfold(t), 60)) == want, t
+        stream = oracles.Stream(t)
         positions = list(range(1, 61))
         rng.shuffle(positions)
         for pos in positions:
-            assert stream.at(pos) == (want[pos - 1] if pos <= len(want) else None), (t, pos)
+            instr = stream.at(pos)
+            assert instr == (want[pos - 1] if pos <= len(want) else None), (t, pos)
+            assert _probe(t, pos) == _probe_of(instr), (t, pos)
 
 
 def test_simulate_long_jump_in_a_repetition_is_bounded():
@@ -195,6 +226,22 @@ def test_simulate_long_jump_in_a_repetition_is_bounded():
     outcome, _ = simulate(parse("(f.1/1;(#100000000;f.0/0)*)*"), fam("{f=0}"), 5)
     assert outcome is Outcome.FUEL_EXHAUSTED
     assert time.perf_counter() - start < 1.0
+
+
+def test_deep_repetition_nesting_needs_no_recursion():
+    """A 5,000-deep chain ``(#1;(#1;( ... (#1;f.c/c;!)* ... )*)*)*``, built
+    by hand since the parser refuses nesting this deep, goes through every
+    linearizing route; the last repetition met starts the period."""
+    flip = RegisterAction(Focus("f"), UnaryBoolFunc.COMPLEMENT, UnaryBoolFunc.COMPLEMENT)
+    t = Concat(Plain(flip), Halt())
+    for _ in range(5000):
+        t = Repeat(Concat(Jump(1), t))
+    period = [Jump(1), Plain(flip), Halt()]
+    canon = to_first_canonical(t)
+    assert (list(canon.prefix), list(canon.period)) == ([Jump(1)] * 4999, period)
+    assert list(itertools.islice(unfold(t), 5005)) == [Jump(1)] * 4999 + period * 2
+    assert simulate(t, fam("{f=0}"), 6000) == (Outcome.TERMINATED, fam("{f=1}"))
+    assert threads_equal(extract(t), prefix_action(flip, STOP))
 
 
 # -- triangulation --------------------------------------------------------------
@@ -219,6 +266,35 @@ def test_oracle_triangulation():
             else:
                 assert algebraic == {}
                 assert concealed == DEAD
+
+
+def test_simulate_agrees_with_apply_and_use_exhaustively():
+    """``simulate`` against ``apply`` after ``extract`` and against
+    ``abstract_tau`` after ``use``, on every term over ``+f.i/c``,
+    ``-f.c/i``, ``f.1/1``, ``f.0/0``, ``!``, ``#0``, ``#1`` and ``#2``: each
+    sequence of length 1 to 3, taken finite and with every nonempty period
+    split off (2,256 terms), on ``{f=0}``, ``{f=1}``, ``{f=-}`` and ``{}``
+    (9,024 runs).  A length-3 run has at most 6 (position, content) states,
+    so fuel 64 runs out only on divergence.  An inoperative register sticks
+    as an absent one does, so ``{f=-}`` and ``{}`` end alike."""
+    alphabet = leaves(parse("+f.i/c;-f.c/i;f.1/1;f.0/0;!;#0;#1;#2"))
+    terms = []
+    for n in (1, 2, 3):
+        for seq in itertools.product(alphabet, repeat=n):
+            terms.append(concat_all(seq))
+            terms += [concat_all(seq[:m] + (Repeat(concat_all(seq[m:])),)) for m in range(n)]
+    assert len(terms) == 2256
+    families = [fam("{f=0}"), fam("{f=1}"), fam("{f=-}"), {}]
+    for t in terms:
+        thread = extract(t)
+        assert threads_equal(use(thread, {}), thread), t
+        runs = [simulate(t, family, 64) for family in families]
+        assert runs[2][0] is runs[3][0], t
+        for family, (outcome, sim_family) in zip(families, runs):
+            terminated = outcome is Outcome.TERMINATED
+            assert apply(thread, family) == (sim_family if terminated else {}), (t, family)
+            if family:
+                assert abstract_tau(use(thread, family)) == (STOP if terminated else DEAD), (t, family)
 
 
 def test_use_then_apply_is_finite_for_bound_programs():

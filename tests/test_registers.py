@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 from iseq.registers import compose, evaluate_family, render_family
@@ -92,6 +94,54 @@ def test_representation_decomposition():
                 continue
             rest = {f: c for f, c in family.items() if f != focus}
             assert compose({focus: family[focus]}, rest) == family
+
+
+F, G = Focus("f"), Focus("g")
+# every evaluated family over foci f and g, each absent, 0, 1 or -
+FAMILIES = [
+    {focus: content for focus, content in zip((F, G), contents) if content is not None}
+    for contents in itertools.product((None, ZERO, ONE, DIV), repeat=2)
+]
+HIDINGS = [frozenset({F}), frozenset({G}), frozenset({F, G})]
+
+
+def _term(family):
+    """A family term that evaluates to ``family``."""
+    return functools.reduce(ComposeFamily, [SingletonFamily(*kv) for kv in family.items()] or [EmptyFamily()])
+
+
+def _hide(hidden, family):
+    return evaluate_family(HideFamily(hidden, _term(family)))
+
+
+def test_family_laws_exhaustively():
+    """On all 16 families over foci f and g, each absent, 0, 1 or -, and the
+    3 nonempty sets of those foci to hide: composition, both as ``compose``
+    and as an evaluated term, is associative (4,096 triples) and commutative
+    (256 pairs) with unit ``{}``, and a focus both operands name collapses
+    to ``-``; ``hide`` removes exactly what it names (48 cases), distributes
+    over composition (768) and merges nested hides (144)."""
+    for a in FAMILIES:
+        ta = _term(a)
+        assert evaluate_family(ta) == a
+        assert compose(a, {}) == a == compose({}, a)
+        assert evaluate_family(ComposeFamily(ta, EmptyFamily())) == a == evaluate_family(ComposeFamily(EmptyFamily(), ta))
+        for hidden in HIDINGS:
+            assert _hide(hidden, a) == {f: c for f, c in a.items() if f not in hidden}
+            for inner in HIDINGS:
+                assert evaluate_family(HideFamily(hidden, HideFamily(inner, ta))) == _hide(hidden | inner, a)
+        for b in FAMILIES:
+            tb = _term(b)
+            ab = compose(a, b)
+            assert ab == compose(b, a) == evaluate_family(ComposeFamily(ta, tb))
+            for focus in (F, G):
+                assert ab.get(focus) == (DIV if focus in a and focus in b else a.get(focus, b.get(focus)))
+            for hidden in HIDINGS:
+                assert evaluate_family(HideFamily(hidden, ComposeFamily(ta, tb))) == compose(_hide(hidden, a), _hide(hidden, b))
+            for c in FAMILIES:
+                tc = _term(c)
+                assert compose(ab, c) == compose(a, compose(b, c))
+                assert evaluate_family(ComposeFamily(ComposeFamily(ta, tb), tc)) == evaluate_family(ComposeFamily(ta, ComposeFamily(tb, tc)))
 
 
 def test_render_sorted_deterministic():

@@ -17,8 +17,6 @@ the file prints the literals.
 import itertools
 import sys
 
-import pytest
-
 from iseq.compute import compile_table, computes_check, search_shortest
 from iseq.syntax import FunctionTable, leaves
 
@@ -94,7 +92,13 @@ def shortest_length(table, k, max_len):
 CHEAP = [key for key, (length, _) in SHORTEST.items() if length <= 5]
 
 
-@pytest.mark.parametrize("column, k", CHEAP)
+def pytest_generate_tests(metafunc):
+    """One ``test_shortest_lengths_up_to_5`` case per CHEAP row; a hook
+    rather than a marker, so that ``--check`` runs without pytest."""
+    if metafunc.function is test_shortest_lengths_up_to_5:
+        metafunc.parametrize("column, k", CHEAP)
+
+
 def test_shortest_lengths_up_to_5(column, k):
     length, _ = SHORTEST[column, k]
     assert shortest_length(two_input(column), k, length) == length
