@@ -12,16 +12,18 @@ focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 sequence (``syntax.flatten``), read modulo its period past the stored
 positions, used to cross-check the algebraic route (apply after extract).
 ``use``, ``apply`` and ``simulate`` carry out a register action alike, by
-``_register_step``; each handles an unknown focus in its own way.
+``_register_step``; each handles an unknown focus in its own way.  Each
+runs on the part of the family that the program's actions name (``_named``)
+and passes the rest through untouched, so unnamed registers cost nothing.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .registers import RegisterFamily, family_key
+from .registers import RegisterFamily
 from .syntax import (
     AbstractAction,
     Halt,
@@ -37,6 +39,16 @@ from .syntax import (
 from .threads import TAU, Branch, Dead, Node, RegularThread, Stop, minimize
 
 
+def _named(actions: Iterable, family: RegisterFamily) -> RegisterFamily:
+    """The part of ``family`` under the foci of the register actions among
+    ``actions``, in the order first named."""
+    named = {}
+    for action in actions:
+        if type(action) is RegisterAction and action.focus in family:
+            named[action.focus] = family[action.focus]
+    return named
+
+
 def _register_step(action: RegisterAction, fam: RegisterFamily) -> bool | None:
     """Carry out ``action`` on ``fam``, which names its focus: the reply,
     or None for an inoperative register."""
@@ -49,47 +61,47 @@ def _register_step(action: RegisterAction, fam: RegisterFamily) -> bool | None:
 
 
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
-    """Product of the thread with the family it runs against."""
-    start = (thread.root, family_key(family))
+    """Product of the thread with the family it runs against, keyed by the
+    named registers' contents in ``_named``'s order; ``minimize`` renumbers."""
+    named = _named((node.action for node in thread.nodes if isinstance(node, Branch)), family)
+    foci = tuple(named)
+    start = (thread.root, tuple(named.values()))
     index: dict[tuple, int] = {start: 0}
     queue = deque([start])
     nodes: list[Node] = []
 
-    def state_id(state: int, fam_key: tuple) -> int:
-        key = (state, fam_key)
+    def state_id(state: int, contents: tuple) -> int:
+        key = (state, contents)
         if key not in index:
             index[key] = len(index)
             queue.append(key)
         return index[key]
 
     while queue:
-        state, fam_key = queue.popleft()
+        state, contents = queue.popleft()
         node = thread.node(state)
-        if isinstance(node, Stop):
-            nodes.append(Stop())
-            continue
-        if isinstance(node, Dead):
-            nodes.append(Dead())
+        if not isinstance(node, Branch):  # Stop or Dead
+            nodes.append(node)
             continue
         action = node.action
         if action is TAU:
-            succ = state_id(node.on_true, fam_key)
+            succ = state_id(node.on_true, contents)
             nodes.append(Branch(TAU, succ, succ))
             continue
         if isinstance(action, AbstractAction):
             raise ValueError(f"abstract action {action} cannot interact with registers")
         assert isinstance(action, RegisterAction)
-        fam = dict(fam_key)
-        if action.focus not in fam:
-            on_true = state_id(node.on_true, fam_key)
-            on_false = state_id(node.on_false, fam_key)
+        if action.focus not in named:
+            on_true = state_id(node.on_true, contents)
+            on_false = state_id(node.on_false, contents)
             nodes.append(Branch(action, on_true, on_false))
             continue
+        fam = dict(zip(foci, contents))
         reply = _register_step(action, fam)
         if reply is None:
             nodes.append(Dead())
             continue
-        succ = state_id(node.on_true if reply else node.on_false, family_key(fam))
+        succ = state_id(node.on_true if reply else node.on_false, tuple(fam.values()))
         nodes.append(Branch(TAU, succ, succ))
     return minimize(RegularThread(tuple(nodes), 0))
 
@@ -97,7 +109,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
     """Final family after running the thread on it; empty on any failure."""
     state = thread.root
-    fam = dict(family)
+    fam = _named((node.action for node in thread.nodes if isinstance(node, Branch)), family)
     seen: set[tuple] = set()
     while True:
         key = (state, tuple(fam.values()))  # the run never adds a register
@@ -106,7 +118,7 @@ def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
         seen.add(key)
         node = thread.node(state)
         if isinstance(node, Stop):
-            return fam
+            return {**family, **fam}
         if isinstance(node, Dead):
             return {}
         action = node.action
@@ -192,39 +204,53 @@ def simulate(
     unknown focus or an inoperative register makes execution stick, which
     reports as inaction.  A position q past the m + k stored ones reads
     position m + (q - m) mod k of the repeating part, so a long jump
-    unfolds nothing.
+    unfolds nothing.  A run whose configuration (position and named
+    contents) comes back is periodic from there on: Brent's cycle finding
+    compares each configuration with the one at the last power-of-two
+    step, and a match L steps later leaves only the fuel modulo L to run,
+    so the work is bounded by the configurations, whatever the fuel.
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
     prefix, period = flatten(t)
     seq = prefix + period
     m, total, k = len(prefix), len(seq), len(period)
-    fam = dict(family)
+    fam = _named((getattr(instr, "basic", None) for instr in seq), family)
+
+    def end(outcome: Outcome) -> tuple[Outcome, RegisterFamily]:
+        return outcome, {**family, **fam}
+
     q = 0  # 0-based index of the next instruction
+    mark_q, mark, since, power = -1, None, 0, 1  # the configuration at the last power of two
     while True:
         if fuel <= 0:
-            return Outcome.FUEL_EXHAUSTED, fam
+            return end(Outcome.FUEL_EXHAUSTED)
         if q >= total:
             if not k:
-                return Outcome.INACTIVE, fam
+                return end(Outcome.INACTIVE)
             q = m + (q - m) % k
+        if q == mark_q and fam == mark:
+            fuel %= since
+            if not fuel:
+                continue
+        elif since == power:
+            mark_q, mark, since, power = q, dict(fam), 0, 2 * power
+        since += 1
         instr = seq[q]
         fuel -= 1
         if isinstance(instr, Halt):
-            return Outcome.TERMINATED, fam
+            return end(Outcome.TERMINATED)
         if isinstance(instr, Jump):
             if instr.offset == 0:
-                return Outcome.INACTIVE, fam
+                return end(Outcome.INACTIVE)
             q += instr.offset
             continue
         basic = instr.basic
         if not isinstance(basic, RegisterAction):
             raise ValueError(f"cannot execute abstract action {basic}")
-        if basic.focus not in fam:
-            return Outcome.INACTIVE, fam
-        reply = _register_step(basic, fam)
+        reply = _register_step(basic, fam) if basic.focus in fam else None
         if reply is None:
-            return Outcome.INACTIVE, fam
+            return end(Outcome.INACTIVE)
         if isinstance(instr, Plain):
             q += 1
         elif isinstance(instr, PosTest):

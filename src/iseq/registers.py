@@ -38,18 +38,15 @@ def evaluate_family(t: RegisterFamilyTerm) -> RegisterFamily:
         if isinstance(node, ComposeFamily):
             stack.append(node.right)
             stack.append(node.left)
-            continue
-        if isinstance(node, EmptyFamily):
-            continue
-        if isinstance(node, SingletonFamily):
-            part = {node.focus: node.content}
+        elif isinstance(node, SingletonFamily):
+            focus = node.focus
+            out[focus] = RegisterContent.INOPERATIVE if focus in out else node.content
         elif isinstance(node, HideFamily):
-            body = evaluate_family(node.body)
-            part = {f: c for f, c in body.items() if f not in node.hidden}
-        else:
+            for focus, content in evaluate_family(node.body).items():
+                if focus not in node.hidden:
+                    out[focus] = RegisterContent.INOPERATIVE if focus in out else content
+        elif not isinstance(node, EmptyFamily):
             raise TypeError(f"not a register family term: {node!r}")
-        for focus, content in part.items():
-            out[focus] = RegisterContent.INOPERATIVE if focus in out else content
     return out
 
 
@@ -70,7 +67,3 @@ def render_family(family: RegisterFamily) -> str:
     ]
     return "{" + ", ".join(parts) + "}"
 
-
-def family_key(family: RegisterFamily) -> tuple:
-    """Hashable canonical view, for use as a state-space component."""
-    return tuple(sorted(family.items(), key=lambda kv: focus_sort_key(kv[0])))

@@ -10,12 +10,18 @@ The surface syntax is plain ASCII:
 Concatenation (`;`) parses right-associatively; a repetition star binds to
 the directly preceding atom.  Rendering is deterministic and satisfies
 ``parse(render(x)) == x`` for every AST value.
+
+Sequences and families are read by one cursor over a list of token
+strings, which one regular expression cuts from the text: a token's first
+character tells its kind, and a character position is worked out only for
+a ``ParseError``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -403,41 +409,42 @@ def table_from_rows(n: int, m: int, rows: dict[str, Optional[str]]) -> FunctionT
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokens and the cursor both parsers read them through
 
 
+# A token is its text: a punctuation character, a numeral of decimal digits
+# or an identifier, and ``\S`` takes any other character.  Over all code
+# points ``\s``, ``\d`` and ``\w`` match exactly what ``str.isspace``,
+# ``str.isdecimal`` and ``str.isalnum`` (or "_") admit, so a numeral holds
+# what ``int`` reads as digits; but ``[^\W\d]`` also admits numeric
+# characters such as '²' or '½', which an identifier may hold but not start.
 _PUNCT = ";*()#!+-.:/{}=,"
+_TOKEN = re.compile(rf"[{re.escape(_PUNCT)}]|\d+|[^\W\d]\w*|\S")
+_STRAY = re.compile(rf"[^\s\w{re.escape(_PUNCT)}]")  # a character no token may hold
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():  # int() reads these; isdigit also admits '²'
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("eof", "", len(text)))
+def _position(text: str, index: int) -> int:
+    """Character position of token ``index`` of ``text``, its length past the last."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    return match.start() if match else len(text)
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``, then "" for its end.  A character that may
+    not start a token is refused before any parsing, at its own position;
+    in ASCII text only a stray character can be one."""
+    tokens = _TOKEN.findall(text)
+    if not text.isascii() or _STRAY.search(text):
+        for index, tok in enumerate(tokens):
+            ch = tok[0]
+            if not (ch in _PUNCT or ch.isdecimal() or ch.isalpha() or ch == "_"):
+                raise ParseError(f"unexpected character {ch!r}", _position(text, index))
+    tokens.append("")
     return tokens
+
+
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
 # enum members by source token; a table lookup is much cheaper than the call
@@ -451,43 +458,52 @@ MAX_NESTING = 100
 
 
 class _Cursor:
+    """The tokens of one parse and the index of the next; positions are
+    found only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _tokens(text)
         self.pos = 0
         self.depth = 0
         # one object per distinct instruction of this parse, by source key
         self.shared: dict = {}
 
-    def enter(self, position: int) -> None:
-        """Open one more level of nesting; refuse one past ``MAX_NESTING``."""
+    def fail(self, message: str, index: Optional[int] = None) -> ParseError:
+        """An error at token ``index``, by default the next one."""
+        return ParseError(message, _position(self.text, self.pos if index is None else index))
+
+    def skip(self, tok: str) -> bool:
+        """Whether the next token is ``tok``; if so, it is read."""
+        if self.tokens[self.pos] == tok:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str) -> str:
+        """The next token, which must be ``kind``: 'nat', 'ident' or itself."""
+        tok = self.tokens[self.pos]
+        if not (tok.isdecimal() if kind == "nat" else _is_ident(tok) if kind == "ident" else tok == kind):
+            raise self.fail(f"expected {kind!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
+        return tok
+
+    def inside(self, parse):
+        """``parse`` of what follows the "(" just read, up to its ")", one
+        level deeper; a level past ``MAX_NESTING`` is refused."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
-
-    def leave(self) -> None:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels", self.pos - 1)
+        inner = parse(self)
+        self.expect(")")
         self.depth -= 1
+        return inner
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    # expect and at run for nearly every token, so they index tokens directly
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
-
-    def done(self) -> bool:
-        return self.at("eof")
+    def finish(self, term):
+        """``term``, once no token follows it."""
+        if self.tokens[self.pos]:
+            raise self.fail(f"trailing input {self.tokens[self.pos]!r}")
+        return term
 
 
 # ---------------------------------------------------------------------------
@@ -498,63 +514,46 @@ _MAX_JUMP = 10**9
 
 def parse_instruction_sequence(text: str) -> InstructionSequenceTerm:
     cur = _Cursor(text)
-    term = _parse_seq(cur)
-    if not cur.done():
-        tok = cur.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return term
+    return cur.finish(_parse_seq(cur))
 
 
 def _parse_seq(cur: _Cursor) -> InstructionSequenceTerm:
-    items = [_parse_item(cur)]
-    while cur.at(";"):
-        cur.next()
-        items.append(_parse_item(cur))
+    items = []
+    while not items or cur.skip(";"):
+        atom = _parse_atom(cur)
+        items.append(Repeat(atom) if cur.skip("*") else atom)
     return concat_all(items)
 
 
-def _parse_item(cur: _Cursor) -> InstructionSequenceTerm:
-    atom = _parse_atom(cur)
-    if cur.at("*"):
-        cur.next()
-        return Repeat(atom)
-    return atom
-
-
 def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
-    kind, value, pos = cur.peek()
-    if kind == "(":
-        cur.next()
-        cur.enter(pos)
-        inner = _parse_seq(cur)
-        cur.expect(")")
-        cur.leave()
-        return inner
+    tok = cur.tokens[cur.pos]
     shared = cur.shared
-    if kind == "!":
-        cur.next()
+    if tok == "(":
+        cur.pos += 1
+        return cur.inside(_parse_seq)
+    if tok == "!":
+        cur.pos += 1
         return shared.get(Halt) or shared.setdefault(Halt, Halt())
-    if kind == "#":
-        cur.next()
-        _, digits, npos = cur.expect("nat")
+    if tok == "#":
+        cur.pos += 1
+        digits = cur.expect("nat")
         offset = int(digits)
         if offset > _MAX_JUMP:
-            raise ParseError(f"jump literal {digits} is too large", npos)
+            raise cur.fail(f"jump literal {digits} is too large", cur.pos - 1)
         return shared.get(offset) or shared.setdefault(offset, Jump(offset))
-    if kind in ("+", "-", "ident"):
-        cls = PosTest if kind == "+" else NegTest if kind == "-" else Plain
+    if tok == "+" or tok == "-" or _is_ident(tok):
+        cls = PosTest if tok == "+" else NegTest if tok == "-" else Plain
         if cls is not Plain:
-            cur.next()
+            cur.pos += 1
         basic = _parse_basic(cur)
         key = (cls, id(basic))  # the basic instruction is shared, so its id stands for it
         return shared.get(key) or shared.setdefault(key, cls(basic))
-    raise ParseError(f"expected an instruction, found {value or 'end of input'!r}", pos)
+    raise cur.fail(f"expected an instruction, found {tok or 'end of input'!r}")
 
 
 def _parse_basic(cur: _Cursor) -> BasicInstruction:
     name, index = _parse_focus_name(cur)
-    if cur.at("."):
-        cur.next()
+    if cur.skip("."):
         reply = _parse_func(cur)
         cur.expect("/")
         effect = _parse_func(cur)
@@ -563,18 +562,17 @@ def _parse_basic(cur: _Cursor) -> BasicInstruction:
             key, RegisterAction(Focus(name, index), _FUNC_OF[reply], _FUNC_OF[effect])
         )
     if index is not None:
-        tok = cur.peek()
-        raise ParseError("indexed focus must name a register operation ('.')", tok[2])
+        raise cur.fail("indexed focus must name a register operation ('.')")
     return cur.shared.get(name) or cur.shared.setdefault(name, AbstractAction(name))
 
 
 def _parse_func(cur: _Cursor) -> str:
     """The token of a unary Boolean function: 0, 1, i or c."""
-    kind, value, pos = cur.peek()
-    if (kind == "nat" and value in ("0", "1")) or (kind == "ident" and value in ("i", "c")):
-        cur.next()
-        return value
-    raise ParseError(f"expected a register operation token 0, 1, i or c, found {value!r}", pos)
+    tok = cur.tokens[cur.pos]
+    if tok not in _FUNC_OF:
+        raise cur.fail(f"expected a register operation token 0, 1, i or c, found {tok!r}")
+    cur.pos += 1
+    return tok
 
 
 # ---------------------------------------------------------------------------
@@ -607,88 +605,68 @@ def _render_item(t: InstructionSequenceTerm) -> str:
 
 def parse_register_family(text: str) -> RegisterFamilyTerm:
     cur = _Cursor(text)
-    term = _parse_family(cur)
-    if not cur.done():
-        tok = cur.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return term
+    return cur.finish(_parse_family(cur))
 
 
 def _parse_family(cur: _Cursor) -> RegisterFamilyTerm:
     operands = [_parse_family_primary(cur)]
-    while cur.at("+"):
-        cur.next()
+    while cur.skip("+"):
         operands.append(_parse_family_primary(cur))
-    family = operands[-1]
-    for left in reversed(operands[:-1]):
+    return _compose_all(operands)
+
+
+def _compose_all(families: list) -> RegisterFamilyTerm:
+    family = families[-1]
+    for left in reversed(families[:-1]):
         family = ComposeFamily(left, family)
     return family
 
 
 def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
-    kind, value, pos = cur.peek()
-    if kind == "ident" and value == "hide":
-        cur.next()
+    tok = cur.tokens[cur.pos]
+    if tok == "hide":
+        cur.pos += 1
         cur.expect("{")
         hidden = [Focus(*_parse_focus_name(cur))]
-        while cur.at(","):
-            cur.next()
+        while cur.skip(","):
             hidden.append(Focus(*_parse_focus_name(cur)))
         cur.expect("}")
-        _, _, open_pos = cur.expect("(")
-        cur.enter(open_pos)
-        body = _parse_family(cur)
-        cur.expect(")")
-        cur.leave()
-        return HideFamily(frozenset(hidden), body)
-    if kind == "{":
-        cur.next()
-        if cur.at("}"):
-            cur.next()
+        cur.expect("(")
+        return HideFamily(frozenset(hidden), cur.inside(_parse_family))
+    if tok == "{":
+        cur.pos += 1
+        if cur.skip("}"):
             return EmptyFamily()
         bindings = [_parse_binding(cur)]
-        while cur.at(","):
-            cur.next()
+        while cur.skip(","):
             bindings.append(_parse_binding(cur))
         cur.expect("}")
-        family: RegisterFamilyTerm = bindings[-1]
-        for binding in reversed(bindings[:-1]):
-            family = ComposeFamily(binding, family)
-        return family
-    if kind == "(":
-        cur.next()
-        cur.enter(pos)
-        inner = _parse_family(cur)
-        cur.expect(")")
-        cur.leave()
-        return inner
-    raise ParseError(f"expected a register family, found {value or 'end of input'!r}", pos)
+        return _compose_all(bindings)
+    if tok == "(":
+        cur.pos += 1
+        return cur.inside(_parse_family)
+    raise cur.fail(f"expected a register family, found {tok or 'end of input'!r}")
 
 
 def _parse_focus_name(cur: _Cursor) -> tuple[str, Optional[int]]:
     """The name and the index, if any, of a focus such as ``aux:3``."""
-    _, name, _ = cur.expect("ident")
+    name = cur.expect("ident")
     index = None
-    if cur.at(":"):
-        cur.next()
-        _, digits, ipos = cur.expect("nat")
-        index = int(digits)
+    if cur.skip(":"):
+        index = int(cur.expect("nat"))
         if index < 1:
-            raise ParseError("focus index must be >= 1", ipos)
+            raise cur.fail("focus index must be >= 1", cur.pos - 1)
     return name, index
 
 
 def _parse_binding(cur: _Cursor) -> SingletonFamily:
     focus = Focus(*_parse_focus_name(cur))
     cur.expect("=")
-    kind, value, pos = cur.peek()
-    if kind == "nat" and value in ("0", "1"):
-        cur.next()
-        return SingletonFamily(focus, _CONTENT_OF[value])
-    if kind == "-":
-        cur.next()
-        return SingletonFamily(focus, RegisterContent.INOPERATIVE)
-    raise ParseError(f"expected register content 0, 1 or -, found {value!r}", pos)
+    content = _CONTENT_OF.get(cur.tokens[cur.pos])
+    if content is None:
+        raise cur.fail(f"expected register content 0, 1 or -, found {cur.tokens[cur.pos]!r}")
+    cur.pos += 1
+    return SingletonFamily(focus, content)
 
 
 def focus_sort_key(focus: Focus) -> tuple[str, int]:

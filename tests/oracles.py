@@ -16,35 +16,52 @@ objects, so that tests can show the sharing changes no result.  ``Stream``
 is a lazy unfolder: it finds the period by watching a repetition come back
 off an explicit stack, where the library flattens the term up front, so it
 checks ``flatten``, ``unfold`` and ``simulate`` from outside.
-``_position_nodes`` is no oracle: it lays the library's own position graph
-out as nodes, for comparison with ``position_nodes``.
+``position_arrays`` lays the reference position graph out as
+``extraction._write`` lays out its own, so the two compare as int arrays.
+The parsers over ``(kind, text, position)`` token tuples, built by a
+character-by-character tokenizer, check the parsers over token strings.
+``use``, ``apply`` and ``simulate`` are the routes that key every step by
+the whole family and run the fuel out step by step; they check the routes
+over the named registers and ``simulate``'s cycle finding.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Optional
 
-from iseq.canonical import CanonicalSeq
 from iseq.compute import IoConvention, _decode, _run, _search_alphabet, _start_row
-from iseq.extraction import _DEAD, _STOP, _graph, _write
+from iseq.interaction import Outcome
+from iseq.registers import RegisterFamily
 from iseq.syntax import (
     AbstractAction,
+    BasicInstruction,
+    ComposeFamily,
     Concat,
+    EmptyFamily,
     Focus,
     FunctionTable,
     Halt,
+    HideFamily,
     InstructionSequenceTerm,
     Jump,
     NegTest,
+    ParseError,
     Plain,
     PosTest,
     PrimitiveInstruction,
     RegisterAction,
+    RegisterContent,
+    RegisterFamilyTerm,
     Repeat,
+    SingletonFamily,
+    UnaryBoolFunc,
     concat_all,
+    flatten,
+    focus_sort_key,
 )
-from iseq.threads import TAU, Branch, Dead, RegularThread, Stop
+from iseq.threads import TAU, Branch, Dead, Node, RegularThread, Stop
 
 
 def normalize(prefix, period):
@@ -150,11 +167,23 @@ def second_canonical(prefix, period):
         seq = step
 
 
-def position_nodes(seq):
-    """(nodes, entry) of extraction, with the same numbering as the library."""
-    prefix, period = seq
-    total = len(prefix) + len(period)
-    nodes = [Dead(), Stop()]
+def position_arrays(seq):
+    """Extraction's position graph by per-position wrap lookups, laid
+    out as ``extraction._write`` lays out its own: (labels, label, on_true,
+    on_false, entry).  State 0 is Dead and state 1 is Stop, each its own
+    successor, and the acting positions follow in position order;
+    ``labels`` lists what each label stands for, Dead and Stop first, then
+    every distinct basic instruction as first met; entry[p-1] is the state
+    behaving like execution from position p."""
+    instrs = tuple(seq[0]) + tuple(seq[1])  # instrs[p-1] is at(seq, p) for a stored p
+    total = len(instrs)
+    labels = {Dead: 0, Stop: 1}
+    label = [0, 1]
+    state = {}
+    for pos, instr in enumerate(instrs, start=1):
+        if not isinstance(instr, (Halt, Jump)):
+            state[pos] = len(label)
+            label.append(labels.setdefault(instr.basic, len(labels)))
 
     def resolve(pos):
         guard = 0
@@ -162,7 +191,7 @@ def position_nodes(seq):
             wrapped = wrap(seq, pos)
             if wrapped is None:
                 return 0
-            instr = at(seq, wrapped)
+            instr = instrs[wrapped - 1]
             if isinstance(instr, Jump):
                 if instr.offset == 0:
                     return 0
@@ -173,46 +202,25 @@ def position_nodes(seq):
                 continue
             if isinstance(instr, Halt):
                 return 1
-            return 2 + wrapped - 1
+            return state[wrapped]
 
-    for pos in range(1, total + 1):
-        instr = at(seq, pos)
-        if isinstance(instr, Plain):
-            nodes.append(Branch(instr.basic, resolve(pos + 1), resolve(pos + 1)))
-        elif isinstance(instr, PosTest):
-            nodes.append(Branch(instr.basic, resolve(pos + 1), resolve(pos + 2)))
-        elif isinstance(instr, NegTest):
-            nodes.append(Branch(instr.basic, resolve(pos + 2), resolve(pos + 1)))
-        elif isinstance(instr, Halt):
-            nodes.append(Stop())
-        else:
-            nodes.append(Dead())
-    return nodes, [resolve(pos) for pos in range(1, total + 1)]
+    entry = [resolve(pos) for pos in range(1, total + 3)]  # two past the end for the last tests
+    on_true, on_false = [0, 1], [0, 1]
+    for pos in state:
+        instr = instrs[pos - 1]
+        after, skip = entry[pos], entry[pos + 1]  # positions pos + 1 and pos + 2
+        on_true.append(skip if isinstance(instr, NegTest) else after)
+        on_false.append(skip if isinstance(instr, PosTest) else after)
+    return list(labels), label, on_true, on_false, entry[:total]
 
 
-def _position_nodes(canon: CanonicalSeq):
-    """The library's position graph of ``canon`` as nodes, one per stored
-    position, so that ``extraction._write`` can be compared with
-    ``position_nodes``.
-
-    Returns (nodes, entry) where nodes[0] is Dead, nodes[1] is Stop,
-    nodes[1 + p] is the node of position p (Stop for a termination, Dead
-    for a jump, which its entry aliases) and entry[p-1] the node behaving
-    like execution from position p.  Unlike the rest of this module it runs
-    the code under test: only the node layout is built here.
-    """
-    graph = _graph()
-    entry = _write(canon.prefix, canon.period, graph)
-    kinds, label, on_true, on_false = graph
-    seq = canon.prefix + canon.period
-    kind_of = list(kinds)
-    node_of = [_DEAD, _STOP] + [2 + q for q, instr in enumerate(seq) if type(instr) not in (Halt, Jump)]
+def position_nodes(seq):
+    """(nodes, entry) of extraction: ``position_arrays`` as nodes."""
+    labels, label, on_true, on_false, entry = position_arrays(seq)
     nodes = [Dead(), Stop()] + [
-        Stop() if type(instr) is Halt else Dead() if type(instr) is Jump
-        else Branch(kind_of[label[s]], node_of[on_true[s]], node_of[on_false[s]])
-        for instr, s in zip(seq, entry)
+        Branch(labels[label[s]], on_true[s], on_false[s]) for s in range(2, len(label))
     ]
-    return nodes, [node_of[s] for s in entry]
+    return nodes, entry
 
 
 def bisimulation_classes(nodes):
@@ -435,3 +443,410 @@ def search_shortest(
             if passes(code):
                 return concat_all(candidate)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the parsers over (kind, text, position) token tuples
+
+
+_PUNCT = ";*()#!+-.:/{}=,"
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdecimal():  # int() reads these; isdigit also admits '²'
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("nat", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+# enum members by source token; a table lookup is much cheaper than the call
+_FUNC_OF = {f.token: f for f in UnaryBoolFunc}
+_CONTENT_OF = {c.token: c for c in RegisterContent}
+
+# deepest nesting of parentheses (and so of repetitions and encapsulations)
+# the parsers accept; it keeps every recursive walk of a parsed term far
+# from the interpreter's recursion limit
+MAX_NESTING = 100
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        # one object per distinct instruction of this parse, by source key
+        self.shared: dict = {}
+
+    def enter(self, position: int) -> None:
+        """Open one more level of nesting; refuse one past ``MAX_NESTING``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
+
+    def leave(self) -> None:
+        self.depth -= 1
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    # expect and at run for nearly every token, so they index tokens directly
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
+
+    def done(self) -> bool:
+        return self.at("eof")
+
+
+# ---------------------------------------------------------------------------
+# instruction sequence parser
+
+_MAX_JUMP = 10**9
+
+
+def parse_instruction_sequence(text: str) -> InstructionSequenceTerm:
+    cur = _Cursor(text)
+    term = _parse_seq(cur)
+    if not cur.done():
+        tok = cur.peek()
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    return term
+
+
+def _parse_seq(cur: _Cursor) -> InstructionSequenceTerm:
+    items = [_parse_item(cur)]
+    while cur.at(";"):
+        cur.next()
+        items.append(_parse_item(cur))
+    return concat_all(items)
+
+
+def _parse_item(cur: _Cursor) -> InstructionSequenceTerm:
+    atom = _parse_atom(cur)
+    if cur.at("*"):
+        cur.next()
+        return Repeat(atom)
+    return atom
+
+
+def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
+    kind, value, pos = cur.peek()
+    if kind == "(":
+        cur.next()
+        cur.enter(pos)
+        inner = _parse_seq(cur)
+        cur.expect(")")
+        cur.leave()
+        return inner
+    shared = cur.shared
+    if kind == "!":
+        cur.next()
+        return shared.get(Halt) or shared.setdefault(Halt, Halt())
+    if kind == "#":
+        cur.next()
+        _, digits, npos = cur.expect("nat")
+        offset = int(digits)
+        if offset > _MAX_JUMP:
+            raise ParseError(f"jump literal {digits} is too large", npos)
+        return shared.get(offset) or shared.setdefault(offset, Jump(offset))
+    if kind in ("+", "-", "ident"):
+        cls = PosTest if kind == "+" else NegTest if kind == "-" else Plain
+        if cls is not Plain:
+            cur.next()
+        basic = _parse_basic(cur)
+        key = (cls, id(basic))  # the basic instruction is shared, so its id stands for it
+        return shared.get(key) or shared.setdefault(key, cls(basic))
+    raise ParseError(f"expected an instruction, found {value or 'end of input'!r}", pos)
+
+
+def _parse_basic(cur: _Cursor) -> BasicInstruction:
+    name, index = _parse_focus_name(cur)
+    if cur.at("."):
+        cur.next()
+        reply = _parse_func(cur)
+        cur.expect("/")
+        effect = _parse_func(cur)
+        key = (name, index, reply, effect)
+        return cur.shared.get(key) or cur.shared.setdefault(
+            key, RegisterAction(Focus(name, index), _FUNC_OF[reply], _FUNC_OF[effect])
+        )
+    if index is not None:
+        tok = cur.peek()
+        raise ParseError("indexed focus must name a register operation ('.')", tok[2])
+    return cur.shared.get(name) or cur.shared.setdefault(name, AbstractAction(name))
+
+
+def _parse_func(cur: _Cursor) -> str:
+    """The token of a unary Boolean function: 0, 1, i or c."""
+    kind, value, pos = cur.peek()
+    if (kind == "nat" and value in ("0", "1")) or (kind == "ident" and value in ("i", "c")):
+        cur.next()
+        return value
+    raise ParseError(f"expected a register operation token 0, 1, i or c, found {value!r}", pos)
+
+
+def parse_register_family(text: str) -> RegisterFamilyTerm:
+    cur = _Cursor(text)
+    term = _parse_family(cur)
+    if not cur.done():
+        tok = cur.peek()
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    return term
+
+
+def _parse_family(cur: _Cursor) -> RegisterFamilyTerm:
+    operands = [_parse_family_primary(cur)]
+    while cur.at("+"):
+        cur.next()
+        operands.append(_parse_family_primary(cur))
+    family = operands[-1]
+    for left in reversed(operands[:-1]):
+        family = ComposeFamily(left, family)
+    return family
+
+
+def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
+    kind, value, pos = cur.peek()
+    if kind == "ident" and value == "hide":
+        cur.next()
+        cur.expect("{")
+        hidden = [Focus(*_parse_focus_name(cur))]
+        while cur.at(","):
+            cur.next()
+            hidden.append(Focus(*_parse_focus_name(cur)))
+        cur.expect("}")
+        _, _, open_pos = cur.expect("(")
+        cur.enter(open_pos)
+        body = _parse_family(cur)
+        cur.expect(")")
+        cur.leave()
+        return HideFamily(frozenset(hidden), body)
+    if kind == "{":
+        cur.next()
+        if cur.at("}"):
+            cur.next()
+            return EmptyFamily()
+        bindings = [_parse_binding(cur)]
+        while cur.at(","):
+            cur.next()
+            bindings.append(_parse_binding(cur))
+        cur.expect("}")
+        family: RegisterFamilyTerm = bindings[-1]
+        for binding in reversed(bindings[:-1]):
+            family = ComposeFamily(binding, family)
+        return family
+    if kind == "(":
+        cur.next()
+        cur.enter(pos)
+        inner = _parse_family(cur)
+        cur.expect(")")
+        cur.leave()
+        return inner
+    raise ParseError(f"expected a register family, found {value or 'end of input'!r}", pos)
+
+
+def _parse_focus_name(cur: _Cursor) -> tuple[str, Optional[int]]:
+    """The name and the index, if any, of a focus such as ``aux:3``."""
+    _, name, _ = cur.expect("ident")
+    index = None
+    if cur.at(":"):
+        cur.next()
+        _, digits, ipos = cur.expect("nat")
+        index = int(digits)
+        if index < 1:
+            raise ParseError("focus index must be >= 1", ipos)
+    return name, index
+
+
+def _parse_binding(cur: _Cursor) -> SingletonFamily:
+    focus = Focus(*_parse_focus_name(cur))
+    cur.expect("=")
+    kind, value, pos = cur.peek()
+    if kind == "nat" and value in ("0", "1"):
+        cur.next()
+        return SingletonFamily(focus, _CONTENT_OF[value])
+    if kind == "-":
+        cur.next()
+        return SingletonFamily(focus, RegisterContent.INOPERATIVE)
+    raise ParseError(f"expected register content 0, 1 or -, found {value!r}", pos)
+
+
+# ---------------------------------------------------------------------------
+# use, apply and simulate over the whole family
+
+
+def family_key(family: RegisterFamily) -> tuple:
+    """Hashable canonical view, for use as a state-space component."""
+    return tuple(sorted(family.items(), key=lambda kv: focus_sort_key(kv[0])))
+
+
+def _register_step(action: RegisterAction, fam: RegisterFamily) -> bool | None:
+    """Carry out ``action`` on ``fam``, which names its focus: the reply,
+    or None for an inoperative register."""
+    content = fam[action.focus]
+    if content is RegisterContent.INOPERATIVE:
+        return None
+    bit = content is RegisterContent.ONE
+    fam[action.focus] = RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
+    return action.reply(bit)
+
+
+def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
+    """Product of the thread with the family it runs against."""
+    start = (thread.root, family_key(family))
+    index: dict[tuple, int] = {start: 0}
+    queue = deque([start])
+    nodes: list[Node] = []
+
+    def state_id(state: int, fam_key: tuple) -> int:
+        key = (state, fam_key)
+        if key not in index:
+            index[key] = len(index)
+            queue.append(key)
+        return index[key]
+
+    while queue:
+        state, fam_key = queue.popleft()
+        node = thread.node(state)
+        if isinstance(node, Stop):
+            nodes.append(Stop())
+            continue
+        if isinstance(node, Dead):
+            nodes.append(Dead())
+            continue
+        action = node.action
+        if action is TAU:
+            succ = state_id(node.on_true, fam_key)
+            nodes.append(Branch(TAU, succ, succ))
+            continue
+        if isinstance(action, AbstractAction):
+            raise ValueError(f"abstract action {action} cannot interact with registers")
+        assert isinstance(action, RegisterAction)
+        fam = dict(fam_key)
+        if action.focus not in fam:
+            on_true = state_id(node.on_true, fam_key)
+            on_false = state_id(node.on_false, fam_key)
+            nodes.append(Branch(action, on_true, on_false))
+            continue
+        reply = _register_step(action, fam)
+        if reply is None:
+            nodes.append(Dead())
+            continue
+        succ = state_id(node.on_true if reply else node.on_false, family_key(fam))
+        nodes.append(Branch(TAU, succ, succ))
+    return minimize(RegularThread(tuple(nodes), 0))
+
+
+def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
+    """Final family after running the thread on it; empty on any failure."""
+    state = thread.root
+    fam = dict(family)
+    seen: set[tuple] = set()
+    while True:
+        key = (state, tuple(fam.values()))  # the run never adds a register
+        if key in seen:
+            return {}  # divergence: every projection ends inactive
+        seen.add(key)
+        node = thread.node(state)
+        if isinstance(node, Stop):
+            return fam
+        if isinstance(node, Dead):
+            return {}
+        action = node.action
+        if action is TAU:
+            state = node.on_true
+            continue
+        if isinstance(action, AbstractAction):
+            raise ValueError(f"abstract action {action} cannot interact with registers")
+        assert isinstance(action, RegisterAction)
+        if action.focus not in fam:
+            return {}
+        reply = _register_step(action, fam)
+        if reply is None:
+            return {}
+        state = node.on_true if reply else node.on_false
+
+
+def simulate(
+    t: InstructionSequenceTerm, family: RegisterFamily, fuel: int
+) -> tuple[Outcome, RegisterFamily]:
+    """Cursor-over-expansion execution without any algebraic machinery.
+
+    Every executed primitive instruction consumes one unit of fuel.  An
+    unknown focus or an inoperative register makes execution stick, which
+    reports as inaction.  A position q past the m + k stored ones reads
+    position m + (q - m) mod k of the repeating part, so a long jump
+    unfolds nothing.
+    """
+    if fuel < 0:
+        raise ValueError("fuel must be a natural number")
+    prefix, period = flatten(t)
+    seq = prefix + period
+    m, total, k = len(prefix), len(seq), len(period)
+    fam = dict(family)
+    q = 0  # 0-based index of the next instruction
+    while True:
+        if fuel <= 0:
+            return Outcome.FUEL_EXHAUSTED, fam
+        if q >= total:
+            if not k:
+                return Outcome.INACTIVE, fam
+            q = m + (q - m) % k
+        instr = seq[q]
+        fuel -= 1
+        if isinstance(instr, Halt):
+            return Outcome.TERMINATED, fam
+        if isinstance(instr, Jump):
+            if instr.offset == 0:
+                return Outcome.INACTIVE, fam
+            q += instr.offset
+            continue
+        basic = instr.basic
+        if not isinstance(basic, RegisterAction):
+            raise ValueError(f"cannot execute abstract action {basic}")
+        if basic.focus not in fam:
+            return Outcome.INACTIVE, fam
+        reply = _register_step(basic, fam)
+        if reply is None:
+            return Outcome.INACTIVE, fam
+        if isinstance(instr, Plain):
+            q += 1
+        elif isinstance(instr, PosTest):
+            q += 1 if reply else 2
+        else:
+            q += 2 if reply else 1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -8,7 +9,7 @@ from iseq.canonical import to_first_canonical
 from iseq.cli import run_command
 from iseq.extraction import extract
 from iseq.interaction import Outcome, abstract_tau, apply, simulate, unfold, use
-from iseq.registers import evaluate_family
+from iseq.registers import evaluate_family, render_family
 from iseq.syntax import (
     AbstractAction,
     Concat,
@@ -268,15 +269,11 @@ def test_oracle_triangulation():
                 assert concealed == DEAD
 
 
-def test_simulate_agrees_with_apply_and_use_exhaustively():
-    """``simulate`` against ``apply`` after ``extract`` and against
-    ``abstract_tau`` after ``use``, on every term over ``+f.i/c``,
-    ``-f.c/i``, ``f.1/1``, ``f.0/0``, ``!``, ``#0``, ``#1`` and ``#2``: each
-    sequence of length 1 to 3, taken finite and with every nonempty period
-    split off (2,256 terms), on ``{f=0}``, ``{f=1}``, ``{f=-}`` and ``{}``
-    (9,024 runs).  A length-3 run has at most 6 (position, content) states,
-    so fuel 64 runs out only on divergence.  An inoperative register sticks
-    as an absent one does, so ``{f=-}`` and ``{}`` end alike."""
+@functools.cache
+def short_terms():
+    """Every term over ``+f.i/c``, ``-f.c/i``, ``f.1/1``, ``f.0/0``, ``!``,
+    ``#0``, ``#1`` and ``#2``: each sequence of length 1 to 3, taken finite
+    and with every nonempty period split off (2,256 terms)."""
     alphabet = leaves(parse("+f.i/c;-f.c/i;f.1/1;f.0/0;!;#0;#1;#2"))
     terms = []
     for n in (1, 2, 3):
@@ -284,8 +281,18 @@ def test_simulate_agrees_with_apply_and_use_exhaustively():
             terms.append(concat_all(seq))
             terms += [concat_all(seq[:m] + (Repeat(concat_all(seq[m:])),)) for m in range(n)]
     assert len(terms) == 2256
+    return terms
+
+
+def test_simulate_agrees_with_apply_and_use_exhaustively():
+    """``simulate`` against ``apply`` after ``extract`` and against
+    ``abstract_tau`` after ``use``, on every term of ``short_terms`` and on
+    ``{f=0}``, ``{f=1}``, ``{f=-}`` and ``{}`` (9,024 runs).  A length-3
+    run has at most 6 (position, content) states, so fuel 64 runs out only
+    on divergence.  An inoperative register sticks as an absent one does,
+    so ``{f=-}`` and ``{}`` end alike."""
     families = [fam("{f=0}"), fam("{f=1}"), fam("{f=-}"), {}]
-    for t in terms:
+    for t in short_terms():
         thread = extract(t)
         assert threads_equal(use(thread, {}), thread), t
         runs = [simulate(t, family, 64) for family in families]
@@ -295,6 +302,105 @@ def test_simulate_agrees_with_apply_and_use_exhaustively():
             assert apply(thread, family) == (sim_family if terminated else {}), (t, family)
             if family:
                 assert abstract_tau(use(thread, family)) == (STOP if terminated else DEAD), (t, family)
+
+
+def padded(family, count):
+    """``family`` with ``count`` more registers, ``a:i`` and ``z:i`` in turn
+    so that they sort on both sides of ``f``, holding 0, 1 and - in turn."""
+    contents = (RegisterContent.ZERO, RegisterContent.ONE, RegisterContent.INOPERATIVE)
+    pad = {Focus("az"[i % 2], i + 1): contents[i % 3] for i in range(count)}
+    return {**pad, **family}
+
+
+def test_use_and_apply_match_the_whole_family_route_exhaustively():
+    """``use`` and ``apply``, which read only the registers a thread names,
+    against the routes that key every step by the whole family
+    (``tests/oracles.py``), on ``{f=0}``, ``{f=1}``, ``{f=-}`` and ``{}``
+    padded by registers the terms never name: by 0 and 1 on every term of
+    ``short_terms`` (18,048 pairs of calls each), and by 100 and 300 on its
+    16 terms of length 1 (128 more), where the reference route costs about
+    a millisecond a call.  Equal threads render alike; ``apply`` must also
+    keep the family's order."""
+    families = [fam("{f=0}"), fam("{f=1}"), fam("{f=-}"), {}]
+    small = [padded(family, count) for family in families for count in (0, 1)]
+    large = [padded(family, count) for family in families for count in (100, 300)]
+    checked = 0
+    for i, t in enumerate(short_terms()):
+        thread = extract(t)
+        for family in small + large if i < 16 else small:  # the terms of length 1 lead
+            assert use(thread, family) == oracles.use(thread, family), (t, family)
+            got, want = apply(thread, family), oracles.apply(thread, family)
+            assert list(got.items()) == list(want.items()), (t, family)
+            checked += 1
+    assert checked == 18048 + 128
+
+
+def test_simulate_matches_the_step_by_step_run():
+    """``simulate``, which stops stepping once a configuration comes back,
+    against the step-by-step run it replaced (``tests/oracles.py``), on
+    ``{f=0}``, ``{f=1}``, ``{f=-}`` and ``{}``: on the 208 terms of
+    ``short_terms`` of length 1 and 2 at every fuel from 0 to 40, up to the
+    fuel at which the run stops, and then at 40; on the other 2,048 at fuel
+    24.  No configuration comes back on a run that stops, so larger fuels
+    add nothing there.  A run of length at most 3 has at most 6
+    configurations, so on every run that diverges the configuration
+    marked at step 7 comes back by step 13, and fuel 24 runs past that.
+    The family's order must be equal too."""
+    families = [fam("{f=0}"), fam("{f=1}"), fam("{f=-}"), {}]
+    for i, t in enumerate(short_terms()):
+        for family in families:
+            for fuel in [*range(41)] if i < 208 else [24]:  # the terms of length 1 and 2 lead
+                (outcome, got), (want_outcome, want) = simulate(t, family, fuel), oracles.simulate(t, family, fuel)
+                assert (outcome, list(got.items())) == (want_outcome, list(want.items())), (t, family, fuel)
+                if outcome is not Outcome.FUEL_EXHAUSTED:
+                    assert simulate(t, family, 40) == (outcome, got), (t, family)
+                    break
+
+
+def test_simulate_with_huge_fuel_reads_the_period():
+    """Once a configuration comes back, the fuel left counts modulo the
+    cycle: a fuel of 10**20 takes no longer than a small one, and ends where
+    the step-by-step run ends with a fuel in the same residue class."""
+    start = time.perf_counter()
+    code, out, err = run_command(["simulate", "--fuel", "100000000000000000000", "-e", "(#1)*", "-f", "{}"])
+    assert (code, out, err) == (0, "fuel-exhausted {}\n", "")
+    # a cycle of six configurations, each with its own family, after two steps
+    t = parse("e.0/0;#2;!;(f.c/c;g.c/c;h.c/c)*")
+    family = fam("{e=1, h=0, g=0, f=0}")
+    ends = set()
+    for residue in range(6):
+        fuel = 10**20 + residue
+        outcome, got = simulate(t, family, fuel)
+        assert (outcome, got) == oracles.simulate(t, family, 36 + fuel % 6), residue
+        assert list(got) == list(family)
+        ends.add(render_family(got))
+    assert len(ends) == 6
+    assert time.perf_counter() - start < 1.0
+
+
+def test_use_costs_what_the_named_registers_cost():
+    """``use`` on a 122-state thread naming 7 registers takes less than
+    twice as long with 1,000 registers it never names added to the family
+    as with none (best of 5 runs each).  Keyed by the whole family, it took
+    about 70 times as long.  The thread repeats a seeded 160-instruction
+    program over ``r:1`` to ``r:7`` without terminations."""
+    foci = [Focus("r", i) for i in range(1, 8)]
+    program, _ = random_register_program(random.Random(32), foci, 160, halt_weight=0.0)
+    thread = extract(Repeat(program))
+    assert len(thread.nodes) == 122
+    family = {focus: content_of_bit(i % 2 == 0) for i, focus in enumerate(foci)}
+    padded_family = padded(family, 1000)
+    assert use(thread, padded_family) == use(thread, family)
+
+    def best(family):
+        runs = []
+        for _ in range(5):
+            start = time.perf_counter()
+            use(thread, family)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    assert best(padded_family) < 2 * best(family)
 
 
 def test_use_then_apply_is_finite_for_bound_programs():

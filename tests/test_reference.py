@@ -15,7 +15,7 @@ import random
 
 from iseq import threads
 from iseq.canonical import CanonicalSeq, flatten, to_second_canonical
-from iseq.extraction import behaviourally_congruent, extract
+from iseq.extraction import _graph, _write, behaviourally_congruent, extract
 from iseq.syntax import AbstractAction, Halt, Jump, Plain, PosTest, Repeat, concat_all
 from iseq.syntax import parse_instruction_sequence as parse
 from iseq.threads import (
@@ -30,7 +30,6 @@ from iseq.threads import (
 )
 
 from . import oracles
-from .oracles import _position_nodes
 
 A = AbstractAction("a")
 B = AbstractAction("b")
@@ -62,6 +61,9 @@ def test_second_canonical_matches_reference_on_every_split():
 
 
 def test_position_nodes_match_reference_on_every_split():
+    """``extraction._write``'s arrays against the reference's, laid out
+    alike, on the 83,748 distinct first canonical forms of every split up
+    to length 5."""
     # first canonical forms keep chained and cyclic jumps, so this covers
     # every path of the position graph, not just second canonical input
     seen = set()
@@ -70,7 +72,10 @@ def test_position_nodes_match_reference_on_every_split():
         if seq in seen:
             continue
         seen.add(seq)
-        assert _position_nodes(CanonicalSeq(*seq)) == oracles.position_nodes(seq), seq
+        kinds, *arrays = graph = _graph()
+        entry = _write(*seq, graph)
+        assert (list(kinds), *arrays, entry) == oracles.position_arrays(seq), seq
+    assert len(seen) == 83748
 
 
 # -- bisimulation, on seeded random graphs ------------------------------------

@@ -5,7 +5,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import iseq
 from iseq.syntax import (
@@ -35,6 +35,8 @@ from iseq.syntax import (
     render_function_table,
     render_term,
 )
+
+from . import oracles
 
 ID = UnaryBoolFunc.IDENTITY
 T1 = UnaryBoolFunc.CONST_TRUE
@@ -105,6 +107,9 @@ def test_render_parenthesizes_left_nesting():
         # str.isdigit admits '²', which int() cannot read
         pytest.param("#²", "unexpected character '²'", 1, id="#²-unexpected"),
         pytest.param("f:².1/1", "unexpected character '²'", 2, id="f:².1/1-unexpected"),
+        # '½' is a word character that may not start a token
+        pytest.param("#½", "unexpected character '½'", 1, id="#½-unexpected"),
+        pytest.param("a;b #1 ½;@", "unexpected character '½'", 7, id="a;b #1 ½;@-unexpected"),
     ],
 )
 def test_parse_errors_have_positions(text, message, position):
@@ -132,6 +137,8 @@ def test_parse_errors_have_positions(text, message, position):
         ("hide{f}", "expected '(', found 'end of input'", 7),
         ("hide{f}({f=1}", "expected ')', found 'end of input'", 13),
         ("{f:²=1}", "unexpected character '²'", 3),
+        ("{f:½=1}", "unexpected character '½'", 3),
+        ("{f=1, g=}\t@", "unexpected character '@'", 10),
     ],
 )
 def test_family_parse_errors_have_positions(text, message, position):
@@ -144,6 +151,7 @@ def test_numerals_are_decimal_digits():
     # any Unicode decimal digit is a numeral digit; other digits are not
     assert parse_instruction_sequence("#٣") == Jump(3)
     assert parse_instruction_sequence("a²") == Plain(AbstractAction("a²"))
+    assert parse_instruction_sequence("a½") == Plain(AbstractAction("a½"))
 
 
 def test_tau_is_not_parseable():
@@ -284,6 +292,42 @@ def test_grammar_totality(text):
             parser(text)
         except ParseError as err:
             assert 0 <= err.position <= len(text)
+
+
+# text where the two tokenizers could part: numeric characters that are not
+# decimal digits ('²', '½') or are ('٣'), '_', tabs, newlines and other
+# white space, a stray character, any one character at all, a jump past its
+# bound and nesting one level past MAX_NESTING; numerals past int's digit
+# limit are given as examples, since the character-by-character tokenizer
+# takes a millisecond over each
+_plain_text = st.text(alphabet="af_;*()#!+-.:/{}=, 019ic²½٣\t\n\u2003@", max_size=12)
+_fragments = st.sampled_from([
+    "", "aux", "hide", "a²", "9" * 10, "(" * (MAX_NESTING + 1), "hide{f}(" * (MAX_NESTING + 1),
+    "+f.i/c;#2;(a;!)*", "-aux:1.c/0", "f:2.1/1", "{f=1, aux:2=-}", "hide{f, g}({f=0} + {g=1})",
+])
+_texts = st.tuples(_plain_text, _fragments, st.characters(), _plain_text, _fragments).map("".join)
+
+
+def _outcome(parser, text):
+    try:
+        return "parsed", parser(text)
+    except ParseError as err:
+        return "refused", err.message, err.position
+    except ValueError as err:  # int() of a numeral past its digit limit
+        return "failed", str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+@example("#" + "1" * 5000)
+@example("a;f:" + "٣" * 5000 + ".1/1")
+@example("{f:" + "1" * 5000 + "=1}")
+def test_parsers_agree_with_the_token_tuple_parsers(text):
+    """On arbitrary text, both parsers give the term, or the error message
+    and position, that the parsers over (kind, text, position) token tuples
+    gave (``tests/oracles.py``)."""
+    assert _outcome(parse_instruction_sequence, text) == _outcome(oracles.parse_instruction_sequence, text)
+    assert _outcome(parse_register_family, text) == _outcome(oracles.parse_register_family, text)
 
 
 def test_huge_jump_literal_rejected():
