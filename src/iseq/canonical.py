@@ -14,14 +14,15 @@ they coincide after additionally collapsing chained jumps and making all
 jumps as short as possible (second canonical forms coincide).
 
 The second canonical form works on the flat ``prefix + period`` tuple of
-the first, by index.  ``_landings`` holds the one rule for where a chain of
-jumps ends, which thread extraction shares: one memoized pass gives every
-jump its landing, the first non-jump on its chain, an index past a finite
-end, or inaction for a 0-jump or a cycle, so a step costs O(n) for n stored
-positions.  Each jump then becomes the shortest jump to its landing:
-``(end - q) mod k`` in a period of length k, ``end - q`` elsewhere, and
-``#0`` for inaction.  A step is repeated only while normalizing it shortens
-the prefix or the period, so there are at most n steps and usually one.
+the first, by index.  ``_landings``, shared with extraction, gives each
+jump its successor, and ``threads._chain_ends``, the one chain resolver,
+gives every jump its landing in one memoized pass: the first non-jump on
+its chain, an index past a finite end, or inaction for a 0-jump or a cycle.
+A step, costing O(n) for n stored positions, makes each jump the shortest
+jump to its landing: ``(end - q) mod k`` in a period of length k,
+``end - q`` elsewhere, and ``#0`` for inaction.  A step is repeated only
+while normalizing it shortens the prefix or the period, so there are at
+most n steps and usually one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .syntax import (
     concat_all,
     flatten,
 )
+from .threads import _chain_ends
 
 T = TypeVar("T")
 
@@ -128,43 +130,18 @@ def _landings(seq: Sequence[PrimitiveInstruction], m: int, jumps: Sequence[int])
     """Where execution from each index of ``seq`` first meets a non-jump.
 
     ``seq`` is the flat ``prefix + period`` of a sequence whose prefix has
-    ``m`` positions, and ``jumps`` lists the indices of its jumps.  A
-    non-jump lands on itself.  A jump lands where its
-    chain first reaches a non-jump, wrapping through the repeating part; at
-    an index of ``len(seq)`` or more if the chain runs past the end of a
-    finite sequence; and at -1, inaction, if the chain reaches a 0-jump or
-    cycles.  Each jump is walked once: a chain stops at the first jump whose
-    landing is known and shares it.
+    ``m`` positions, and ``jumps`` lists the indices of its jumps.  Each
+    jump's successor is -1 for a 0-jump, wraps through the repeating part,
+    and may lie past the end of a finite sequence; ``threads._chain_ends``
+    follows the chains.
     """
     total = len(seq)
     k = total - m
-    land = list(range(total))
+    succ = [0] * total
     for q in jumps:
-        land[q] = -2  # unknown; -3 while on the chain walked
-    for start in jumps:
-        if land[start] != -2:
-            continue
-        chain = []
-        q = start
-        while True:
-            if q >= total:
-                if not k:
-                    end = q  # past the end of a finite sequence
-                    break
-                q = m + (q - m) % k
-            end = land[q]
-            if end != -2:
-                break  # a landing, or -3: a cycle through this chain
-            chain.append(q)
-            offset = seq[q].offset
-            if not offset:
-                break
-            land[q] = -3
-            q += offset
-        end = max(end, -1)
-        for q in chain:
-            land[q] = end
-    return land
+        to = q + seq[q].offset
+        succ[q] = -1 if to == q else to if to < total or not k else m + (to - m) % k
+    return _chain_ends(succ, jumps, total)
 
 
 def _second_step(canon: CanonicalSeq) -> CanonicalSeq:

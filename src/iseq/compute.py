@@ -22,7 +22,9 @@ API and as the tests' oracle.
 The module also provides the two constructive results: compiling an
 explicit truth table to a program that uses only the core operations
 (set-false 0/0, set-true 1/1, read i/i), and translating an arbitrary
-program into a functionally equivalent core-only one.  The translation looks
+program into a functionally equivalent core-only one.  Both lay their
+blocks out by one relocation loop, ``_relocate``; the compiled program is a
+heap of input tests followed by one block per row.  The translation looks
 up each instruction's behaviour in a table of shortest core blocks of at
 most four slots, derived by brute force and committed as a literal; one
 backward pass picks the blocks of least total length that fit together,
@@ -221,35 +223,20 @@ def functionally_equivalent(
 # truth table -> core-only program
 
 
-_Label = tuple[str, str]
-_Item = PrimitiveInstruction | tuple
-
-
-def _assemble(items: Sequence[_Item]) -> list[PrimitiveInstruction]:
-    """Resolve ('label', key) / ('goto', key) marks to forward jump literals."""
-    positions: dict[_Label, int] = {}
-    pos = 1
-    for item in items:
-        if isinstance(item, tuple) and item[0] == "label":
-            if item[1] in positions:
-                raise ValueError(f"duplicate label {item[1]!r}")
-            positions[item[1]] = pos
-        else:
-            pos += 1
+def _relocate(blocks: Sequence[Sequence]) -> InstructionSequenceTerm:
+    """The blocks laid out one after another.  An int slot ``b`` in a block
+    is a jump to the start of block ``b``; past the last block, ``b`` counts
+    positions past the end."""
+    total = len(blocks)
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
     out: list[PrimitiveInstruction] = []
-    pos = 1
-    for item in items:
-        if isinstance(item, tuple) and item[0] == "label":
-            continue
-        if isinstance(item, tuple) and item[0] == "goto":
-            target = positions[item[1]]
-            if target < pos:
-                raise ValueError("only forward jumps can be assembled")
-            out.append(Jump(target - pos))
-        else:
-            out.append(item)
-        pos += 1
-    return out
+    for slots in blocks:
+        for slot in slots:
+            if type(slot) is int:
+                target = starts[slot] if slot < total else starts[total] + slot - total
+                slot = Jump(target - len(out))
+            out.append(slot)
+    return concat_all(out)
 
 
 def _core_read(conv_focus: Focus) -> RegisterAction:
@@ -273,27 +260,16 @@ def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
 
     A branching tree reads the inputs once; defined leaves set the 1-bits of
     the output (outputs start false) and terminate, undefined leaves jump
-    nowhere, which is inaction.
+    nowhere, which is inaction.  The tree is laid out as a heap: test i, at
+    depth d, reads input d + 1 and goes on to test or leaf 2i + 2 on a true
+    reply and 2i + 1 on a false one, and the leaves follow in row order.
     """
     conv = IoConvention(table.n, table.m, 0)
-    if table.n == 0:
-        return concat_all(_leaf_instructions(conv, table.outputs[0]))
-    items: list[_Item] = []
-
-    def child_key(prefix: str) -> _Label:
-        return ("leaf", prefix) if len(prefix) == table.n else ("node", prefix)
-
-    for depth in range(table.n):
-        for v in range(2**depth):
-            prefix = format(v, f"0{depth}b") if depth else ""
-            items.append(("label", ("node", prefix)))
-            items.append(PosTest(_core_read(conv.in_focus(depth + 1))))
-            items.append(("goto", child_key(prefix + "1")))
-            items.append(("goto", child_key(prefix + "0")))
-    for bits, value in table.rows():
-        items.append(("label", ("leaf", bits)))
-        items.extend(_leaf_instructions(conv, value))
-    return concat_all(_assemble(items))
+    tests = [
+        [PosTest(_core_read(conv.in_focus((i + 1).bit_length()))), 2 * i + 2, 2 * i + 1]
+        for i in range(2**table.n - 1)
+    ]
+    return _relocate(tests + [_leaf_instructions(conv, value) for _, value in table.rows()])
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +373,7 @@ def restrict_to_core(
         if type(slots[0]) is str:
             slots = [_core_slot(token, instrs[i].basic.focus, i) for token in slots]
         blocks.append(slots)
-    starts = list(itertools.accumulate(map(len, blocks), initial=0))
-    out: list[PrimitiveInstruction] = []
-    for slots in blocks:
-        for slot in slots:
-            if type(slot) is int:
-                target = starts[slot] if slot < total else starts[total] + slot - total
-                slot = Jump(target - len(out))
-            out.append(slot)
-    return concat_all(out)
+    return _relocate(blocks)
 
 
 # ---------------------------------------------------------------------------

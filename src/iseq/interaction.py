@@ -7,6 +7,8 @@ deadlocks.  ``apply`` is the effect of a thread on a family: the
 deterministic run of the thread over the family, returning the final family
 on termination and the empty family on inaction, divergence, an unknown
 focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
+``use`` writes its product into the int arrays of :mod:`threads`, and
+``abstract_tau`` resolves tau chains there by ``_chain_ends``, as jumps are.
 
 ``simulate`` is a small-step interpreter over the flat instruction
 sequence (``syntax.flatten``), read modulo its period past the stored
@@ -20,7 +22,6 @@ and passes the rest through untouched, so unnamed registers cost nothing.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Iterable, Iterator
 
 from .registers import RegisterFamily
@@ -36,7 +37,7 @@ from .syntax import (
     RegisterContent,
     flatten,
 )
-from .threads import TAU, Branch, Dead, Node, RegularThread, Stop, minimize
+from .threads import TAU, Branch, Dead, RegularThread, Stop, _arrays, _chain_ends, _quotient
 
 
 def _named(actions: Iterable, family: RegisterFamily) -> RegisterFamily:
@@ -61,49 +62,48 @@ def _register_step(action: RegisterAction, fam: RegisterFamily) -> bool | None:
 
 
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
-    """Product of the thread with the family it runs against, keyed by the
-    named registers' contents in ``_named``'s order; ``minimize`` renumbers."""
-    named = _named((node.action for node in thread.nodes if isinstance(node, Branch)), family)
+    """Product of the thread with the family it runs against, written into
+    the arrays of :mod:`threads`: one state per (thread state, contents of
+    the named registers in ``_named``'s order), numbered as found."""
+    named = _named((node.action for node in thread.nodes if type(node) is Branch), family)
     foci = tuple(named)
-    start = (thread.root, tuple(named.values()))
-    index: dict[tuple, int] = {start: 0}
-    queue = deque([start])
-    nodes: list[Node] = []
+    kinds = {TAU: 0, Stop: 1, Dead: 2}  # label of each action and leaf class
+    found = [(thread.root, tuple(named.values()))]
+    index = {found[0]: 0}
+    rows = []  # (label, on_true, on_false) per product state
 
     def state_id(state: int, contents: tuple) -> int:
         key = (state, contents)
         if key not in index:
-            index[key] = len(index)
-            queue.append(key)
+            index[key] = len(found)
+            found.append(key)
         return index[key]
 
-    while queue:
-        state, contents = queue.popleft()
-        node = thread.node(state)
-        if not isinstance(node, Branch):  # Stop or Dead
-            nodes.append(node)
+    for s, (state, contents) in enumerate(found):  # the list grows while it is walked: a queue
+        node = thread.nodes[state]
+        if type(node) is not Branch:  # Stop or Dead
+            rows.append((kinds[type(node)], s, s))
             continue
         action = node.action
         if action is TAU:
             succ = state_id(node.on_true, contents)
-            nodes.append(Branch(TAU, succ, succ))
+            rows.append((0, succ, succ))
             continue
         if isinstance(action, AbstractAction):
             raise ValueError(f"abstract action {action} cannot interact with registers")
         assert isinstance(action, RegisterAction)
         if action.focus not in named:
-            on_true = state_id(node.on_true, contents)
-            on_false = state_id(node.on_false, contents)
-            nodes.append(Branch(action, on_true, on_false))
+            lab = kinds.setdefault(action, len(kinds))
+            rows.append((lab, state_id(node.on_true, contents), state_id(node.on_false, contents)))
             continue
         fam = dict(zip(foci, contents))
         reply = _register_step(action, fam)
         if reply is None:
-            nodes.append(Dead())
+            rows.append((kinds[Dead], s, s))  # an inoperative register
             continue
         succ = state_id(node.on_true if reply else node.on_false, tuple(fam.values()))
-        nodes.append(Branch(TAU, succ, succ))
-    return minimize(RegularThread(tuple(nodes), 0))
+        rows.append((0, succ, succ))
+    return _quotient(list(kinds), *zip(*rows), 0)
 
 
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
@@ -137,43 +137,19 @@ def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
 
 
 def abstract_tau(thread: RegularThread) -> RegularThread:
-    """Conceal internal steps; a state with only endless internal steps is Dead."""
+    """Conceal internal steps; a state with only endless internal steps is Dead.
 
-    def resolve(state: int) -> int | None:
-        seen = set()
-        while True:
-            node = thread.node(state)
-            if not (isinstance(node, Branch) and node.action is TAU):
-                return state
-            if state in seen:
-                return None  # tau cycle: inactive
-            seen.add(state)
-            state = node.on_true
-
-    nodes: list[Node] = []
-    index: dict[int | None, int] = {}
-    queue: deque[int | None] = deque()
-
-    def state_id(resolved: int | None) -> int:
-        if resolved not in index:
-            index[resolved] = len(index)
-            queue.append(resolved)
-        return index[resolved]
-
-    root = state_id(resolve(thread.root))
-    while queue:
-        resolved = queue.popleft()
-        if resolved is None:
-            nodes.append(Dead())
-            continue
-        node = thread.node(resolved)
-        if isinstance(node, Branch):
-            on_true = state_id(resolve(node.on_true))
-            on_false = state_id(resolve(node.on_false))
-            nodes.append(Branch(node.action, on_true, on_false))
-        else:
-            nodes.append(node)
-    return minimize(RegularThread(tuple(nodes), root))
+    Every edge, and the root, goes to the landing of its chain of tau
+    states (``threads._chain_ends``), and an endless chain to one extra
+    Dead leaf; no tau state stays reachable, so ``_quotient`` drops them.
+    """
+    n = len(thread.nodes)
+    kinds, label, on_true, on_false = _arrays(thread.nodes, (Dead(),))
+    tau = kinds.get(TAU)
+    ends = _chain_ends(on_true, [s for s, lab in enumerate(label) if lab == tau], n)
+    land = [n if end < 0 else end for end in ends] + [n]
+    redirect = [land[s] for s in on_true], [land[s] for s in on_false]
+    return _quotient(list(kinds), label, *redirect, land[thread.root])
 
 
 # ---------------------------------------------------------------------------

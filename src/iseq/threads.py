@@ -9,13 +9,18 @@ Equality of threads is bisimilarity; by the approximation induction
 principle this coincides with equality of all finite projections.  Both
 kernels here work on three int arrays: a label, a true successor and a
 false successor per state, with each leaf a self-loop under a label of its
-own.  ``bisimulation_classes``, ``minimize`` and ``threads_equal`` translate
-nodes into these arrays; :mod:`extraction` writes its position graphs into
-them directly.
+own.  ``bisimulation_classes``, ``minimize``, ``threads_equal`` and
+``interaction.abstract_tau`` translate nodes into these arrays;
+:mod:`extraction` writes its position graphs and ``interaction.use`` its
+product into them directly.  Every thread the library minimizes ends in
+``_quotient``.  ``_chain_ends`` is the one rule for chains, of jumps in a
+sequence (``canonical._landings``) and of tau steps (``abstract_tau``): a
+chain lands on its first real step, or on inaction at a 0-jump or a cycle,
+and one memoized walk resolves every chain in time linear in its links.
 
-Where the answer is a partition (``bisimulation_classes``, and ``minimize``
-and ``extract`` through ``_quotient``), ``_classes`` refines every state by
-Hopcroft's algorithm (Hopcroft 1971, in the array form of Valmari, "Fast
+Where the answer is a partition (``bisimulation_classes`` and
+``_quotient``), ``_classes`` refines every state by Hopcroft's algorithm
+(Hopcroft 1971, in the array form of Valmari, "Fast
 brief practical DFA minimization", IPL 2012), starting from one block per
 label: a splitter block marks the predecessors of its states under one
 successor map, every block it cuts is split, and the smaller part becomes a
@@ -254,6 +259,39 @@ def _bisimilar(
         stack.append((on_true[s], on_true[t]))
         stack.append((on_false[s], on_false[t]))
     return True
+
+
+def _chain_ends(succ: Sequence[int], links: Iterable[int], size: int) -> list[int]:
+    """Where each index below ``size`` lands when chains of links are followed.
+
+    A non-link lands on itself.  A link lands where following ``succ`` first
+    reaches a non-link, at an index of ``size`` or more if it gets there
+    first, and at -1, inaction, if it reaches -1 or cycles.  Each link is
+    walked once: a chain stops at the first link whose landing is known and
+    shares it.
+    """
+    land = list(range(size))
+    for q in links:
+        land[q] = -2  # unknown; -3 while on the chain walked
+    for start in links:
+        if land[start] != -2:
+            continue
+        chain = []
+        q = start
+        while True:
+            chain.append(q)
+            land[q] = -3
+            q = succ[q]
+            if q < 0 or q >= size:
+                end = q
+                break
+            end = land[q]
+            if end != -2:
+                end = max(end, -1)  # a landing, or -3: a cycle through this chain
+                break
+        for q in chain:
+            land[q] = end
+    return land
 
 
 def _reachable(

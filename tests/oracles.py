@@ -23,15 +23,26 @@ character-by-character tokenizer, check the parsers over token strings.
 ``use``, ``apply`` and ``simulate`` are the routes that key every step by
 the whole family and run the fuel out step by step; they check the routes
 over the named registers and ``simulate``'s cycle finding.
+``abstract_tau`` walks the tau chain afresh from every state that enters
+it, where the library resolves every chain once; ``compile_table`` lays its
+tree out by label/goto marks, where the library relocates a heap of blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
-from iseq.compute import IoConvention, _decode, _run, _search_alphabet, _start_row
+from iseq.compute import (
+    IoConvention,
+    _core_read,
+    _decode,
+    _leaf_instructions,
+    _run,
+    _search_alphabet,
+    _start_row,
+)
 from iseq.interaction import Outcome
 from iseq.registers import RegisterFamily
 from iseq.syntax import (
@@ -850,3 +861,106 @@ def simulate(
             q += 1 if reply else 2
         else:
             q += 2 if reply else 1
+
+
+# ---------------------------------------------------------------------------
+# abstraction from internal steps, and compiling a table
+
+
+def abstract_tau(thread: RegularThread) -> RegularThread:
+    """Conceal internal steps; a state with only endless internal steps is Dead."""
+
+    def resolve(state: int) -> int | None:
+        seen = set()
+        while True:
+            node = thread.node(state)
+            if not (isinstance(node, Branch) and node.action is TAU):
+                return state
+            if state in seen:
+                return None  # tau cycle: inactive
+            seen.add(state)
+            state = node.on_true
+
+    nodes: list[Node] = []
+    index: dict[int | None, int] = {}
+    queue: deque[int | None] = deque()
+
+    def state_id(resolved: int | None) -> int:
+        if resolved not in index:
+            index[resolved] = len(index)
+            queue.append(resolved)
+        return index[resolved]
+
+    root = state_id(resolve(thread.root))
+    while queue:
+        resolved = queue.popleft()
+        if resolved is None:
+            nodes.append(Dead())
+            continue
+        node = thread.node(resolved)
+        if isinstance(node, Branch):
+            on_true = state_id(resolve(node.on_true))
+            on_false = state_id(resolve(node.on_false))
+            nodes.append(Branch(node.action, on_true, on_false))
+        else:
+            nodes.append(node)
+    return minimize(RegularThread(tuple(nodes), root))
+
+
+_Label = tuple[str, str]
+_Item = PrimitiveInstruction | tuple
+
+
+def _assemble(items: Sequence[_Item]) -> list[PrimitiveInstruction]:
+    """Resolve ('label', key) / ('goto', key) marks to forward jump literals."""
+    positions: dict[_Label, int] = {}
+    pos = 1
+    for item in items:
+        if isinstance(item, tuple) and item[0] == "label":
+            if item[1] in positions:
+                raise ValueError(f"duplicate label {item[1]!r}")
+            positions[item[1]] = pos
+        else:
+            pos += 1
+    out: list[PrimitiveInstruction] = []
+    pos = 1
+    for item in items:
+        if isinstance(item, tuple) and item[0] == "label":
+            continue
+        if isinstance(item, tuple) and item[0] == "goto":
+            target = positions[item[1]]
+            if target < pos:
+                raise ValueError("only forward jumps can be assembled")
+            out.append(Jump(target - pos))
+        else:
+            out.append(item)
+        pos += 1
+    return out
+
+
+def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
+    """Repetition-free core-only program computing the table with no auxiliaries.
+
+    A branching tree reads the inputs once; defined leaves set the 1-bits of
+    the output (outputs start false) and terminate, undefined leaves jump
+    nowhere, which is inaction.
+    """
+    conv = IoConvention(table.n, table.m, 0)
+    if table.n == 0:
+        return concat_all(_leaf_instructions(conv, table.outputs[0]))
+    items: list[_Item] = []
+
+    def child_key(prefix: str) -> _Label:
+        return ("leaf", prefix) if len(prefix) == table.n else ("node", prefix)
+
+    for depth in range(table.n):
+        for v in range(2**depth):
+            prefix = format(v, f"0{depth}b") if depth else ""
+            items.append(("label", ("node", prefix)))
+            items.append(PosTest(_core_read(conv.in_focus(depth + 1))))
+            items.append(("goto", child_key(prefix + "1")))
+            items.append(("goto", child_key(prefix + "0")))
+    for bits, value in table.rows():
+        items.append(("label", ("leaf", bits)))
+        items.extend(_leaf_instructions(conv, value))
+    return concat_all(_assemble(items))

@@ -30,9 +30,11 @@ from iseq.syntax import (
     leaves,
     parse_function_table,
     parse_instruction_sequence as parse,
+    render_term,
     table_from_rows,
 )
 
+from . import oracles
 from .genterms import CORE_PAIRS, random_register_program
 
 ID_TABLE = parse_function_table("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n")
@@ -216,6 +218,37 @@ def test_compile_all_unary_partial_tables():
         assert computes_check(compile_table(table), table, 0)
 
 
+def every_table(n, m):
+    """Every partial table with n inputs and m outputs."""
+    values = [None] + ["".join(bits) for bits in itertools.product("01", repeat=m)]
+    return [FunctionTable(n, m, outputs) for outputs in itertools.product(values, repeat=2**n)]
+
+
+def test_compile_matches_the_label_assembler():
+    """``compile_table``, a heap of tests laid out by ``_relocate``, renders
+    as the label/goto assembler it replaced (``tests/oracles.py``) on every
+    table with n <= 2 and m <= 2 (770 tables) and on 300 seeded tables with
+    n = 3 to 5."""
+    rng = random.Random(41)
+    tables = [table for n in range(3) for m in range(3) for table in every_table(n, m)]
+    assert len(tables) == 770
+    tables += [random_table(rng, rng.randint(3, 5), rng.randint(0, 3)) for _ in range(300)]
+    for table in tables:
+        assert render_term(compile_table(table)) == render_term(oracles.compile_table(table)), table
+
+
+def test_compile_is_correct_on_every_small_table():
+    """``compile_table`` computes every table with n + m <= 3 (410 tables),
+    and for m >= 1 ``induced_table`` reads the table back."""
+    tables = [table for n in range(4) for m in range(4 - n) for table in every_table(n, m)]
+    assert len(tables) == 410
+    for table in tables:
+        prog = compile_table(table)
+        assert computes_check(prog, table, 0), table
+        if table.m:
+            assert induced_table(prog, IoConvention(table.n, table.m, 0)) == table, table
+
+
 # -- restrict_to_core ---------------------------------------------------------------
 
 
@@ -238,6 +271,15 @@ def test_restrict_translates_plain_complement():
         assert (basic.reply, basic.effect) in CORE_PAIRS
     assert functionally_equivalent(prog, core, conv)
     assert len(leaves(core)) <= len(leaves(prog)) + 3
+
+
+def test_restrict_relocates_exits_past_the_end():
+    """An exit past the last block lands as many positions past the end:
+    in ``+in:1.0/c;!`` the block ``+i +0 1 >2`` exits to the position after
+    the ``!``, which it never reaches, so the ``!`` becomes ``#0`` and the
+    ``#2`` lands just past the end."""
+    core = restrict_to_core(parse("+in:1.0/c;!"), IoConvention(1, 1, 0))
+    assert render_term(core) == "+in:1.i/i;+in:1.0/0;in:1.1/1;#2;#0"
 
 
 def test_restrict_per_block_soundness_all_48_forms():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from iseq.extraction import (
@@ -7,7 +8,7 @@ from iseq.extraction import (
     synthesize_repetition,
 )
 from iseq.canonical import instruction_sequence_congruent, structurally_congruent
-from iseq.syntax import AbstractAction, Concat, Halt, Jump, Repeat
+from iseq.syntax import AbstractAction, Concat, Halt, Jump, Repeat, concat_all, leaves
 from iseq.syntax import parse_instruction_sequence as parse
 from iseq.threads import (
     DEAD,
@@ -165,3 +166,19 @@ def test_synthesize_random_terms():
         t = random_term(rng, 8)
         s = synthesize_repetition(t)
         assert behaviourally_equivalent(t, Repeat(s))
+
+
+def test_synthesize_round_trips_on_every_short_term():
+    """``t`` is behaviourally equivalent to ``synthesize_repetition(t)*`` for
+    every term of length 1 to 3 over ``a``, ``+a``, ``-b``, ``!`` and ``#0``
+    to ``#3``, taken finite and with every nonempty period split off (2,256
+    terms)."""
+    alphabet = leaves(parse("a;+a;-b;!;#0;#1;#2;#3"))
+    count = 0
+    for n in (1, 2, 3):
+        for seq in itertools.product(alphabet, repeat=n):
+            for m in range(n + 1):
+                t = concat_all(seq) if m == n else concat_all(seq[:m] + (Repeat(concat_all(seq[m:])),))
+                assert behaviourally_equivalent(t, Repeat(synthesize_repetition(t))), t
+                count += 1
+    assert count == 2256

@@ -16,6 +16,7 @@ import random
 from iseq import threads
 from iseq.canonical import CanonicalSeq, flatten, to_second_canonical
 from iseq.extraction import _graph, _write, behaviourally_congruent, extract
+from iseq.interaction import abstract_tau
 from iseq.syntax import AbstractAction, Halt, Jump, Plain, PosTest, Repeat, concat_all
 from iseq.syntax import parse_instruction_sequence as parse
 from iseq.threads import (
@@ -118,6 +119,18 @@ def test_minimize_matches_reference_on_random_threads():
         nodes = random_nodes(rng, rng.randint(1, 60))
         thread = RegularThread(tuple(nodes), rng.randrange(len(nodes)))
         assert minimize(thread) == oracles.minimize(thread), thread
+
+
+def test_abstract_tau_matches_reference_on_random_threads():
+    """``abstract_tau``, which sends every edge to the end of its tau chain
+    in one memoized pass, against the per-state walk it replaced, on 1,000
+    random threads of 1 to 60 states with tau runs, tau self-loops, Stop and
+    Dead (seed 17), each from a random root."""
+    rng = random.Random(17)
+    for _ in range(1000):
+        nodes = random_nodes(rng, rng.randint(1, 60))
+        thread = RegularThread(tuple(nodes), rng.randrange(len(nodes)))
+        assert abstract_tau(thread) == oracles.abstract_tau(thread), thread
 
 
 def test_bisimilar_matches_reference_on_every_pair_of_random_graphs():
