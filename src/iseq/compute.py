@@ -7,17 +7,27 @@ registers and then applying it to zeroed output registers yields exactly the
 expected output family, and for every undefined row yields the empty
 family.
 
-Every check here runs that definition as one direct pass of a decoded
-instruction array over all three register groups, which equals extract,
-then ``use`` on the in/aux family, then ``apply`` on the out family.  The
-two families are disjoint, so ``use`` carries out exactly the in/aux
-actions, as internal steps, and leaves exactly the out actions for
-``apply``, in the order the thread performs them.  Validation puts every
-focus in the union, so neither step meets an unknown register.  Jumps only
-go forward, so neither route can diverge: each run ends, within as many
-steps as the program is long, in ``!`` or in inaction (``#0`` or running
-past the end).  The algebraic route stays in ``interaction`` as the public
-API and as the tests' oracle.
+Every check here runs that definition on every input row at once, over a
+decoded instruction array and big-int row masks: bit r of a mask stands
+for row r, ``regs[s]`` holds register s of every row, ``at[p]`` the rows
+parked at position p, and ``done`` the rows that reached ``!``.  One pass
+visits the positions in order; a register instruction splits ``at[p]`` by
+the register's bits, writes both effects under ``at[p]`` and moves the two
+halves on, a jump moves the mask on, and ``#0`` or running past the end
+drops it.  Jumps only go forward, so when position p comes up every row
+that will ever stand there has arrived, and a row's registers change only
+where it stands: the final masks hold what each row computes.  Rows run
+in chunks of at most 2**16, fewer for a long program, so a mask takes at
+most 8 KB and a chunk's masks about 8 MB, however many inputs there are.
+
+That run equals extract, then ``use`` on the in/aux family, then ``apply``
+on the out family.  The two families are disjoint, so ``use`` carries out
+exactly the in/aux actions, as internal steps, and leaves exactly the out
+actions for ``apply``, in the order the thread performs them.  Validation
+puts every focus in the union, so neither step meets an unknown register.
+Neither route can diverge: each row ends, within as many steps as the
+program is long, in ``!`` or in inaction.  The algebraic route stays in
+``interaction`` as the public API and as the tests' oracle.
 
 The module also provides the two constructive results: compiling an
 explicit truth table to a program that uses only the core operations
@@ -47,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .syntax import (
     F0,
@@ -101,19 +111,6 @@ class IoConvention:
         raise ValueError(f"focus {focus} is outside the in/out/aux convention {self}")
 
 
-def _validate_program(t: InstructionSequenceTerm, conv: IoConvention) -> list[PrimitiveInstruction]:
-    try:
-        instrs = leaves(t)
-    except ValueError:
-        raise ValueError("program must be repetition-free") from None
-    for instr in instrs:
-        if isinstance(instr, (Plain, PosTest, NegTest)):
-            if isinstance(instr.basic, AbstractAction):
-                raise ValueError(f"abstract action {instr.basic} is not a register instruction")
-            conv.check_focus(instr.basic.focus)
-    return instrs
-
-
 # A decoded instruction is None for ``!``, its step for a jump (0 is
 # inaction), or (slot, effect_on_0, effect_on_1, step_on_0, step_on_1) for a
 # register instruction.  Register slots lay out in:1..n, out:1..m, aux:1..k.
@@ -133,7 +130,7 @@ _BEHAVIOUR = {
 
 
 def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[_Op]:
-    """Instruction array of a validated program, for :func:`_run`."""
+    """Instruction array of a validated program, for :func:`_run_rows` and the search."""
     base = {"in": 0, "out": conv.n, "aux": conv.n + conv.m}
     code: list[_Op] = []
     for instr in instrs:
@@ -148,42 +145,101 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
     return code
 
 
-def _run(code: Sequence[_Op], regs: list[bool]) -> bool:
-    """Run decoded code on the registers in place; True iff it terminates.
+def _validate_program(
+    t: InstructionSequenceTerm, conv: IoConvention
+) -> tuple[list[PrimitiveInstruction], list[_Op]]:
+    """The program's instructions and their decoding, each distinct
+    instruction object checked and decoded once (a parse shares them)."""
+    try:
+        instrs = leaves(t)
+    except ValueError:
+        raise ValueError("program must be repetition-free") from None
+    keys = list(map(id, instrs))
+    distinct = dict(zip(keys, instrs))
+    for instr in distinct.values():
+        if isinstance(instr, (Plain, PosTest, NegTest)):
+            if isinstance(instr.basic, AbstractAction):
+                raise ValueError(f"abstract action {instr.basic} is not a register instruction")
+            conv.check_focus(instr.basic.focus)
+    ops = dict(zip(distinct, _decode(list(distinct.values()), conv)))
+    return instrs, list(map(ops.__getitem__, keys))
 
-    Every step moves forward, so a run ends within ``len(code)`` steps.
-    """
-    pos = 0
+
+def _run_rows(code: Sequence[_Op], regs: list[int], rows: int) -> int:
+    """Run decoded code on the rows of the mask ``rows`` at once, as the
+    module docstring describes, and return the mask of those that reach
+    ``!``.  ``regs[s]`` holds register s of every row, updated in place."""
     end = len(code)
-    while pos < end:
-        op = code[pos]
+    at = [rows] + [0] * (end + 1)  # a step of 1 or 2 may land past the end
+    done = 0
+    for p, op in enumerate(code):
+        here = at[p]
+        if not here:
+            continue
+        at[p] = 0  # rows only move on, so only the masks of parked rows stay
         if op is None:
-            return True
-        if type(op) is int:
-            if not op:
-                return False
-            pos += op
+            done |= here
+        elif type(op) is int:
+            if op and p + op < end:  # #0 and running past the end drop the rows
+                at[p + op] |= here
         else:
             slot, effect0, effect1, step0, step1 = op
-            if regs[slot]:
-                regs[slot] = effect1
-                pos += step1
+            ones = here & regs[slot]
+            zeros = here ^ ones
+            if effect0:
+                regs[slot] ^= zeros
+            if not effect1:
+                regs[slot] ^= ones
+            if step0 == step1:
+                at[p + step0] |= here
             else:
-                regs[slot] = effect0
-                pos += step0
-    return False
+                at[p + step0] |= zeros
+                at[p + step1] |= ones
+    return done
 
 
-def _start_row(conv: IoConvention, bits: str) -> list[bool]:
-    return [bit == "1" for bit in bits] + [False] * (conv.m + conv.k)
+_CHUNK_BITS = 16  # a chunk runs at most 2**16 rows
 
 
-def _row_output(code: Sequence[_Op], conv: IoConvention, bits: str) -> Optional[str]:
-    """Output bits computed on one input row, or None for the empty family."""
-    regs = _start_row(conv, bits)
-    if not _run(code, regs):
-        return None
-    return "".join("1" if bit else "0" for bit in regs[conv.n : conv.n + conv.m])
+def _chunks(conv: IoConvention, length: int) -> Iterator[tuple[int, list[int]]]:
+    """The input rows in table order, in chunks: per chunk, the mask of its
+    rows and the registers they start with.
+
+    A chunk holds 2**16 rows, halved for every doubling of the program's
+    positions and registers from 1,024 on, down to 2**13.  Rows parked at
+    distinct positions are distinct rows, so a chunk's masks never hold
+    much more than 2**26 bits (8 MB) at once.  Row v loads in:i with bit
+    n - i of v.  Within a chunk the low bits of v run through every value
+    and the high ones stay fixed, so an input reads the same row pattern in
+    every chunk, or is all ones or all zeros.
+    """
+    size = length + conv.n + conv.m + conv.k
+    low = min(conv.n, _CHUNK_BITS, max(13, 26 - size.bit_length()))
+    rows = 1 << low
+    every = (1 << rows) - 1
+    patterns = []  # pattern b: the rows of a chunk whose index has bit b set
+    for b in range(low):
+        mask, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < rows:  # doubling, linear in the rows
+            mask |= mask << width
+            width <<= 1
+        patterns.append(mask)
+    patterns.reverse()
+    high = conv.n - low
+    for chunk in range(1 << high):
+        fixed = [every if chunk >> (high - i) & 1 else 0 for i in range(1, high + 1)]
+        yield every, fixed + patterns + [0] * (conv.m + conv.k)
+
+
+def _outputs(code: Sequence[_Op], conv: IoConvention) -> Iterator[tuple[Optional[str], ...]]:
+    """Output bits computed on each input row, chunk by chunk in table
+    order; None for the empty family."""
+    outs = slice(conv.n, conv.n + conv.m)
+    for rows, regs in _chunks(conv, len(code)):
+        done = _run_rows(code, regs, rows)
+        spell = f"0{rows.bit_length()}b"
+        got = map("".join, zip(*[format(reg, spell)[::-1] for reg in regs[outs]]))
+        yield tuple(out if flag == "1" else None for flag, out in zip(format(done, spell)[::-1], got))
 
 
 def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTable:
@@ -194,29 +250,45 @@ def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTab
     """
     if conv.m == 0:
         raise ValueError("programs without output registers induce no unique table")
-    code = _decode(_validate_program(t, conv), conv)
-    rows = (format(v, f"0{conv.n}b") if conv.n else "" for v in range(2**conv.n))
-    return FunctionTable(conv.n, conv.m, tuple(_row_output(code, conv, bits) for bits in rows))
+    _, code = _validate_program(t, conv)
+    return FunctionTable(conv.n, conv.m, tuple(itertools.chain.from_iterable(_outputs(code, conv))))
 
 
 def computes_check(t: InstructionSequenceTerm, table: FunctionTable, k: int) -> bool:
     """Does the program compute the table, with k auxiliary registers?"""
     conv = IoConvention(table.n, table.m, k)
-    code = _decode(_validate_program(t, conv), conv)
+    _, code = _validate_program(t, conv)
     if conv.m == 0:
         return True  # both row conditions require the empty family
-    return all(_row_output(code, conv, bits) == expected for bits, expected in table.rows())
+    start = 0
+    for got in _outputs(code, conv):
+        if got != table.outputs[start : start + len(got)]:
+            return False
+        start += len(got)
+    return True
 
 
 def functionally_equivalent(
     t: InstructionSequenceTerm, t2: InstructionSequenceTerm, conv: IoConvention
 ) -> bool:
-    """Do both programs compute one and the same partial function?"""
+    """Do both programs compute one and the same partial function?
+
+    They do when, on every input row, both terminate with equal outputs or
+    neither terminates; a row's outputs count only where it terminates.
+    """
+    _, code = _validate_program(t, conv)
+    _, code2 = _validate_program(t2, conv)
     if conv.m == 0:
-        _validate_program(t, conv)
-        _validate_program(t2, conv)
         return True  # every program computes every function onto zero outputs
-    return induced_table(t, conv) == induced_table(t2, conv)
+    outs = slice(conv.n, conv.n + conv.m)
+    for rows, regs in _chunks(conv, max(len(code), len(code2))):
+        regs2 = list(regs)
+        done = _run_rows(code, regs, rows)
+        if done != _run_rows(code2, regs2, rows):
+            return False
+        if any((a ^ b) & done for a, b in zip(regs[outs], regs2[outs])):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +315,6 @@ def _core_read(conv_focus: Focus) -> RegisterAction:
     return RegisterAction(conv_focus, ID, ID)
 
 
-def _leaf_instructions(conv: IoConvention, value: Optional[str]) -> list[PrimitiveInstruction]:
-    if value is None:
-        return [Jump(0)]
-    instrs: list[PrimitiveInstruction] = [
-        Plain(RegisterAction(conv.out_focus(i), T1, T1))
-        for i, bit in enumerate(value, start=1)
-        if bit == "1"
-    ]
-    instrs.append(Halt())
-    return instrs
-
-
 def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
     """Repetition-free core-only program computing the table with no auxiliaries.
 
@@ -263,13 +323,20 @@ def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
     nowhere, which is inaction.  The tree is laid out as a heap: test i, at
     depth d, reads input d + 1 and goes on to test or leaf 2i + 2 on a true
     reply and 2i + 1 on a false one, and the leaves follow in row order.
+    Like a parse, the program shares one object among equal tests, among
+    equal output sets, among its halts and among its ``#0``s.
     """
     conv = IoConvention(table.n, table.m, 0)
-    tests = [
-        [PosTest(_core_read(conv.in_focus((i + 1).bit_length()))), 2 * i + 2, 2 * i + 1]
-        for i in range(2**table.n - 1)
+    reads = [PosTest(_core_read(conv.in_focus(d))) for d in range(1, table.n + 1)]
+    sets = [Plain(RegisterAction(conv.out_focus(i), T1, T1)) for i in range(1, table.m + 1)]
+    halt, inaction = Halt(), Jump(0)
+    tests = [[reads[(i + 1).bit_length() - 1], 2 * i + 2, 2 * i + 1] for i in range(2**table.n - 1)]
+    ends = [
+        [inaction] if value is None
+        else [set_ for set_, bit in zip(sets, value) if bit == "1"] + [halt]
+        for value in table.outputs
     ]
-    return _relocate(tests + [_leaf_instructions(conv, value) for _, value in table.rows()])
+    return _relocate(tests + ends)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +405,11 @@ def restrict_to_core(
     then every jump and exit is relocated to the start of its target's
     block.
     """
-    instrs = _validate_program(t, conv)
+    instrs, code = _validate_program(t, conv)
     total = len(instrs)
     reached = [True] + [False] * (total + 1)
     options: list[list[tuple]] = []  # per position: (slots, needs, offers)
-    for i, (instr, op) in enumerate(zip(instrs, _decode(instrs, conv))):
+    for i, (instr, op) in enumerate(zip(instrs, code)):
         if not reached[i]:
             options.append([([Jump(0)], 0, 1)])
         elif type(op) is tuple:

@@ -9,10 +9,12 @@ congruence of finite sequences checked once per termination padding.
 They work on plain ``(prefix, period)`` tuples and node lists, so they
 share nothing with the code under test but the instruction and node types.
 The last one is the shortest-program search by enumerating every program
-of each length; it shares the execution kernel and the alphabet with the
-search under test, and the kernel has tests of its own against ``use``
-and ``apply``.  ``fresh_copy`` undoes the parser's sharing of instruction
-objects, so that tests can show the sharing changes no result.  ``Stream``
+of each length; it shares the decoding and the alphabet with the search
+under test, and runs each row on its own through ``_run``, the per-row
+kernel that ``iseq.compute`` replaced by one pass over row masks.
+``row_outputs`` reads a table's rows through ``_run`` to check that pass.
+``fresh_copy`` undoes the parser's sharing of instruction objects, so that
+tests can show the sharing changes no result.  ``Stream``
 is a lazy unfolder: it finds the period by watching a repetition come back
 off an explicit stack, where the library flattens the term up front, so it
 checks ``flatten``, ``unfold`` and ``simulate`` from outside.
@@ -34,15 +36,7 @@ import itertools
 from collections import deque
 from typing import Optional, Sequence
 
-from iseq.compute import (
-    IoConvention,
-    _core_read,
-    _decode,
-    _leaf_instructions,
-    _run,
-    _search_alphabet,
-    _start_row,
-)
+from iseq.compute import IoConvention, _Op, _core_read, _decode, _search_alphabet
 from iseq.interaction import Outcome
 from iseq.registers import RegisterFamily
 from iseq.syntax import (
@@ -67,6 +61,7 @@ from iseq.syntax import (
     RegisterFamilyTerm,
     Repeat,
     SingletonFamily,
+    T1,
     UnaryBoolFunc,
     concat_all,
     flatten,
@@ -416,6 +411,48 @@ def behaviourally_congruent(x, y):
         if cls_a != cls_b:
             return False
     return True
+
+
+def _run(code: Sequence[_Op], regs: list[bool]) -> bool:
+    """Run decoded code on the registers in place; True iff it terminates.
+
+    Every step moves forward, so a run ends within ``len(code)`` steps.
+    """
+    pos = 0
+    end = len(code)
+    while pos < end:
+        op = code[pos]
+        if op is None:
+            return True
+        if type(op) is int:
+            if not op:
+                return False
+            pos += op
+        else:
+            slot, effect0, effect1, step0, step1 = op
+            if regs[slot]:
+                regs[slot] = effect1
+                pos += step1
+            else:
+                regs[slot] = effect0
+                pos += step0
+    return False
+
+
+def _start_row(conv: IoConvention, bits: str) -> list[bool]:
+    return [bit == "1" for bit in bits] + [False] * (conv.m + conv.k)
+
+
+def row_outputs(t: InstructionSequenceTerm, conv: IoConvention) -> tuple[Optional[str], ...]:
+    """The outputs of a valid repetition-free program on every input row, in
+    table order, by one ``_run`` per row; None where the run goes inactive."""
+    code = _decode(flatten(t)[0], conv)
+    outputs = []
+    for bits in map("".join, itertools.product("01", repeat=conv.n)):
+        regs = _start_row(conv, bits)
+        ended = _run(code, regs)
+        outputs.append("".join("1" if bit else "0" for bit in regs[conv.n : conv.n + conv.m]) if ended else None)
+    return tuple(outputs)
 
 
 def search_shortest(
@@ -936,6 +973,18 @@ def _assemble(items: Sequence[_Item]) -> list[PrimitiveInstruction]:
             out.append(item)
         pos += 1
     return out
+
+
+def _leaf_instructions(conv: IoConvention, value: Optional[str]) -> list[PrimitiveInstruction]:
+    if value is None:
+        return [Jump(0)]
+    instrs: list[PrimitiveInstruction] = [
+        Plain(RegisterAction(conv.out_focus(i), T1, T1))
+        for i, bit in enumerate(value, start=1)
+        if bit == "1"
+    ]
+    instrs.append(Halt())
+    return instrs
 
 
 def compile_table(table: FunctionTable) -> InstructionSequenceTerm:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import iseq
@@ -70,6 +71,15 @@ def test_equiv_functional():
         "-e", "+in:1.i/i;#2;!;out:1.1/1;!", "-e", "-in:1.i/i;#3;out:1.1/1;!;!",
     )
     assert code == 0 and out == "true\n"
+
+
+def test_equiv_functional_on_20_inputs_exits_within_a_second():
+    """2**20 rows run as big-int masks, in chunks of 2**16, and the first
+    chunk already tells ``!`` from ``#0``."""
+    start = time.perf_counter()
+    code, out, err = run("equiv", "--relation", "functional", "--inputs", "20", "--outputs", "1", "-e", "!", "-e", "#0")
+    assert (code, out, err) == (1, "false\n", "")
+    assert time.perf_counter() - start < 1
 
 
 def test_extract_prints_equations():

@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from iseq import compute
 from iseq.compute import (
     IoConvention,
     compile_table,
@@ -181,6 +183,159 @@ def test_functional_inequivalence_of_constants():
     assert not functionally_equivalent(
         parse("out:1.1/1;!"), parse("out:1.0/0;!"), IoConvention(0, 1, 0)
     )
+
+
+# -- row masks against the per-row oracle ---------------------------------------------
+
+
+def assert_rows_agree(prog, conv, want, row):
+    """``induced_table`` reads the oracle's rows ``want``, and
+    ``computes_check`` holds on them and fails with row ``row`` changed."""
+    assert induced_table(prog, conv).outputs == want, prog
+    assert computes_check(prog, FunctionTable(conv.n, conv.m, want), conv.k), prog
+    wrong, value = list(want), want[row]
+    if value is None:
+        wrong[row] = "0" * conv.m
+    else:
+        wrong[row] = None if row % 2 else ("1" if value[0] == "0" else "0") + value[1:]
+    assert not computes_check(prog, FunctionTable(conv.n, conv.m, tuple(wrong)), conv.k), prog
+
+
+def test_row_masks_match_the_per_row_oracle_on_every_program_of_length_2():
+    """All 22,350 programs of length 1 and 2 under IoConvention(1, 1, 1), over
+    ``!``, ``#0``..``#3`` and the 144 register forms on in:1, out:1 and aux:1.
+
+    For each program, ``induced_table`` equals the rows of one ``_run`` per
+    row (``oracles.row_outputs``), and ``computes_check`` holds on that table
+    and fails with one row changed.  ``functionally_equivalent`` decides
+    44,700 pairs as the oracle's rows do: each program against a seeded
+    program computing the same function and against one computing a seeded
+    function drawn from all those the scope computes.
+    """
+    conv = IoConvention(1, 1, 1)
+    foci = (Focus("in", 1), Focus("out", 1), Focus("aux", 1))
+    alphabet = [Halt()] + [Jump(k) for k in range(4)] + [
+        kind(RegisterAction(focus, reply, effect))
+        for focus in foci
+        for kind in (Plain, PosTest, NegTest)
+        for reply in UnaryBoolFunc
+        for effect in UnaryBoolFunc
+    ]
+    programs = [concat_all(instrs) for length in (1, 2) for instrs in itertools.product(alphabet, repeat=length)]
+    assert len(programs) == 22_350
+    wants = [oracles.row_outputs(prog, conv) for prog in programs]
+    by_function = {}
+    for prog, want in zip(programs, wants):
+        by_function.setdefault(want, []).append(prog)
+    functions = sorted(by_function, key=str)
+    rng = random.Random(15)
+    verdicts = {True: 0, False: 0}
+    for i, (prog, want) in enumerate(zip(programs, wants)):
+        assert_rows_agree(prog, conv, want, i % 2)
+        for function in (want, rng.choice(functions)):
+            other = rng.choice(by_function[function])
+            verdict = functionally_equivalent(prog, other, conv)
+            assert verdict is (function == want), (prog, other)
+            verdicts[verdict] += 1
+    assert sum(verdicts.values()) == 44_700 and min(verdicts.values()) > 15_000
+    # outputs written on a row that then goes inactive do not count
+    assert functionally_equivalent(parse("out:1.1/1;#0"), parse("#0"), conv)
+    assert functionally_equivalent(parse("out:1.1/1;#3"), parse("aux:1.0/1;#2"), conv)
+
+
+def test_row_masks_match_the_per_row_oracle_on_seeded_programs():
+    """300 seeded programs of 10 to 60 instructions with n = 4..10 inputs,
+    m = 1..2 outputs and k in {0, 1}, covering ``#0``, jumps within and past
+    the end and non-core forms.
+
+    The checks of the exhaustive test above, and ``functionally_equivalent``
+    on three pairs per program (900 pairs).  The program against its core
+    translation and against a copy with one of its first three instructions
+    replaced are decided as the oracle's rows decide them.  The program
+    against itself followed by ``out:1.c/c`` is equivalent: only rows that
+    run past the end reach that instruction, and they go inactive there with
+    a changed output.
+    """
+    rng = random.Random(1515)
+    seen = set()
+    verdicts = {True: 0, False: 0}
+    for case in range(300):
+        conv = IoConvention(rng.randint(4, 10), rng.randint(1, 2), rng.randint(0, 1))
+        length = rng.randint(10, 60)
+        prog, noncore = random_register_program(rng, conv_foci(conv), length)
+        instrs = leaves(prog)
+        for pos, instr in enumerate(instrs, start=1):
+            if isinstance(instr, Jump):
+                seen.add("#0" if instr.offset == 0 else "past end" if pos + instr.offset > length else "#l")
+        if noncore:
+            seen.add("non-core")
+        want = oracles.row_outputs(prog, conv)
+        assert_rows_agree(prog, conv, want, case % len(want))
+        swapped = list(instrs)
+        swapped[rng.randrange(3)] = leaves(random_register_program(rng, conv_foci(conv), 1)[0])[0]
+        for other in (restrict_to_core(prog, conv), concat_all(swapped)):
+            verdict = functionally_equivalent(prog, other, conv)
+            assert verdict is (oracles.row_outputs(other, conv) == want), (prog, other)
+            verdicts[verdict] += 1
+        complement = Plain(RegisterAction(Focus("out", 1), UnaryBoolFunc.COMPLEMENT, UnaryBoolFunc.COMPLEMENT))
+        assert functionally_equivalent(prog, concat_all([prog, complement]), conv), prog
+        verdicts[True] += 1
+        if oracles.row_outputs(concat_all([prog, Halt()]), conv) != want:
+            seen.add("rows past the end")
+    assert seen == {"#0", "past end", "#l", "non-core", "rows past the end"}
+    assert min(verdicts.values()) > 50
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_row_chunks_on_either_side_of_a_chunk_boundary(n):
+    """Rows run in chunks of 2**16, so in:1 is fixed within each chunk and
+    in:n alternates inside every one.  Two programs that differ only where
+    in:1 (or in:n) is set are told apart, and two that compute the same
+    function through either input are not."""
+    conv = IoConvention(n, 1, 0)
+    ones = parse("out:1.1/1;!")
+    for i in (1, n):
+        zero_where_set = parse(f"+in:{i}.i/i;!;out:1.1/1;!")
+        same = parse(f"-in:{i}.i/i;out:1.1/1;!;!")
+        assert not functionally_equivalent(ones, zero_where_set, conv)
+        assert not functionally_equivalent(zero_where_set, ones, conv)
+        assert functionally_equivalent(zero_where_set, same, conv)
+
+
+def test_row_masks_of_a_compiled_13_input_table_stay_small():
+    """``computes_check`` on a compiled table of 13 inputs, 8,192 rows that
+    scatter over 35,407 positions, allocates under 10 MB at its peak: the
+    mask of a position is dropped once its rows move on (21 MB if kept)."""
+    rng = random.Random(3)
+    table = FunctionTable(13, 1, tuple(rng.choice((None, "0", "1")) for _ in range(2**13)))
+    prog = compile_table(table)
+    tracemalloc.start()
+    try:
+        assert computes_check(prog, table, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+
+
+def test_row_masks_match_the_per_row_oracle_in_chunks_of_four_rows(monkeypatch):
+    """With chunks cut down to 4 rows, 100 seeded programs of 5 to 30
+    instructions with n = 3..8 inputs run in 2 to 64 chunks each; the
+    induced tables, ``computes_check`` and ``functionally_equivalent``
+    against a copy with one of its first three instructions replaced agree
+    with the oracle's rows."""
+    monkeypatch.setattr(compute, "_CHUNK_BITS", 2)
+    rng = random.Random(4)
+    for case in range(100):
+        conv = IoConvention(rng.randint(3, 8), rng.randint(1, 2), rng.randint(0, 1))
+        length = rng.randint(5, 30)
+        prog, _ = random_register_program(rng, conv_foci(conv), length)
+        want = oracles.row_outputs(prog, conv)
+        assert_rows_agree(prog, conv, want, rng.randrange(len(want)))
+        swapped = leaves(prog)
+        swapped[rng.randrange(3)] = leaves(random_register_program(rng, conv_foci(conv), 1)[0])[0]
+        other = concat_all(swapped)
+        assert functionally_equivalent(prog, other, conv) is (oracles.row_outputs(other, conv) == want)
 
 
 # -- compile_table ----------------------------------------------------------------
