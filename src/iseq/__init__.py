@@ -56,6 +56,7 @@ from .syntax import (
     parse_function_table,
     parse_instruction_sequence,
     parse_register_family,
+    render_family_term,
     render_function_table,
     render_term,
 )
@@ -74,22 +75,10 @@ from .threads import (
 
 def render(value) -> str:
     """Deterministic text for terms, family terms, evaluated families and threads."""
-    from . import registers as _registers
-    from . import syntax as _syntax
-    from . import threads as _threads
-
-    if isinstance(value, _threads.RegularThread):
-        return _threads.render_thread(value)
-    if isinstance(
-        value,
-        (
-            _syntax.EmptyFamily,
-            _syntax.SingletonFamily,
-            _syntax.ComposeFamily,
-            _syntax.HideFamily,
-        ),
-    ):
-        return _syntax.render_family_term(value)
+    if isinstance(value, RegularThread):
+        return render_thread(value)
+    if isinstance(value, RegisterFamilyTerm):
+        return render_family_term(value)
     if isinstance(value, dict):
-        return _registers.render_family(value)
-    return _syntax.render_term(value)
+        return render_family(value)
+    return render_term(value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import canonical, compute, extraction, interaction, registers, syntax, threads
 
@@ -28,18 +28,22 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _term_argument(args) -> syntax.InstructionSequenceTerm:
-    texts = _expr_texts(args)
-    if len(texts) != 1:
-        raise _CliError("expected exactly one term (-e/--file)")
-    return syntax.parse_instruction_sequence(texts[0])
-
-
 def _expr_texts(args) -> list[str]:
     texts = list(args.expr or [])
     for path in args.file or []:
         texts.append(_read_text(path).strip())
     return texts
+
+
+def _one_text(args, kind: str) -> str:
+    texts = _expr_texts(args)
+    if len(texts) != 1:
+        raise _CliError(f"expected exactly one {kind} (-e/--file)")
+    return texts[0]
+
+
+def _term_argument(args) -> syntax.InstructionSequenceTerm:
+    return syntax.parse_instruction_sequence(_one_text(args, "term"))
 
 
 def _family_argument(args) -> registers.RegisterFamily:
@@ -55,9 +59,7 @@ def _table_argument(args) -> syntax.FunctionTable:
     return syntax.parse_function_table(_read_text(args.table))
 
 
-def _convention(args, table: Optional[syntax.FunctionTable] = None) -> compute.IoConvention:
-    if table is not None:
-        return compute.IoConvention(table.n, table.m, args.aux)
+def _convention(args) -> compute.IoConvention:
     return compute.IoConvention(args.inputs, args.outputs, args.aux)
 
 
@@ -71,6 +73,49 @@ def _add_family_options(parser):
     parser.add_argument("--family-file", metavar="PATH", help="file containing a register family")
 
 
+# Each subcommand's handler takes the parsed arguments and returns
+# (exit code, output line); build_parser attaches it as ``run``.
+def _verdict(verdict: bool) -> tuple[int, str]:
+    return (0, "true") if verdict else (1, "false")
+
+
+def _normalize(args) -> tuple[int, str]:
+    to_form = canonical.to_second_canonical if args.form == "second" else canonical.to_first_canonical
+    return 0, syntax.render_term(canonical.term_of_canonical(to_form(_term_argument(args))))
+
+
+def _equiv(args) -> tuple[int, str]:
+    texts = _expr_texts(args)
+    if len(texts) != 2:
+        raise _CliError("equiv needs exactly two terms")
+    t1, t2 = map(syntax.parse_instruction_sequence, texts)
+    decide = {
+        "isc": canonical.instruction_sequence_congruent,
+        "structural": canonical.structurally_congruent,
+        "behavioural": extraction.behaviourally_equivalent,
+        "congruence": extraction.behaviourally_congruent,
+        "functional": lambda t1, t2: compute.functionally_equivalent(t1, t2, _convention(args)),
+    }[args.relation]
+    return _verdict(decide(t1, t2))
+
+
+def _abstract(args) -> tuple[int, str]:
+    thread = extraction.extract(_term_argument(args))
+    if args.family or args.family_file:
+        thread = interaction.use(thread, _family_argument(args))
+    return 0, threads.render_thread(interaction.abstract_tau(thread))
+
+
+def _simulate(args) -> tuple[int, str]:
+    outcome, family = interaction.simulate(_term_argument(args), _family_argument(args), args.fuel)
+    return 0, f"{outcome.value} {registers.render_family(family)}"
+
+
+def _search(args) -> tuple[int, str]:
+    result = compute.search_shortest(_table_argument(args), args.aux, args.max_len, args.max_nodes)
+    return (1, "none") if result is None else (0, syntax.render_term(result))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iseq",
@@ -80,13 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a term and print its canonical rendering")
     _add_term_options(p)
+    p.set_defaults(run=lambda args: (0, syntax.render_term(_term_argument(args))))
 
     p = sub.add_parser("normalize", help="print a canonical form of a term")
     _add_term_options(p)
     p.add_argument("--form", choices=("isc", "first", "second"), default="second")
+    p.set_defaults(run=_normalize)
 
     p = sub.add_parser("extract", help="print the behaviour of a term as recursion equations")
     _add_term_options(p)
+    p.set_defaults(run=lambda args: (0, threads.render_thread(extraction.extract(_term_argument(args)))))
 
     p = sub.add_parser("equiv", help="decide an equivalence between two terms")
     _add_term_options(p, "each of the two terms")
@@ -98,41 +146,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", type=int, default=0, help="input registers (functional relation)")
     p.add_argument("--outputs", type=int, default=0, help="output registers (functional relation)")
     p.add_argument("--aux", type=int, default=0, help="auxiliary registers (functional relation)")
+    p.set_defaults(run=_equiv)
 
     p = sub.add_parser("family-eval", help="evaluate a register family term")
     p.add_argument("-e", "--expr", action="append", metavar="FAMILY")
     p.add_argument("--file", action="append", metavar="PATH")
+    p.set_defaults(run=lambda args: (0, registers.render_family(
+        registers.evaluate_family(syntax.parse_register_family(_one_text(args, "family"))))))
 
     p = sub.add_parser("use", help="run a term's behaviour against a register family")
     _add_term_options(p)
     _add_family_options(p)
+    p.set_defaults(run=lambda args: (0, threads.render_thread(
+        interaction.use(extraction.extract(_term_argument(args)), _family_argument(args)))))
 
     p = sub.add_parser("apply", help="final register family after running a term")
     _add_term_options(p)
     _add_family_options(p)
+    p.set_defaults(run=lambda args: (0, registers.render_family(
+        interaction.apply(extraction.extract(_term_argument(args)), _family_argument(args)))))
 
     p = sub.add_parser("abstract", help="behaviour with internal steps concealed")
     _add_term_options(p)
     _add_family_options(p)
+    p.set_defaults(run=_abstract)
 
     p = sub.add_parser("simulate", help="step a term directly on a register family")
     _add_term_options(p)
     _add_family_options(p)
     p.add_argument("--fuel", type=int, default=1000)
+    p.set_defaults(run=_simulate)
 
     p = sub.add_parser("computes", help="check that a program computes a function table")
     _add_term_options(p)
     p.add_argument("--table", required=True, metavar="PATH")
     p.add_argument("--aux", type=int, default=0)
+    p.set_defaults(run=lambda args: _verdict(
+        compute.computes_check(_term_argument(args), _table_argument(args), args.aux)))
 
     p = sub.add_parser("compile-table", help="compile a function table to a core-only program")
     p.add_argument("--table", required=True, metavar="PATH")
+    p.set_defaults(run=lambda args: (0, syntax.render_term(compute.compile_table(_table_argument(args)))))
 
     p = sub.add_parser("restrict-core", help="translate a program to core instructions only")
     _add_term_options(p)
     p.add_argument("--inputs", type=int, default=0)
     p.add_argument("--outputs", type=int, default=0)
     p.add_argument("--aux", type=int, default=0)
+    p.set_defaults(run=lambda args: (0, syntax.render_term(
+        compute.restrict_to_core(_term_argument(args), _convention(args)))))
 
     p = sub.add_parser("search", help="shortest program computing a function table")
     p.add_argument("--table", required=True, metavar="PATH")
@@ -146,92 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {compute.DEFAULT_MAX_NODES}); each is kept until the search ends, "
         "and using up the default on 3-input majority took peak memory from 16 to 53 MB",
     )
+    p.set_defaults(run=_search)
 
     return parser
 
 
 # parse_args leaves the parser unchanged, so one instance serves every call
 _shared_parser = functools.cache(build_parser)
-
-
-def _dispatch(args, out, err) -> int:
-    if args.command == "parse":
-        print(syntax.render_term(_term_argument(args)), file=out)
-        return 0
-    if args.command == "normalize":
-        canon = (
-            canonical.to_second_canonical(_term_argument(args))
-            if args.form == "second"
-            else canonical.to_first_canonical(_term_argument(args))
-        )
-        print(syntax.render_term(canonical.term_of_canonical(canon)), file=out)
-        return 0
-    if args.command == "extract":
-        print(threads.render_thread(extraction.extract(_term_argument(args))), file=out)
-        return 0
-    if args.command == "equiv":
-        texts = _expr_texts(args)
-        if len(texts) != 2:
-            raise _CliError("equiv needs exactly two terms")
-        t1 = syntax.parse_instruction_sequence(texts[0])
-        t2 = syntax.parse_instruction_sequence(texts[1])
-        if args.relation == "isc":
-            verdict = canonical.instruction_sequence_congruent(t1, t2)
-        elif args.relation == "structural":
-            verdict = canonical.structurally_congruent(t1, t2)
-        elif args.relation == "behavioural":
-            verdict = extraction.behaviourally_equivalent(t1, t2)
-        elif args.relation == "congruence":
-            verdict = extraction.behaviourally_congruent(t1, t2)
-        else:
-            verdict = compute.functionally_equivalent(t1, t2, _convention(args))
-        print("true" if verdict else "false", file=out)
-        return 0 if verdict else 1
-    if args.command == "family-eval":
-        texts = _expr_texts(args)
-        if len(texts) != 1:
-            raise _CliError("expected exactly one family (-e/--file)")
-        family = registers.evaluate_family(syntax.parse_register_family(texts[0]))
-        print(registers.render_family(family), file=out)
-        return 0
-    if args.command == "use":
-        thread = interaction.use(extraction.extract(_term_argument(args)), _family_argument(args))
-        print(threads.render_thread(thread), file=out)
-        return 0
-    if args.command == "apply":
-        family = interaction.apply(extraction.extract(_term_argument(args)), _family_argument(args))
-        print(registers.render_family(family), file=out)
-        return 0
-    if args.command == "abstract":
-        thread = extraction.extract(_term_argument(args))
-        if args.family or args.family_file:
-            thread = interaction.use(thread, _family_argument(args))
-        print(threads.render_thread(interaction.abstract_tau(thread)), file=out)
-        return 0
-    if args.command == "simulate":
-        outcome, family = interaction.simulate(_term_argument(args), _family_argument(args), args.fuel)
-        print(f"{outcome.value} {registers.render_family(family)}", file=out)
-        return 0
-    if args.command == "computes":
-        verdict = compute.computes_check(_term_argument(args), _table_argument(args), args.aux)
-        print("true" if verdict else "false", file=out)
-        return 0 if verdict else 1
-    if args.command == "compile-table":
-        print(syntax.render_term(compute.compile_table(_table_argument(args))), file=out)
-        return 0
-    if args.command == "restrict-core":
-        term = compute.restrict_to_core(_term_argument(args), _convention(args))
-        print(syntax.render_term(term), file=out)
-        return 0
-    if args.command == "search":
-        table = _table_argument(args)
-        result = compute.search_shortest(table, args.aux, args.max_len, args.max_nodes)
-        if result is None:
-            print("none", file=out)
-            return 1
-        print(syntax.render_term(result), file=out)
-        return 0
-    raise _CliError(f"unknown subcommand {args.command!r}")
 
 
 _VALUE_OPTIONS = {
@@ -268,11 +251,10 @@ def run_command(argv: Sequence[str]) -> tuple[int, str, str]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), out.getvalue(), err.getvalue()
     try:
-        code = _dispatch(args, out, err)
+        code, line = args.run(args)
     except (_CliError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2, out.getvalue(), err.getvalue()
-    return code, out.getvalue(), err.getvalue()
+        return 2, "", f"error: {exc}\n"
+    return code, f"{line}\n", ""
 
 
 def main() -> None:

@@ -56,6 +56,7 @@ frontiers it expands bounds its work.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -102,13 +103,9 @@ class IoConvention:
         return Focus("aux", i)
 
     def check_focus(self, focus: Focus) -> None:
-        if focus.name == "in" and focus.index is not None and focus.index <= self.n:
-            return
-        if focus.name == "out" and focus.index is not None and focus.index <= self.m:
-            return
-        if focus.name == "aux" and focus.index is not None and focus.index <= self.k:
-            return
-        raise ValueError(f"focus {focus} is outside the in/out/aux convention {self}")
+        count = {"in": self.n, "out": self.m, "aux": self.k}.get(focus.name, 0)
+        if focus.index is None or focus.index > count:
+            raise ValueError(f"focus {focus} is outside the in/out/aux convention {self}")
 
 
 # A decoded instruction is None for ``!``, its step for a jump (0 is
@@ -258,14 +255,9 @@ def computes_check(t: InstructionSequenceTerm, table: FunctionTable, k: int) -> 
     """Does the program compute the table, with k auxiliary registers?"""
     conv = IoConvention(table.n, table.m, k)
     _, code = _validate_program(t, conv)
-    if conv.m == 0:
-        return True  # both row conditions require the empty family
-    start = 0
-    for got in _outputs(code, conv):
-        if got != table.outputs[start : start + len(got)]:
-            return False
-        start += len(got)
-    return True
+    rows = itertools.chain.from_iterable(_outputs(code, conv))  # a chunk runs when its first row is read
+    # with no outputs both row conditions require the empty family
+    return conv.m == 0 or all(map(operator.eq, rows, table.outputs))
 
 
 def functionally_equivalent(

@@ -50,14 +50,6 @@ def evaluate_family(t: RegisterFamilyTerm) -> RegisterFamily:
     return out
 
 
-def compose(left: RegisterFamily, right: RegisterFamily) -> RegisterFamily:
-    """Union of two families; same-name registers collapse to inoperative."""
-    out = dict(left)
-    for focus, content in right.items():
-        out[focus] = RegisterContent.INOPERATIVE if focus in out else content
-    return out
-
-
 def render_family(family: RegisterFamily) -> str:
     if not family:
         return "{}"

@@ -77,10 +77,6 @@ class RegisterContent(enum.Enum):
         return self.value
 
 
-def content_of_bit(bit: bool) -> RegisterContent:
-    return RegisterContent.ONE if bit else RegisterContent.ZERO
-
-
 # ---------------------------------------------------------------------------
 # foci and basic instructions
 
@@ -314,18 +310,6 @@ def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
     return prefix
 
 
-def iter_basics(t: InstructionSequenceTerm) -> Iterator[BasicInstruction]:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Concat):
-            stack.extend((node.right, node.left))
-        elif isinstance(node, Repeat):
-            stack.append(node.body)
-        elif isinstance(node, (Plain, PosTest, NegTest)):
-            yield node.basic
-
-
 # ---------------------------------------------------------------------------
 # register family terms
 
@@ -373,10 +357,7 @@ class FunctionTable:
     outputs: tuple[Optional[str], ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise ValueError("table arity must be natural")
-        if len(self.outputs) != 2**self.n:
-            raise ValueError(f"table needs {2 ** self.n} rows, got {len(self.outputs)}")
+        _check_shape(self.n, self.m, len(self.outputs))
         for out in self.outputs:
             if out is not None and (len(out) != self.m or set(out) - {"0", "1"}):
                 raise ValueError(f"output {out!r} is not a {self.m}-bit string")
@@ -395,16 +376,23 @@ class FunctionTable:
         return self.outputs[int(bits, 2)] if bits else self.outputs[0]
 
 
+def _check_shape(n: int, m: int, count: int) -> None:
+    """Refuse a negative arity, or a row count other than 2**n; 2**n is
+    only computed once the count's bit length shows that n is small."""
+    if n < 0 or m < 0:
+        raise ValueError("table arity must be natural")
+    if count.bit_length() != n + 1 or count != 2**n:
+        raise ValueError(f"table needs 2**{n} rows, got {count}")
+
+
 def table_from_rows(n: int, m: int, rows: dict[str, Optional[str]]) -> FunctionTable:
+    _check_shape(n, m, len(rows))
     outputs: list[Optional[str]] = []
-    for v in range(2**n):
+    for v in range(2**n):  # there are 2**n keys, so one that is not a row leaves a row missing
         bits = format(v, f"0{n}b") if n else ""
         if bits not in rows:
             raise ValueError(f"missing table row for input {bits!r}")
         outputs.append(rows[bits])
-    if len(rows) != 2**n:
-        extra = set(rows) - {format(v, f"0{n}b") if n else "" for v in range(2**n)}
-        raise ValueError(f"unexpected table rows: {sorted(extra)}")
     return FunctionTable(n, m, tuple(outputs))
 
 

@@ -9,20 +9,19 @@ Equality of threads is bisimilarity; by the approximation induction
 principle this coincides with equality of all finite projections.  Both
 kernels here work on three int arrays: a label, a true successor and a
 false successor per state, with each leaf a self-loop under a label of its
-own.  ``bisimulation_classes``, ``minimize``, ``threads_equal`` and
-``interaction.abstract_tau`` translate nodes into these arrays;
-:mod:`extraction` writes its position graphs and ``interaction.use`` its
-product into them directly.  Every thread the library minimizes ends in
-``_quotient``.  ``_chain_ends`` is the one rule for chains, of jumps in a
-sequence (``canonical._landings``) and of tau steps (``abstract_tau``): a
-chain lands on its first real step, or on inaction at a 0-jump or a cycle,
-and one memoized walk resolves every chain in time linear in its links.
+own.  ``minimize``, ``threads_equal`` and ``interaction.abstract_tau``
+translate nodes into these arrays; :mod:`extraction` writes its position
+graphs and ``interaction.use`` its product into them directly.  Every
+thread the library minimizes ends in ``_quotient``.  ``_chain_ends`` is
+the one rule for chains, of jumps in a sequence (``canonical._landings``)
+and of tau steps (``abstract_tau``): a chain lands on its first real step,
+or on inaction at a 0-jump or a cycle, and one memoized walk resolves
+every chain in time linear in its links.
 
-Where the answer is a partition (``bisimulation_classes`` and
-``_quotient``), ``_classes`` refines every state by Hopcroft's algorithm
-(Hopcroft 1971, in the array form of Valmari, "Fast
-brief practical DFA minimization", IPL 2012), starting from one block per
-label: a splitter block marks the predecessors of its states under one
+Where the answer is a partition (``_quotient``), ``_classes`` refines every
+state by Hopcroft's algorithm (Hopcroft 1971, in the array form of Valmari,
+"Fast brief practical DFA minimization", IPL 2012), starting from one block
+per label: a splitter block marks the predecessors of its states under one
 successor map, every block it cuts is split, and the smaller part becomes a
 new splitter.  A state then lies in a splitter at most log2(n) + 1 times,
 and each state has two successor edges, so the refinement is O(n log n) for
@@ -356,13 +355,6 @@ def _arrays(*node_lists: Sequence[Node]) -> tuple[dict, list[int], list[int], li
                 on_true.append(state)
                 on_false.append(state)
     return kinds, label, on_true, on_false
-
-
-def bisimulation_classes(nodes: Sequence[Node]) -> list[int]:
-    """Class index per state, numbered by first occurrence; equal class
-    means bisimilar."""
-    _, *graph = _arrays(nodes)
-    return _classes(*graph)
 
 
 def minimize(t: RegularThread) -> RegularThread:

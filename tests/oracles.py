@@ -28,13 +28,17 @@ over the named registers and ``simulate``'s cycle finding.
 ``abstract_tau`` walks the tau chain afresh from every state that enters
 it, where the library resolves every chain once; ``compile_table`` lays its
 tree out by label/goto marks, where the library relocates a heap of blocks.
+The last four helpers are not oracles but test conveniences that no library
+code calls: ``content_of_bit``, ``iter_basics``, ``compose`` of evaluated
+families, and ``hopcroft_classes``, the partition the library's refinement
+(``threads._classes``) finds on a node list.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from iseq.compute import IoConvention, _Op, _core_read, _decode, _search_alphabet
 from iseq.interaction import Outcome
@@ -67,7 +71,7 @@ from iseq.syntax import (
     flatten,
     focus_sort_key,
 )
-from iseq.threads import TAU, Branch, Dead, Node, RegularThread, Stop
+from iseq.threads import TAU, Branch, Dead, Node, RegularThread, Stop, _arrays, _classes
 
 
 def normalize(prefix, period):
@@ -1013,3 +1017,38 @@ def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
         items.append(("label", ("leaf", bits)))
         items.extend(_leaf_instructions(conv, value))
     return concat_all(_assemble(items))
+
+
+# ---------------------------------------------------------------------------
+# test conveniences
+
+
+def content_of_bit(bit: bool) -> RegisterContent:
+    return RegisterContent.ONE if bit else RegisterContent.ZERO
+
+
+def iter_basics(t: InstructionSequenceTerm) -> Iterator[BasicInstruction]:
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Concat):
+            stack.extend((node.right, node.left))
+        elif isinstance(node, Repeat):
+            stack.append(node.body)
+        elif isinstance(node, (Plain, PosTest, NegTest)):
+            yield node.basic
+
+
+def compose(left: RegisterFamily, right: RegisterFamily) -> RegisterFamily:
+    """Union of two families; same-name registers collapse to inoperative."""
+    out = dict(left)
+    for focus, content in right.items():
+        out[focus] = RegisterContent.INOPERATIVE if focus in out else content
+    return out
+
+
+def hopcroft_classes(nodes: Sequence[Node]) -> list[int]:
+    """Class index per state by ``threads._classes``, numbered by first
+    occurrence; equal class means bisimilar."""
+    _, *graph = _arrays(nodes)
+    return _classes(*graph)

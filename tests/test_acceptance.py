@@ -37,8 +37,6 @@ from iseq.syntax import (
     Repeat,
     UnaryBoolFunc,
     concat_all,
-    content_of_bit,
-    iter_basics,
     leaves,
     parse_instruction_sequence as parse,
     parse_register_family,
@@ -57,6 +55,7 @@ from iseq.threads import (
 )
 
 from .genterms import CORE_PAIRS, equal_variant, random_register_program, random_term
+from .oracles import content_of_bit, iter_basics
 
 SEED = 20240810
 

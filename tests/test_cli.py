@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import iseq
+from iseq import cli
 from iseq.cli import run_command
 
 
@@ -219,6 +220,36 @@ def test_help_lists_subcommands():
         "abstract", "simulate", "computes", "compile-table", "restrict-core", "search",
     ):
         assert name in text
+
+
+def test_value_options_are_every_option_that_takes_a_value():
+    """``_VALUE_OPTIONS``, which ``_join_option_values`` joins to the next
+    argument, holds exactly the option strings of every action that takes a
+    value, across all 13 subcommands."""
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions if action.choices and action.dest == "command"]
+    assert len(commands.choices) == 13
+    taking = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.nargs != 0
+        for option in action.option_strings
+    }
+    assert cli._VALUE_OPTIONS == taking
+
+
+def test_huge_or_negative_table_header_exits_2_with_a_short_message(tmp_path):
+    """A table file holding only the header ``inputs 10000000 outputs 1``
+    is refused by its row count, without spelling out a 10**7-bit row; a
+    negative input count is refused rather than raising TypeError."""
+    table = tmp_path / "header.tbl"
+    for header, message in (
+        ("inputs 10000000 outputs 1", "table needs 2**10000000 rows, got 0"),
+        ("inputs -1 outputs 1", "table arity must be natural"),
+    ):
+        table.write_text(header + "\n")
+        assert run("compile-table", "--table", str(table)) == (2, "", f"error: {message}\n")
 
 
 def test_negative_budgets_exit_2(tmp_path):

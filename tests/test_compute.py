@@ -27,8 +27,6 @@ from iseq.syntax import (
     RegisterAction,
     UnaryBoolFunc,
     concat_all,
-    content_of_bit,
-    iter_basics,
     leaves,
     parse_function_table,
     parse_instruction_sequence as parse,
@@ -37,6 +35,7 @@ from iseq.syntax import (
 )
 
 from . import oracles
+from .oracles import content_of_bit, iter_basics
 from .genterms import CORE_PAIRS, random_register_program
 
 ID_TABLE = parse_function_table("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n")
@@ -336,6 +335,34 @@ def test_row_masks_match_the_per_row_oracle_in_chunks_of_four_rows(monkeypatch):
         swapped[rng.randrange(3)] = leaves(random_register_program(rng, conv_foci(conv), 1)[0])[0]
         other = concat_all(swapped)
         assert functionally_equivalent(prog, other, conv) is (oracles.row_outputs(other, conv) == want)
+
+
+@pytest.mark.parametrize("row", [0, 5, 15])
+def test_checks_stop_at_the_first_chunk_that_differs(monkeypatch, row):
+    """With chunks cut down to 4 rows, a 4-input table runs in 4 chunks.
+    Against a table changed only in ``row``, ``computes_check`` runs the
+    chunks up to that row's and no more, and ``functionally_equivalent`` of
+    the two compiled programs runs both on those chunks; where nothing
+    differs, every chunk runs."""
+    monkeypatch.setattr(compute, "_CHUNK_BITS", 2)
+    calls = []
+    run_rows = compute._run_rows
+    monkeypatch.setattr(compute, "_run_rows", lambda *args: calls.append(args) or run_rows(*args))
+    rng = random.Random(row)
+    outputs = [rng.choice(("0", "1")) for _ in range(16)]
+    table = FunctionTable(4, 1, tuple(outputs))
+    outputs[row] = "1" if outputs[row] == "0" else "0"
+    changed = FunctionTable(4, 1, tuple(outputs))
+    prog, conv = compile_table(table), IoConvention(4, 1)
+    chunks = row // 4 + 1
+    for check, want, runs in (
+        (lambda: computes_check(prog, changed, 0), False, chunks),
+        (lambda: computes_check(prog, table, 0), True, 4),
+        (lambda: functionally_equivalent(prog, compile_table(changed), conv), False, 2 * chunks),
+        (lambda: functionally_equivalent(prog, compile_table(table), conv), True, 8),
+    ):
+        calls.clear()
+        assert (check(), len(calls)) == (want, runs)
 
 
 # -- compile_table ----------------------------------------------------------------

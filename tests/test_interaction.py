@@ -22,7 +22,6 @@ from iseq.syntax import (
     Repeat,
     UnaryBoolFunc,
     concat_all,
-    content_of_bit,
     leaves,
     parse_instruction_sequence as parse,
     parse_register_family,
@@ -41,6 +40,7 @@ from iseq.threads import (
 )
 
 from . import oracles
+from .oracles import content_of_bit
 from .genterms import random_register_program, random_term
 
 ID = UnaryBoolFunc.IDENTITY

@@ -2,7 +2,7 @@ import functools
 import itertools
 import random
 
-from iseq.registers import compose, evaluate_family, render_family
+from iseq.registers import evaluate_family, render_family
 from iseq.syntax import (
     ComposeFamily,
     EmptyFamily,
@@ -12,6 +12,8 @@ from iseq.syntax import (
     SingletonFamily,
     parse_register_family as parse,
 )
+
+from .oracles import compose
 
 ZERO = RegisterContent.ZERO
 ONE = RegisterContent.ONE

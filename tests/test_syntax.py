@@ -14,6 +14,7 @@ from iseq.syntax import (
     Concat,
     EmptyFamily,
     Focus,
+    FunctionTable,
     Halt,
     HideFamily,
     Jump,
@@ -34,6 +35,7 @@ from iseq.syntax import (
     render_family_term,
     render_function_table,
     render_term,
+    table_from_rows,
 )
 
 from . import oracles
@@ -221,6 +223,26 @@ def test_parse_partial_table():
 def test_table_errors(text):
     with pytest.raises(ValueError):
         parse_function_table(text)
+
+
+def test_table_row_count_is_checked_before_any_row():
+    """The row count is compared with 2**n by its bit length, so a table of
+    20,000 or 10**7 inputs with no rows is refused at once, with a short
+    message, before 2**n is spelt out in decimal or any n-bit row is
+    formatted; a key that is not a row still reads as a missing row."""
+    for n in (20_000, 10**7):
+        with pytest.raises(ValueError) as info:
+            FunctionTable(n, 1, ())
+        assert str(info.value) == f"table needs 2**{n} rows, got 0"
+        with pytest.raises(ValueError) as info:
+            table_from_rows(n, 1, {})
+        assert str(info.value) == f"table needs 2**{n} rows, got 0"
+    with pytest.raises(ValueError, match=r"^table needs 2\*\*1 rows, got 3$"):
+        FunctionTable(1, 1, ("0", "1", "1"))
+    with pytest.raises(ValueError, match=r"^table arity must be natural$"):
+        parse_function_table("inputs -1 outputs 1\n")
+    with pytest.raises(ValueError, match=r"^missing table row for input '1'$"):
+        table_from_rows(1, 1, {"0": "1", "x": "0"})
 
 
 def test_table_render_round_trip():
