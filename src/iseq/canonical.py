@@ -74,7 +74,7 @@ def normalize_ultimately_periodic(
     return pre, per
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalSeq:
     """Flat eventually-periodic instruction sequence.
 

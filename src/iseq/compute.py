@@ -81,7 +81,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IoConvention:
     """Register naming convention: in:1..n, out:1..m, aux:1..k."""
 
@@ -144,9 +144,10 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
 
 def _validate_program(
     t: InstructionSequenceTerm, conv: IoConvention
-) -> tuple[list[PrimitiveInstruction], list[_Op]]:
-    """The program's instructions and their decoding, each distinct
-    instruction object checked and decoded once (a parse shares them)."""
+) -> tuple[list[PrimitiveInstruction], list[_Op], set[int]]:
+    """The program's instructions, their decoding and the slots of the
+    inputs it names, each distinct instruction object checked and decoded
+    once (a parse shares them)."""
     try:
         instrs = leaves(t)
     except ValueError:
@@ -158,8 +159,10 @@ def _validate_program(
             if isinstance(instr.basic, AbstractAction):
                 raise ValueError(f"abstract action {instr.basic} is not a register instruction")
             conv.check_focus(instr.basic.focus)
-    ops = dict(zip(distinct, _decode(list(distinct.values()), conv)))
-    return instrs, list(map(ops.__getitem__, keys))
+    decoded = _decode(list(distinct.values()), conv)
+    named = {op[0] for op in decoded if type(op) is tuple and op[0] < conv.n}
+    ops = dict(zip(distinct, decoded))
+    return instrs, list(map(ops.__getitem__, keys)), named
 
 
 def _run_rows(code: Sequence[_Op], regs: list[int], rows: int) -> int:
@@ -247,14 +250,14 @@ def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTab
     """
     if conv.m == 0:
         raise ValueError("programs without output registers induce no unique table")
-    _, code = _validate_program(t, conv)
+    _, code, _ = _validate_program(t, conv)
     return FunctionTable(conv.n, conv.m, tuple(itertools.chain.from_iterable(_outputs(code, conv))))
 
 
 def computes_check(t: InstructionSequenceTerm, table: FunctionTable, k: int) -> bool:
     """Does the program compute the table, with k auxiliary registers?"""
     conv = IoConvention(table.n, table.m, k)
-    _, code = _validate_program(t, conv)
+    _, code, _ = _validate_program(t, conv)
     rows = itertools.chain.from_iterable(_outputs(code, conv))  # a chunk runs when its first row is read
     # with no outputs both row conditions require the empty family
     return conv.m == 0 or all(map(operator.eq, rows, table.outputs))
@@ -267,11 +270,22 @@ def functionally_equivalent(
 
     They do when, on every input row, both terminate with equal outputs or
     neither terminates; a row's outputs count only where it terminates.
+    An input neither program names never changes a row's run, so only the
+    n' named inputs vary: they are renumbered in:1..n', and the rows are
+    those of ``IoConvention(n', m, k)``.
     """
-    _, code = _validate_program(t, conv)
-    _, code2 = _validate_program(t2, conv)
+    _, code, named = _validate_program(t, conv)
+    _, code2, named2 = _validate_program(t2, conv)
     if conv.m == 0:
         return True  # every program computes every function onto zero outputs
+    named = sorted(named | named2)
+    if len(named) < conv.n:
+        place, gap = dict(zip(named, range(len(named)))), conv.n - len(named)
+        code, code2 = (
+            [op if type(op) is not tuple else (place.get(op[0], op[0] - gap), *op[1:]) for op in c]
+            for c in (code, code2)
+        )
+        conv = IoConvention(len(named), conv.m, conv.k)
     outs = slice(conv.n, conv.n + conv.m)
     for rows, regs in _chunks(conv, max(len(code), len(code2))):
         regs2 = list(regs)
@@ -397,7 +411,7 @@ def restrict_to_core(
     then every jump and exit is relocated to the start of its target's
     block.
     """
-    instrs, code = _validate_program(t, conv)
+    instrs, code, _ = _validate_program(t, conv)
     total = len(instrs)
     reached = [True] + [False] * (total + 1)
     options: list[list[tuple]] = []  # per position: (slots, needs, offers)

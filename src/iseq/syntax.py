@@ -81,7 +81,7 @@ class RegisterContent(enum.Enum):
 # foci and basic instructions
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Focus:
     """Name of a Boolean register, e.g. ``aux:3`` or a bare ``f``."""
 
@@ -98,7 +98,7 @@ class Focus:
         return f"{self.name}:{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbstractAction:
     """Uninterpreted basic instruction of the generic theory (a bare name)."""
 
@@ -108,7 +108,7 @@ class AbstractAction:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterAction:
     """Basic Boolean register instruction ``f.p/q``.
 
@@ -131,7 +131,7 @@ BasicInstruction = AbstractAction | RegisterAction
 # primitive instructions and sequence terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plain:
     basic: BasicInstruction
 
@@ -139,7 +139,7 @@ class Plain:
         return str(self.basic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosTest:
     basic: BasicInstruction
 
@@ -147,7 +147,7 @@ class PosTest:
         return f"+{self.basic}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegTest:
     basic: BasicInstruction
 
@@ -155,7 +155,7 @@ class NegTest:
         return f"-{self.basic}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Jump:
     offset: int
 
@@ -167,7 +167,7 @@ class Jump:
         return f"#{self.offset}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halt:
     def __str__(self) -> str:
         return "!"
@@ -207,6 +207,8 @@ class _Pair:
     explicit-stack walk, so a long composition never reaches the
     interpreter's recursion limit.  ``repr`` gives the dataclass text."""
 
+    __slots__ = ()
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -236,13 +238,13 @@ class _Pair:
         return _from_preorder, (type(self), tuple(_preorder(self, type(self))))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Concat(_Pair):
     left: "InstructionSequenceTerm"
     right: "InstructionSequenceTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Repeat:
     body: "InstructionSequenceTerm"
 
@@ -314,24 +316,24 @@ def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
 # register family terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmptyFamily:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingletonFamily:
     focus: Focus
     content: RegisterContent
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ComposeFamily(_Pair):
     left: "RegisterFamilyTerm"
     right: "RegisterFamilyTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HideFamily:
     hidden: frozenset[Focus]
     body: "RegisterFamilyTerm"
@@ -344,7 +346,7 @@ RegisterFamilyTerm = EmptyFamily | SingletonFamily | ComposeFamily | HideFamily
 # function tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionTable:
     """Explicit partial function from n-bit strings to m-bit strings.
 

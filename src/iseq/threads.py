@@ -59,17 +59,17 @@ TAU = _Tau()
 Action = BasicInstruction | _Tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stop:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dead:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     action: Action
     on_true: int
@@ -79,7 +79,7 @@ class Branch:
 Node = Stop | Dead | Branch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularThread:
     nodes: tuple[Node, ...]
     root: int = 0

@@ -83,6 +83,14 @@ def test_equiv_functional_on_20_inputs_exits_within_a_second():
     assert time.perf_counter() - start < 1
 
 
+def test_equiv_functional_on_a_million_inputs_runs_only_the_named_ones():
+    """Neither ``!`` nor ``#0`` names an input, so a million inputs cost one
+    row; ``!`` and ``!;!`` agree on all 2**64 rows of 64 inputs."""
+    argv = ["equiv", "--relation", "functional", "--outputs", "1"]
+    assert run_command([*argv, "--inputs", "1000000", "-e", "!", "-e", "#0"]) == (1, "false\n", "")
+    assert run_command([*argv, "--inputs", "64", "-e", "!", "-e", "!;!"]) == (0, "true\n", "")
+
+
 def test_extract_prints_equations():
     code, out, _ = run("extract", "-e", "(+a;#2;#3;b;!)*")
     assert code == 0

@@ -290,15 +290,68 @@ def test_row_chunks_on_either_side_of_a_chunk_boundary(n):
     """Rows run in chunks of 2**16, so in:1 is fixed within each chunk and
     in:n alternates inside every one.  Two programs that differ only where
     in:1 (or in:n) is set are told apart, and two that compute the same
-    function through either input are not."""
+    function through either input are not.  Each program starts by reading
+    every input, which changes nothing, so that all n inputs are named and
+    every row runs."""
     conv = IoConvention(n, 1, 0)
-    ones = parse("out:1.1/1;!")
+    reads = "".join(f"in:{j}.i/i;" for j in range(1, n + 1))
+    ones = parse(f"{reads}out:1.1/1;!")
     for i in (1, n):
-        zero_where_set = parse(f"+in:{i}.i/i;!;out:1.1/1;!")
-        same = parse(f"-in:{i}.i/i;out:1.1/1;!;!")
+        zero_where_set = parse(f"{reads}+in:{i}.i/i;!;out:1.1/1;!")
+        same = parse(f"{reads}-in:{i}.i/i;out:1.1/1;!;!")
         assert not functionally_equivalent(ones, zero_where_set, conv)
         assert not functionally_equivalent(zero_where_set, ones, conv)
         assert functionally_equivalent(zero_where_set, same, conv)
+
+
+def test_functional_equivalence_over_the_named_inputs_matches_every_row():
+    """300 seeded pairs of programs of 3 to 20 instructions under n = 1..8
+    inputs, each program naming a random subset of them (none to all), so
+    that the scope is padded with inputs neither names.
+    ``functionally_equivalent``, which runs only the named inputs' rows,
+    decides each pair as the full row runs do: ``induced_table`` over all
+    2**n rows and the oracle's one run per row.  The pairs are the program
+    against its core translation, against itself followed by
+    ``out:1.c/c``, and against a second program over another subset."""
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for case in range(100):
+        conv = IoConvention(rng.randint(1, 8), rng.randint(1, 2), rng.randint(0, 1))
+        others = conv_foci(IoConvention(0, conv.m, conv.k))
+
+        def program():
+            named = rng.sample(range(1, conv.n + 1), rng.randint(0, conv.n))
+            return random_register_program(rng, [conv.in_focus(i) for i in named] + others, rng.randint(3, 20))[0]
+
+        prog = program()
+        complement = Plain(RegisterAction(Focus("out", 1), UnaryBoolFunc.COMPLEMENT, UnaryBoolFunc.COMPLEMENT))
+        want = induced_table(prog, conv)
+        assert want.outputs == oracles.row_outputs(prog, conv)
+        for other in (restrict_to_core(prog, conv), concat_all([prog, complement]), program()):
+            full = induced_table(other, conv) == want
+            assert full is (oracles.row_outputs(other, conv) == want.outputs)
+            assert functionally_equivalent(prog, other, conv) is full, (prog, other, conv)
+            assert functionally_equivalent(other, prog, conv) is full, (prog, other, conv)
+            verdicts[full] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def test_functional_equivalence_runs_only_the_named_inputs(monkeypatch):
+    """``!`` against ``!;!`` names no input, so at n = 20 both programs run
+    one row once each, where all 2**20 rows took 16 chunks of 2**16 each;
+    an input named by one program alone counts, and so does its place."""
+    calls = []
+    run_rows = compute._run_rows
+    monkeypatch.setattr(compute, "_run_rows", lambda *args: calls.append(args) or run_rows(*args))
+    conv = IoConvention(20, 1, 0)
+    assert functionally_equivalent(parse("!"), parse("!;!"), conv)
+    assert len(calls) == 2 and calls[0][2] == 1
+    calls.clear()
+    assert not functionally_equivalent(parse("!"), parse("+in:20.i/i;!;#0"), conv)
+    assert len(calls) == 2 and calls[0][2] == 0b11
+    assert functionally_equivalent(parse("+in:7.1/i;!;#0"), parse("!"), conv)
+    assert functionally_equivalent(parse("+in:3.i/i;out:1.1/1;!"), parse("-in:3.i/i;#2;out:1.1/1;!"), conv)
+    assert not functionally_equivalent(parse("+in:3.i/i;out:1.1/1;!"), parse("+in:4.i/i;out:1.1/1;!"), conv)
 
 
 def test_row_masks_of_a_compiled_13_input_table_stay_small():
