@@ -72,13 +72,3 @@ from .threads import (
     threads_equal,
 )
 
-
-def render(value) -> str:
-    """Deterministic text for terms, family terms, evaluated families and threads."""
-    if isinstance(value, RegularThread):
-        return render_thread(value)
-    if isinstance(value, RegisterFamilyTerm):
-        return render_family_term(value)
-    if isinstance(value, dict):
-        return render_family(value)
-    return render_term(value)

@@ -19,6 +19,8 @@ that will ever stand there has arrived, and a row's registers change only
 where it stands: the final masks hold what each row computes.  Rows run
 in chunks of at most 2**16, fewer for a long program, so a mask takes at
 most 8 KB and a chunk's masks about 8 MB, however many inputs there are.
+A register no program names never changes a row's run, so the registers
+are renumbered densely first, and a register count costs nothing itself.
 
 That run equals extract, then ``use`` on the in/aux family, then ``apply``
 on the out family.  The two families are disjoint, so ``use`` carries out
@@ -55,6 +57,7 @@ frontiers it expands bounds its work.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -145,9 +148,9 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
 def _validate_program(
     t: InstructionSequenceTerm, conv: IoConvention
 ) -> tuple[list[PrimitiveInstruction], list[_Op], set[int]]:
-    """The program's instructions, their decoding and the slots of the
-    inputs it names, each distinct instruction object checked and decoded
-    once (a parse shares them)."""
+    """The program's instructions, their decoding and the register slots
+    it names, each distinct instruction object checked and decoded once (a
+    parse shares them)."""
     try:
         instrs = leaves(t)
     except ValueError:
@@ -160,7 +163,7 @@ def _validate_program(
                 raise ValueError(f"abstract action {instr.basic} is not a register instruction")
             conv.check_focus(instr.basic.focus)
     decoded = _decode(list(distinct.values()), conv)
-    named = {op[0] for op in decoded if type(op) is tuple and op[0] < conv.n}
+    named = {op[0] for op in decoded if type(op) is tuple}
     ops = dict(zip(distinct, decoded))
     return instrs, list(map(ops.__getitem__, keys)), named
 
@@ -242,6 +245,27 @@ def _outputs(code: Sequence[_Op], conv: IoConvention) -> Iterator[tuple[Optional
         yield tuple(out if flag == "1" else None for flag, out in zip(format(done, spell)[::-1], got))
 
 
+def _dense(
+    terms: Sequence[InstructionSequenceTerm], conv: IoConvention, keep: int = 0
+) -> tuple[list[list[_Op]], IoConvention]:
+    """The validated programs, decoded, with the register slots any of them
+    names and the first ``keep`` renumbered 0, 1, ... in slot order, and the
+    convention of as many inputs, outputs and auxiliary registers as these
+    slots hold of each.  A register no program names never changes a row's
+    run and ends as it started.  Already dense slots keep the code as it is."""
+    codes, slots = [], set(range(keep))
+    for t in terms:
+        _, code, named = _validate_program(t, conv)
+        codes.append(code)
+        slots |= named
+    slots = sorted(slots)
+    ins, ins_outs = bisect.bisect_left(slots, conv.n), bisect.bisect_left(slots, conv.n + conv.m)
+    if slots and slots[-1] >= len(slots):
+        place = dict(zip(slots, range(len(slots))))
+        codes = [[op if type(op) is not tuple else (place[op[0]], *op[1:]) for op in code] for code in codes]
+    return codes, IoConvention(ins, ins_outs - ins, len(slots) - ins_outs)
+
+
 def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTable:
     """The partial function a program computes under the convention.
 
@@ -250,14 +274,13 @@ def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTab
     """
     if conv.m == 0:
         raise ValueError("programs without output registers induce no unique table")
-    _, code, _ = _validate_program(t, conv)
+    (code,), conv = _dense([t], conv, conv.n + conv.m)
     return FunctionTable(conv.n, conv.m, tuple(itertools.chain.from_iterable(_outputs(code, conv))))
 
 
 def computes_check(t: InstructionSequenceTerm, table: FunctionTable, k: int) -> bool:
     """Does the program compute the table, with k auxiliary registers?"""
-    conv = IoConvention(table.n, table.m, k)
-    _, code, _ = _validate_program(t, conv)
+    (code,), conv = _dense([t], IoConvention(table.n, table.m, k), table.n + table.m)
     rows = itertools.chain.from_iterable(_outputs(code, conv))  # a chunk runs when its first row is read
     # with no outputs both row conditions require the empty family
     return conv.m == 0 or all(map(operator.eq, rows, table.outputs))
@@ -270,24 +293,16 @@ def functionally_equivalent(
 
     They do when, on every input row, both terminate with equal outputs or
     neither terminates; a row's outputs count only where it terminates.
-    An input neither program names never changes a row's run, so only the
-    n' named inputs vary: they are renumbered in:1..n', and the rows are
-    those of ``IoConvention(n', m, k)``.
+    A register neither program names never changes a row's run, and an
+    output neither names stays 0 on both sides, so only the named registers
+    count: they are renumbered in slot order, and the rows are those of the
+    n' named inputs.
     """
-    _, code, named = _validate_program(t, conv)
-    _, code2, named2 = _validate_program(t2, conv)
+    (code, code2), dense = _dense([t, t2], conv)
     if conv.m == 0:
         return True  # every program computes every function onto zero outputs
-    named = sorted(named | named2)
-    if len(named) < conv.n:
-        place, gap = dict(zip(named, range(len(named)))), conv.n - len(named)
-        code, code2 = (
-            [op if type(op) is not tuple else (place.get(op[0], op[0] - gap), *op[1:]) for op in c]
-            for c in (code, code2)
-        )
-        conv = IoConvention(len(named), conv.m, conv.k)
-    outs = slice(conv.n, conv.n + conv.m)
-    for rows, regs in _chunks(conv, max(len(code), len(code2))):
+    outs = slice(dense.n, dense.n + dense.m)
+    for rows, regs in _chunks(dense, max(len(code), len(code2))):
         regs2 = list(regs)
         done = _run_rows(code, regs, rows)
         if done != _run_rows(code2, regs2, rows):
@@ -514,6 +529,12 @@ def search_shortest(
     generated is enough: the walk expands prefixes in lexicographic order,
     so it generates those of one length in that order too.
 
+    A program of at most ``max_len`` positions names at most ``max_len``
+    auxiliary registers, and renaming them aux:1, aux:2, ... in order of
+    first use gives a program of the same length that computes the same
+    function and comes no later, so only the first min(k, max_len) are
+    tried.
+
     Returns None when no program of length up to ``max_len`` computes the
     table.  Raises :class:`SearchBudgetExceeded`, naming the last length
     searched in full, when the walk would expand more than ``max_nodes``
@@ -524,7 +545,7 @@ def search_shortest(
         raise ValueError("max_len must be a natural number")
     if max_nodes < 0:
         raise ValueError("max_nodes must be a natural number")
-    conv = IoConvention(table.n, table.m, k)
+    conv = IoConvention(table.n, table.m, min(k, max_len))
     if conv.m == 0:
         return Halt() if max_len else None
     # A row's state is -1 once it ended with the right result; otherwise

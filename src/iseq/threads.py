@@ -19,13 +19,16 @@ or on inaction at a 0-jump or a cycle, and one memoized walk resolves
 every chain in time linear in its links.
 
 Where the answer is a partition (``_quotient``), ``_classes`` refines every
-state by Hopcroft's algorithm (Hopcroft 1971, in the array form of Valmari,
-"Fast brief practical DFA minimization", IPL 2012), starting from one block
-per label: a splitter block marks the predecessors of its states under one
-successor map, every block it cuts is split, and the smaller part becomes a
+state by Hopcroft's algorithm (Hopcroft 1971) over blocks held as sets of
+states, starting from one block per label: a splitter block groups the
+predecessors of its states under one successor map by block, every block
+met only in part is split, and the smaller part becomes a new block and a
 new splitter.  A state then lies in a splitter at most log2(n) + 1 times,
-and each state has two successor edges, so the refinement is O(n log n) for
-n states.  A graph whose labels are all distinct is returned at once.
+and each state has two successor edges, so the predecessor scans are
+O(n log n) for n states.  A split costs O(states met): the met part is
+built from them, and where it is the larger part the other one is a set
+difference of at most twice as many states.  A graph whose labels are all
+distinct is returned at once.
 
 Where the answer is whether given pairs of states are bisimilar
 (``threads_equal`` and both behavioural deciders), ``_bisimilar`` runs
@@ -143,90 +146,50 @@ def _classes(label: Sequence[int], on_true: Sequence[int], on_false: Sequence[in
     Classes are numbered in order of first occurrence.  Determinism makes
     bisimilarity the coarsest partition that refines the labels and is
     stable under both successor maps.  Hopcroft's refinement starts from one
-    block per label; that partition is stable under the single block of all
-    states, so every block but the largest suffices as a splitter.  Each
-    block is a contiguous run of ``elems``; the states a splitter marks in a
-    block are moved to the front of its run, and the smaller of the marked
-    and unmarked parts becomes a new block and a new splitter.
+    block per label, each a set of states; that partition is stable under
+    the single block of all states, so every block but the largest suffices
+    as a splitter.  Under each successor map a splitter's predecessors are
+    grouped by block, every block they meet in part is split, and the
+    smaller part (the met one on a tie) becomes a new block and a new
+    splitter.  Each state has one successor per map, so a splitter meets a
+    state at most once per map; where the larger part was met, the other
+    part is a set difference of at most twice the states met, so a split
+    costs no more than the scan that found them, and the whole refinement
+    stays O(n log n).
     """
     keys: dict[int, int] = {}
     block = [keys.setdefault(lab, len(keys)) for lab in label]
-    count = len(keys)
-    if count == len(block):
+    if len(keys) == len(block):
         return block  # every label distinct, numbered by first occurrence
+    blocks: list[set[int]] = [set() for _ in keys]
     pred_true: list[list[int]] = [[] for _ in block]
     pred_false: list[list[int]] = [[] for _ in block]
-    groups: list[list[int]] = [[] for _ in range(count)]
     for state, (b, t, f) in enumerate(zip(block, on_true, on_false)):
-        groups[b].append(state)
+        blocks[b].add(state)
         pred_true[t].append(state)
         pred_false[f].append(state)
-    elems: list[int] = []
-    first: list[int] = []
-    end: list[int] = []
-    for members in groups:
-        first.append(len(elems))
-        elems += members
-        end.append(len(elems))
-    largest = max(range(count), key=lambda b: len(groups[b]))
-    pending = [b for b in range(count) if b != largest]
-    where = [0] * len(block)
-    for i, state in enumerate(elems):
-        where[state] = i
-    marked = first[:]
+    largest = max(range(len(blocks)), key=lambda b: len(blocks[b]))
+    pending = [b for b in range(len(blocks)) if b != largest]
     while pending:
-        splitter = pending.pop()
-        members = elems[first[splitter] : end[splitter]]
+        members = list(blocks[pending.pop()])
         for preds in (pred_true, pred_false):
-            touched = []
+            met: dict[int, list[int]] = {}
             for state in members:
                 for p in preds[state]:
-                    b = block[p]
-                    i = where[p]
-                    j = marked[b]
-                    if i < j:
-                        continue  # already marked
-                    if i != j:
-                        other = elems[j]
-                        elems[i] = other
-                        where[other] = i
-                        elems[j] = p
-                        where[p] = j
-                    if j == first[b]:
-                        touched.append(b)
-                    marked[b] = j + 1
-            for b in touched:
-                lo, mid, hi = first[b], marked[b], end[b]
-                marked[b] = lo
-                if mid == hi:
-                    continue  # every state of the block was marked
-                new = len(first)
-                if mid - lo <= hi - mid:
-                    first.append(lo)
-                    end.append(mid)
-                    marked.append(lo)
-                    first[b] = marked[b] = mid
-                    part = range(lo, mid)
-                else:
-                    first.append(mid)
-                    end.append(hi)
-                    marked.append(mid)
-                    end[b] = mid
-                    part = range(mid, hi)
-                for i in part:
-                    block[elems[i]] = new
+                    met.setdefault(block[p], []).append(p)
+            for b, part in met.items():
+                whole = blocks[b]
+                if len(part) == len(whole):
+                    continue  # the splitter meets every state of the block
+                part = whole.difference(part) if 2 * len(part) > len(whole) else set(part)
+                whole -= part
+                new = len(blocks)
+                blocks.append(part)
+                for p in part:
+                    block[p] = new
                 pending.append(new)
-    # renumber by first occurrence
-    number = [-1] * len(first)
-    classes = []
-    seen = 0
-    for b in block:
-        cls = number[b]
-        if cls < 0:
-            cls = number[b] = seen
-            seen += 1
-        classes.append(cls)
-    return classes
+    number: dict[int, int] = {}
+    return [number.setdefault(b, len(number)) for b in block]
 
 
 def _bisimilar(

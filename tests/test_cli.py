@@ -4,6 +4,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import iseq
 from iseq import cli
 from iseq.cli import run_command
@@ -258,6 +260,54 @@ def test_huge_or_negative_table_header_exits_2_with_a_short_message(tmp_path):
     ):
         table.write_text(header + "\n")
         assert run("compile-table", "--table", str(table)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty table: expected a header 'inputs <n> outputs <m>'"),
+        ("inputs 1 output 1\n", "bad table header 'inputs 1 output 1'"),
+        ("inputs one outputs 1\n", "bad table header 'inputs one outputs 1'"),
+        ("inputs 1 outputs 1\n0 0\n", "bad table row '0 0'"),
+        ("inputs 1 outputs 1\n00 -> 0\n1 -> 1\n", "input '00' is not a 1-bit string"),
+        ("inputs 1 outputs 1\n2 -> 0\n1 -> 1\n", "input '2' is not a 1-bit string"),
+        ("inputs 1 outputs 1\n0 -> 0\n0 -> 1\n", "duplicate table row for input '0'"),
+        ("inputs 1 outputs 1\n0 -> 01\n1 -> 1\n", "output '01' is not a 1-bit string"),
+        ("inputs 1 outputs 1\n0 -> 2\n1 -> 1\n", "output '2' is not a 1-bit string"),
+        # the row count is checked before any output
+        ("inputs 1 outputs 1\n0 -> 2\n", "table needs 2**1 rows, got 1"),
+    ],
+)
+def test_table_file_errors_exit_2_with_their_message(tmp_path, text, message):
+    table = tmp_path / "bad.tbl"
+    table.write_text(text)
+    assert run("computes", "--table", str(table), "-e", "!") == (2, "", f"error: {message}\n")
+
+
+def test_huge_register_counts_cost_only_the_named_registers(tmp_path):
+    """A billion auxiliary or output registers cost no more than one: each
+    pair of programs naming register 1,000,000,000 gets the verdict it gets
+    with the register renamed to index 1 and a count of 1, all within a
+    second.  ``computes`` keeps every input and output of its table."""
+    table = tmp_path / "id.tbl"
+    table.write_text("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n")
+    functional = ["equiv", "--relation", "functional", "--inputs", "1"]
+    cases = [
+        (["computes", "--table", str(table), "--aux"], "aux:{}.1/1;+aux:{}.i/i;+in:1.i/i;out:1.1/1;!", None, 0),
+        (["computes", "--table", str(table), "--aux"], "+aux:{}.i/i;#0;+in:1.i/i;out:1.1/1;!", None, 0),
+        (["computes", "--table", str(table), "--aux"], "-aux:{}.i/i;out:1.1/1;!", None, 1),
+        ([*functional, "--outputs"], "out:{}.1/1;!", "out:{}.1/1;!;!", 0),
+        ([*functional, "--outputs"], "+in:1.i/i;out:{}.1/1;!", "-in:1.i/i;#2;out:{}.1/1;!", 0),
+        ([*functional, "--outputs"], "out:{}.1/1;!", "!", 1),
+        ([*functional, "--outputs", "1", "--aux"], "aux:{}.1/1;+aux:{}.i/i;out:1.1/1;!", "out:1.1/1;!", 0),
+        ([*functional, "--outputs", "1", "--aux"], "+aux:{}.i/i;out:1.1/1;!", "out:1.1/1;!", 1),
+    ]
+    start = time.perf_counter()
+    for argv, *programs, code in cases:
+        for count in ("1000000000", "1"):
+            texts = [arg for text in programs if text for arg in ("-e", text.replace("{}", count))]
+            assert run(*argv, count, *texts) == (code, ["true\n", "false\n"][code], ""), (argv, programs, count)
+    assert time.perf_counter() - start < 1
 
 
 def test_negative_budgets_exit_2(tmp_path):

@@ -305,23 +305,28 @@ def test_row_chunks_on_either_side_of_a_chunk_boundary(n):
 
 
 def test_functional_equivalence_over_the_named_inputs_matches_every_row():
-    """300 seeded pairs of programs of 3 to 20 instructions under n = 1..8
+    """600 seeded pairs of programs of 3 to 20 instructions under n = 1..8
     inputs, each program naming a random subset of them (none to all), so
-    that the scope is padded with inputs neither names.
-    ``functionally_equivalent``, which runs only the named inputs' rows,
+    that the scope is padded with inputs neither names.  In the first 300
+    each program names every output and auxiliary register; in the other
+    300, under m = 1..3 and k = 0..2, a random nonempty subset of them, so
+    that outputs and auxiliary registers are padded too.
+    ``functionally_equivalent``, which runs only the named registers' rows,
     decides each pair as the full row runs do: ``induced_table`` over all
     2**n rows and the oracle's one run per row.  The pairs are the program
     against its core translation, against itself followed by
-    ``out:1.c/c``, and against a second program over another subset."""
+    ``out:1.c/c``, and against a second program over other subsets."""
     rng = random.Random(17)
     verdicts = {True: 0, False: 0}
-    for case in range(100):
-        conv = IoConvention(rng.randint(1, 8), rng.randint(1, 2), rng.randint(0, 1))
+    for case in range(200):
+        padded = case >= 100  # outputs and auxiliary registers too
+        conv = IoConvention(rng.randint(1, 8), rng.randint(1, 2 + padded), rng.randint(0, 1 + padded))
         others = conv_foci(IoConvention(0, conv.m, conv.k))
 
         def program():
             named = rng.sample(range(1, conv.n + 1), rng.randint(0, conv.n))
-            return random_register_program(rng, [conv.in_focus(i) for i in named] + others, rng.randint(3, 20))[0]
+            regs = rng.sample(others, rng.randint(1, len(others))) if padded else others
+            return random_register_program(rng, [conv.in_focus(i) for i in named] + regs, rng.randint(3, 20))[0]
 
         prog = program()
         complement = Plain(RegisterAction(Focus("out", 1), UnaryBoolFunc.COMPLEMENT, UnaryBoolFunc.COMPLEMENT))
@@ -333,7 +338,7 @@ def test_functional_equivalence_over_the_named_inputs_matches_every_row():
             assert functionally_equivalent(prog, other, conv) is full, (prog, other, conv)
             assert functionally_equivalent(other, prog, conv) is full, (prog, other, conv)
             verdicts[full] += 1
-    assert min(verdicts.values()) > 50, verdicts
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_functional_equivalence_runs_only_the_named_inputs(monkeypatch):

@@ -357,20 +357,24 @@ def test_use_and_apply_match_the_whole_family_route_exhaustively():
     padded by registers the terms never name: by 0 and 1 on every term of
     ``short_terms`` (18,048 pairs of calls each), and by 100 and 300 on its
     16 terms of length 1 (128 more), where the reference route costs about
-    a millisecond a call.  Equal threads render alike; ``apply`` must also
-    keep the family's order."""
+    a millisecond a call.  On the 208 terms of length 1 and 2 each family
+    is also run against ``use(thread, family)``, whose internal steps only
+    this input exercises (1,664 more).  Equal threads render alike;
+    ``apply`` must also keep the family's order."""
     families = [fam("{f=0}"), fam("{f=1}"), fam("{f=-}"), {}]
     small = [padded(family, count) for family in families for count in (0, 1)]
     large = [padded(family, count) for family in families for count in (100, 300)]
     checked = 0
     for i, t in enumerate(short_terms()):
         thread = extract(t)
-        for family in small + large if i < 16 else small:  # the terms of length 1 lead
-            assert use(thread, family) == oracles.use(thread, family), (t, family)
-            got, want = apply(thread, family), oracles.apply(thread, family)
-            assert list(got.items()) == list(want.items()), (t, family)
-            checked += 1
-    assert checked == 18048 + 128
+        for j, family in enumerate(small + large if i < 16 else small):  # the terms of length 1 lead
+            # the terms of length 1 and 2 are the first 208
+            for used in (thread, use(thread, family)) if i < 208 and j < len(small) else (thread,):
+                assert use(used, family) == oracles.use(used, family), (t, family, used)
+                got, want = apply(used, family), oracles.apply(used, family)
+                assert list(got.items()) == list(want.items()), (t, family, used)
+                checked += 1
+    assert checked == 18048 + 128 + 1664
 
 
 def test_simulate_matches_the_step_by_step_run():

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from iseq.cli import run_command
 from iseq.compute import (
     IoConvention,
     SearchBudgetExceeded,
@@ -50,6 +51,30 @@ def test_search_matches_enumeration_up_to_length_3(k):
                 assert search_shortest(table, k, max_len) == want, (table, k, max_len)
                 cases += 1
     assert cases == 132
+
+
+@pytest.mark.parametrize("max_len", (1, 2))
+def test_search_tries_no_more_aux_registers_than_positions(max_len):
+    """A program of length L names at most L auxiliary registers, so the
+    walk tries only the first min(k, max_len); with k = max_len + 1 it
+    agrees with the enumeration over all k on the 33 tables of ``SCOPE``."""
+    k = max_len + 1
+    for n, m, total in SCOPE:
+        for table in _tables(n, m, total):
+            assert search_shortest(table, k, max_len) == oracles.search_shortest(table, k, max_len), table
+
+
+def test_search_with_a_billion_aux_registers_answers_as_with_max_len_of_them(tmp_path):
+    """``--aux 1000000000 --max-len 2`` answers as ``--aux 2`` does, within
+    a second; nine candidate instructions for each of a billion registers
+    would not fit in memory."""
+    table = tmp_path / "t.tbl"
+    start = time.perf_counter()
+    for text in ("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n", "inputs 0 outputs 1\n -> 1\n"):
+        table.write_text(text)
+        argv = ["search", "--table", str(table), "--max-len", "2", "--aux"]
+        assert run_command([*argv, "1000000000"]) == run_command([*argv, "2"])
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("n", (0, 1, 2))
