@@ -252,7 +252,7 @@ def _dense(
     names and the first ``keep`` renumbered 0, 1, ... in slot order, and the
     convention of as many inputs, outputs and auxiliary registers as these
     slots hold of each.  A register no program names never changes a row's
-    run and ends as it started.  Already dense slots keep the code as it is."""
+    run and ends as it started.  Dense slots keep their code: a rewrite cost ``tables`` 10 %."""
     codes, slots = [], set(range(keep))
     for t in terms:
         _, code, named = _validate_program(t, conv)
@@ -529,11 +529,13 @@ def search_shortest(
     generated is enough: the walk expands prefixes in lexicographic order,
     so it generates those of one length in that order too.
 
-    A program of at most ``max_len`` positions names at most ``max_len``
-    auxiliary registers, and renaming them aux:1, aux:2, ... in order of
-    first use gives a program of the same length that computes the same
-    function and comes no later, so only the first min(k, max_len) are
-    tried.
+    A program of L positions names at most L auxiliary registers, and
+    renaming them aux:1, aux:2, ... in order of first use gives a program
+    of the same length that computes the same function and comes no later,
+    so at length L only the first min(k, L) are tried.  The memo still
+    holds across lengths: a completion of a frontier names at most as many
+    registers as it has positions, and those the shorter length lacks are 0
+    in every row there, so they rename into its free ones.
 
     Returns None when no program of length up to ``max_len`` computes the
     table.  Raises :class:`SearchBudgetExceeded`, naming the last length
@@ -545,29 +547,28 @@ def search_shortest(
         raise ValueError("max_len must be a natural number")
     if max_nodes < 0:
         raise ValueError("max_nodes must be a natural number")
-    conv = IoConvention(table.n, table.m, min(k, max_len))
-    if conv.m == 0:
+    if table.m == 0:
         return Halt() if max_len else None
-    # A row's state is -1 once it ended with the right result; otherwise
-    # the number of positions from its position to the end, above its
-    # registers, one bit per slot.  Counted from the end, a state means the
-    # same at every length, so the memo holds across lengths.
-    width = conv.n + conv.m + conv.k
-    outputs = ((1 << conv.m) - 1) << conv.n
+    # A row's state is 0 once it ended with the right result; otherwise its
+    # registers, one bit per slot, above the number of positions from its
+    # position to the end, which is at least 1.  Counted from the end, a
+    # state means the same at every length, so the memo holds across lengths.
+    width = max_len.bit_length()
+    left_of = (1 << width) - 1
+    outputs = ((1 << table.m) - 1) << table.n
     starts = [int(bits[::-1] or "0", 2) for bits, _ in table.rows()]
-    wants = [None if want is None else int(want[::-1], 2) << conv.n for _, want in table.rows()]
+    wants = [None if want is None else int(want[::-1], 2) << table.n for _, want in table.rows()]
 
     def advance(frontier: tuple, left: int, parked: list[int], op: _Op) -> Optional[tuple]:
         """The frontier after ``op`` at the position ``left`` positions from
         the end, or None if a row parked there ends with the wrong result."""
         child = list(frontier)
-        base = left << width
         for r in parked:
-            regs = frontier[r] - base
+            regs = frontier[r] >> width
             if op is None:
                 if regs & outputs != wants[r]:
                     return None
-                child[r] = -1
+                child[r] = 0
                 continue
             if type(op) is int:
                 step = op or left  # #0 is inaction, like running past the end
@@ -582,9 +583,9 @@ def search_shortest(
                     if effect0:
                         regs += 1 << slot
             if step < left:
-                child[r] = (left - step) << width | regs
+                child[r] = regs << width | (left - step)
             elif wants[r] is None:
-                child[r] = -1
+                child[r] = 0
             else:
                 return None
         return tuple(child)
@@ -592,11 +593,12 @@ def search_shortest(
     seen: list[set] = [set()]  # frontiers met, by the number of positions left
     visited = 0
     for length in range(1, max_len + 1):
+        conv = IoConvention(table.n, table.m, min(k, length))
         alphabet = _search_alphabet(conv, length)
         code = _decode(alphabet, conv)
         seen.append(set())
         # (prefix as symbol indices, frontier); the least prefix on top
-        stack = [((), tuple(length << width | regs for regs in starts))]
+        stack = [((), tuple(regs << width | length for regs in starts))]
         while stack:
             prefix, frontier = stack.pop()
             left = length - len(prefix)
@@ -605,7 +607,7 @@ def search_shortest(
             visited += 1
             if visited > max_nodes:
                 raise SearchBudgetExceeded(max_nodes, length - 1)
-            parked = [r for r, s in enumerate(frontier) if s >> width == left]
+            parked = [r for r, s in enumerate(frontier) if s & left_of == left]
             children = []
             # where no row is parked, every symbol gives this frontier: only ``!``
             for i, op in enumerate(code if parked else code[:1]):

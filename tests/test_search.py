@@ -1,11 +1,12 @@
 """The frontier walk of ``search_shortest`` against the full enumeration.
 
 ``oracles.search_shortest`` is the enumeration of every program of each
-length that the walk replaced.  Scope, each with k = 0 and with k = 1
+length that the walk replaced.  Scope, each with k = 0, 1 and 2
 auxiliary registers: the 16 total functions of two inputs, the 9 partial
 tables of one input and the 3 of no input (one output), and the 5 of no
-input with two outputs; 66 tables in all.  Every budget ``max_len`` from 0
-to 3 is compared, 264 cases: the enumeration's answer at 3 gives the
+input with two outputs; 99 cases of table and k.  With k = 2 the walk
+tries only aux:1 at length 1.  Every budget ``max_len`` from 0
+to 3 is compared, 396 cases: the enumeration's answer at 3 gives the
 answer at every smaller budget, since it is the first program of least
 length.  Tables with no output registers, where the enumeration demanded
 more than ``computes_check`` does, are checked on their own.
@@ -40,7 +41,7 @@ def _tables(n, m, total):
     return [FunctionTable(n, m, outputs) for outputs in itertools.product(values, repeat=2**n)]
 
 
-@pytest.mark.parametrize("k", (0, 1))
+@pytest.mark.parametrize("k", (0, 1, 2))
 def test_search_matches_enumeration_up_to_length_3(k):
     cases = 0
     for n, m, total in SCOPE:
@@ -53,27 +54,36 @@ def test_search_matches_enumeration_up_to_length_3(k):
     assert cases == 132
 
 
-@pytest.mark.parametrize("max_len", (1, 2))
-def test_search_tries_no_more_aux_registers_than_positions(max_len):
-    """A program of length L names at most L auxiliary registers, so the
-    walk tries only the first min(k, max_len); with k = max_len + 1 it
-    agrees with the enumeration over all k on the 33 tables of ``SCOPE``."""
-    k = max_len + 1
-    for n, m, total in SCOPE:
-        for table in _tables(n, m, total):
-            assert search_shortest(table, k, max_len) == oracles.search_shortest(table, k, max_len), table
+@pytest.mark.parametrize("k", (0, 1, 2, 5, 10**9))
+def test_search_tries_as_many_aux_registers_as_positions(monkeypatch, k):
+    """A program of L positions names at most L auxiliary registers, so at
+    length L the walk tries aux:1 to aux:min(k, L), and no more or fewer."""
+    tried = []
+
+    def alphabet(conv, length):
+        tried.append((length, conv.k))
+        return _search_alphabet(conv, length)
+
+    monkeypatch.setattr("iseq.compute._search_alphabet", alphabet)
+    assert search_shortest(XOR, k, 3) is None  # so every length is walked
+    assert tried == [(length, min(k, length)) for length in (1, 2, 3)]
 
 
 def test_search_with_a_billion_aux_registers_answers_as_with_max_len_of_them(tmp_path):
-    """``--aux 1000000000 --max-len 2`` answers as ``--aux 2`` does, within
-    a second; nine candidate instructions for each of a billion registers
-    would not fit in memory."""
+    """``--aux 1000000000 --max-len 2`` answers as ``--aux 2`` does, and
+    ``--aux 1000000000 --max-len 1000000000`` as ``--aux 1 --max-len 1``
+    where ``!`` is the answer, within a second; nine candidate instructions
+    for each of a billion registers would not fit in memory."""
     table = tmp_path / "t.tbl"
     start = time.perf_counter()
     for text in ("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n", "inputs 0 outputs 1\n -> 1\n"):
         table.write_text(text)
         argv = ["search", "--table", str(table), "--max-len", "2", "--aux"]
         assert run_command([*argv, "1000000000"]) == run_command([*argv, "2"])
+    table.write_text("inputs 1 outputs 1\n0 -> 0\n1 -> 0\n")
+    argv = ["search", "--table", str(table), "--max-len"]
+    assert run_command([*argv, "1000000000", "--aux", "1000000000"]) == run_command([*argv, "1", "--aux", "1"])
+    assert run_command([*argv, "1", "--aux", "1"]) == (0, "!\n", "")
     assert time.perf_counter() - start < 1
 
 
