@@ -49,10 +49,13 @@ out:1 and aux:1.
 The shortest-program search fixes the positions of each candidate length
 left to right, over the same decoded instructions.  Jumps only go forward,
 so after each position every input row has either ended or is parked
-further on with its registers; the search keeps one prefix per such
-frontier, the least, and so returns the length-lexicographically least
-program that enumerating every candidate would.  A budget on the
-frontiers it expands bounds its work.
+further on with its registers.  Four exact rules prune the walk: a row
+that ends wrongly kills the prefix, and so does a row with w wrong output
+bits and at most w positions left, since it needs w writes and a ``!``,
+each at its own position; a position no row reaches gets only ``!``; and
+of prefixes with equal frontiers only the least is kept.  So the search
+returns the length-lexicographically least program that enumerating every
+candidate would.  A budget on the frontiers it expands bounds its work.
 """
 
 from __future__ import annotations
@@ -509,11 +512,15 @@ def search_shortest(
     only go forward, so once the first p positions are fixed every input
     row has either ended or is parked at a later position with some
     register contents; the tuple of these row states is the *frontier*.
-    Three exact rules prune the walk:
+    Four exact rules prune the walk:
 
     - a row that ends with the wrong result (it halts with other outputs,
       halts on an undefined row, or goes inactive on a defined one) kills
       the prefix;
+    - so does a defined row parked d positions from the end whose outputs
+      differ from the wanted ones in w >= d bits: each instruction it still
+      runs has its own position, and changes at most one register (``!``
+      none), so it needs w writes and a ``!`` at w + 1 positions;
     - a position where no row is parked gets only ``!``, the first symbol,
       since every symbol leaves the frontier as it is;
     - a frontier met before with as many positions left is dropped: equal
@@ -583,6 +590,8 @@ def search_shortest(
                     if effect0:
                         regs += 1 << slot
             if step < left:
+                if wants[r] is not None and ((regs & outputs) ^ wants[r]).bit_count() >= left - step:
+                    return None  # w wrong output bits need w writes and a ``!``
                 child[r] = regs << width | (left - step)
             elif wants[r] is None:
                 child[r] = 0

@@ -111,18 +111,19 @@ def test_memo_expands_far_fewer_frontiers_than_the_enumeration_runs():
 
 
 def test_node_budget_names_the_last_length_searched_in_full():
-    with pytest.raises(SearchBudgetExceeded, match="no program of length 3 or less"):
+    with pytest.raises(SearchBudgetExceeded, match="no program of length 4 or less"):
         search_shortest(XOR, 0, 40, max_nodes=100)
     assert issubclass(SearchBudgetExceeded, ValueError)
     with pytest.raises(ValueError, match="max_nodes"):
         search_shortest(XOR, 0, 3, max_nodes=-1)
-    # out:1.1/1;! is found after expanding four frontiers: the start of
-    # each length, the one after #1, whose completions all fail, and the
-    # one after out:1.1/1
+    # out:1.1/1;! is found after expanding three frontiers: the start of
+    # each length and the one after out:1.1/1.  The one after #1 is not
+    # expanded: its row stands one position from the end with one wrong
+    # output bit, which needs a write and a ``!``
     const_true = FunctionTable(0, 1, ("1",))
-    assert render_term(search_shortest(const_true, 0, 5, max_nodes=4)) == "out:1.1/1;!"
+    assert render_term(search_shortest(const_true, 0, 5, max_nodes=3)) == "out:1.1/1;!"
     with pytest.raises(SearchBudgetExceeded, match="length 1 or less"):
-        search_shortest(const_true, 0, 5, max_nodes=3)
+        search_shortest(const_true, 0, 5, max_nodes=2)
 
 
 def test_inaction_before_the_end():

@@ -3,15 +3,18 @@
 ``SHORTEST`` holds, for each of the 16 total functions of two inputs (one
 output) with k = 0 and k = 1 auxiliary registers, the length of the
 shortest program ``search_shortest`` finds and the length of the program
-``compile_table`` builds.  ``THREE_INPUT`` holds, for 3-input majority and
-parity with k = 0, a length up to which no program exists and the length
-of the compiled program.
+``compile_table`` builds.  ``LARGER`` holds, for 3-input majority and
+parity and for the half adder (two inputs; out:1 is their sum, out:2 their
+carry), all with k = 0, a length the search ran to, the shortest length if
+a program of at most that length exists, and the compiled length.
 
 The tier-1 tests recompute the rows of length at most 5, every compiled
 length, and that XOR and XNOR have no program of length at most 6 with
 k = 0.  ``python tests/test_search_table.py --check`` recomputes all of it
-(lengths 8 for XOR and XNOR, and the 3-input bounds); without arguments
-the file prints the literals.
+(lengths 8 for XOR and XNOR, and up to 9 for the larger functions), and
+checks every program found with ``computes_check``; without arguments the
+file prints the literals, searching the larger functions as far as
+``LARGER`` says.
 """
 
 import itertools
@@ -57,27 +60,30 @@ SHORTEST = {
     ("1111", 1): (2, 17),
 }
 
-# three inputs, k = 0: (no program has this length or less, compile_table length)
-THREE_INPUT = {
-    "majority": (6, 33),
-    "parity": (6, 33),
+# k = 0: (length searched to, shortest length or None if no program
+# has that length or less, compile_table length)
+LARGER = {
+    "majority": (9, 9, 33),
+    "parity": (8, None, 33),
+    "half adder": (9, 9, 16),
 }
 
-THREE_INPUT_RULES = {
-    "majority": lambda bits: bits.count("1") >= 2,
-    "parity": lambda bits: bits.count("1") % 2 == 1,
+# (inputs, the outputs of a row as a function of its input bits)
+LARGER_RULES = {
+    "majority": (3, lambda bits: str(int(bits.count("1") >= 2))),
+    "parity": (3, lambda bits: str(bits.count("1") % 2)),
+    "half adder": (2, lambda bits: f"{bits.count('1') % 2}{int(bits == '11')}"),
 }
-NONE_UP_TO = 6  # the length the printer searches the 3-input functions to
 
 
 def two_input(column):
     return FunctionTable(2, 1, tuple(column))
 
 
-def three_input(name):
-    rows = ("".join(bits) for bits in itertools.product("01", repeat=3))
-    rule = THREE_INPUT_RULES[name]
-    return FunctionTable(3, 1, tuple("1" if rule(bits) else "0" for bits in rows))
+def larger(name):
+    n, rule = LARGER_RULES[name]
+    outputs = tuple(rule("".join(bits)) for bits in itertools.product("01", repeat=n))
+    return FunctionTable(n, len(outputs[0]), outputs)
 
 
 def shortest_length(table, k, max_len):
@@ -113,16 +119,16 @@ def test_xor_and_xnor_have_no_program_up_to_length_6():
 def test_compiled_lengths():
     for (column, _), (_, compiled) in SHORTEST.items():
         assert len(leaves(compile_table(two_input(column)))) == compiled
-    for name, (_, compiled) in THREE_INPUT.items():
-        assert len(leaves(compile_table(three_input(name)))) == compiled
+    for name, (_, _, compiled) in LARGER.items():
+        assert len(leaves(compile_table(larger(name)))) == compiled
 
 
 def check_all():
     """Recompute every entry, the expensive ones included."""
     for (column, k), (length, _) in SHORTEST.items():
         assert shortest_length(two_input(column), k, length) == length, (column, k)
-    for name, (bound, _) in THREE_INPUT.items():
-        assert search_shortest(three_input(name), 0, bound) is None, name
+    for name, (searched, length, _) in LARGER.items():
+        assert shortest_length(larger(name), 0, searched) == length, name
     test_compiled_lengths()
 
 
@@ -135,11 +141,11 @@ def print_literals():
             print(f'    ("{column}", {k}): ({length}, {len(leaves(compile_table(table)))}),')
     print("}")
     print()
-    print("THREE_INPUT = {")
-    for name in THREE_INPUT_RULES:
-        table = three_input(name)
-        assert search_shortest(table, 0, NONE_UP_TO) is None, name
-        print(f'    "{name}": ({NONE_UP_TO}, {len(leaves(compile_table(table)))}),')
+    print("LARGER = {")
+    for name, (searched, _, _) in LARGER.items():
+        table = larger(name)
+        length = shortest_length(table, 0, searched)
+        print(f'    "{name}": ({searched}, {length}, {len(leaves(compile_table(table)))}),')
     print("}")
 
 
