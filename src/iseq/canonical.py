@@ -36,7 +36,7 @@ from .syntax import (
     PrimitiveInstruction,
     Repeat,
     concat_all,
-    flatten,
+    _flat,
 )
 from .threads import _chain_ends
 
@@ -112,7 +112,7 @@ def _canonical(
 
 def to_first_canonical(t: InstructionSequenceTerm) -> CanonicalSeq:
     """Minimized first canonical form (decides the sequence the term denotes)."""
-    prefix, period = flatten(t)
+    prefix, period = _flat(t)
     return _canonical(prefix, period)
 
 
@@ -151,11 +151,12 @@ def _second_step(canon: CanonicalSeq) -> CanonicalSeq:
     k = len(seq) - m
     jumps = [q for q, instr in enumerate(seq) if type(instr) is Jump]
     land = _landings(seq, m, jumps)
+    shared: dict[int, Jump] = {}  # one jump per offset, as a parse shares them
     for q in jumps:
         end = land[q]
         offset = 0 if end < 0 else (end - q) % k if q >= m else end - q
         if offset != seq[q].offset:
-            seq[q] = Jump(offset)
+            seq[q] = shared.get(offset) or shared.setdefault(offset, Jump(offset))
     return _canonical(seq[:m], seq[m:])
 
 

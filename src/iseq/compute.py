@@ -83,7 +83,7 @@ from .syntax import (
     RegisterAction,
     UnaryBoolFunc,
     concat_all,
-    leaves,
+    _flat,
 )
 
 
@@ -150,14 +150,13 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
 
 def _validate_program(
     t: InstructionSequenceTerm, conv: IoConvention
-) -> tuple[list[PrimitiveInstruction], list[_Op], set[int]]:
+) -> tuple[Sequence[PrimitiveInstruction], list[_Op], set[int]]:
     """The program's instructions, their decoding and the register slots
     it names, each distinct instruction object checked and decoded once (a
     parse shares them)."""
-    try:
-        instrs = leaves(t)
-    except ValueError:
-        raise ValueError("program must be repetition-free") from None
+    instrs, period = _flat(t)
+    if period:
+        raise ValueError("program must be repetition-free")
     keys = list(map(id, instrs))
     distinct = dict(zip(keys, instrs))
     for instr in distinct.values():

@@ -14,9 +14,12 @@ The graph is written straight into the int arrays of :mod:`threads` (a
 label and two successors per state, leaves as self-loops), one state per
 instruction that acts and shared leaves for Stop and Dead.  Labels are
 found by object identity, which a parse shares per distinct instruction,
-and by equality once per object.  ``extract`` refines the states reachable
-from the root and builds nodes only for the minimized quotient; each
-decider writes both sequences into one set of arrays and asks the
+and by equality once per object.  A term's graph is written once and kept
+with its flat parts in the small memo of ``syntax._entry``, so several
+questions about one term flatten it and write its graph once.  ``extract``
+refines the states reachable from the root and builds nodes only for the
+minimized quotient; each decider lays both terms' graphs side by side,
+re-interning the second's labels through the first's, and asks the
 union-find kernel whether the states it names are pairwise bisimilar.
 
 Behavioural congruence quantifies over every jump-in entry and every
@@ -39,31 +42,26 @@ from .syntax import (
     PosTest,
     PrimitiveInstruction,
     concat_all,
-    flatten,
+    _entry,
 )
 from .threads import TAU, Dead, RegularThread, Stop, _bisimilar, _quotient
 
-_DEAD = 0  # state and label of the shared Dead leaf
-_STOP = 1  # state and label of the shared Stop leaf
+_DEAD = 0  # state and label of each graph's Dead leaf
+_STOP = 1  # state and label of each graph's Stop leaf
 
 
-def _graph() -> tuple[dict, list[int], list[int], list[int]]:
-    """Empty position graph: (kinds, label, on_true, on_false) holding only
-    the shared leaves; ``kinds`` interns what each label stands for."""
-    return {Dead: _DEAD, Stop: _STOP}, [_DEAD, _STOP], [_DEAD, _STOP], [_DEAD, _STOP]
+def _write(prefix: Sequence, period: Sequence, ended: bool) -> tuple:
+    """The position graph of ``prefix + period^omega``: (kinds, label,
+    on_true, on_false, state), where ``kinds`` interns what each label
+    stands for and ``state`` gives the state of each position.
 
-
-def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None = None) -> list[int]:
-    """Append the position graph of ``prefix + period^omega`` to ``graph``;
-    the state of each position.
-
-    Acting positions get states in position order after those the graph
-    holds; a termination is the Stop leaf and a jump the state of its
-    landing.  Past the end of a finite sequence lies the Dead leaf, or, with
-    ``ends`` given, at position m + j a leaf labelled ``("end", j)``, kept in
-    ``ends`` so that both sequences of a comparison share it.
+    The Dead and Stop leaves come first, then the acting positions in
+    position order; a termination is the Stop leaf and a jump the state of
+    its landing.  Past the end of a finite sequence lies the Dead leaf, or,
+    if ``ended``, at position m + j a leaf labelled ``("end", j)``.
     """
-    kinds, label, on_true, on_false = graph
+    kinds = {Dead: _DEAD, Stop: _STOP}
+    label, on_true, on_false = [_DEAD, _STOP], [_DEAD, _STOP], [_DEAD, _STOP]
     seq = prefix + period
     m = len(prefix)
     total = len(seq)
@@ -89,10 +87,11 @@ def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None =
     # successors are set below, once every position has its state
     on_true.extend(range(len(on_true), len(label)))
     on_false.extend(range(len(on_false), len(label)))
+    ends: dict[int, int] = {}
 
     def past(q: int) -> int:
         """The leaf at 0-based index ``q`` past the end of a finite sequence."""
-        if ends is None:
+        if not ended:
             return _DEAD
         j = q - total + 1  # position m + j
         s = ends.get(j)
@@ -120,25 +119,51 @@ def _write(prefix: Sequence, period: Sequence, graph: tuple, ends: dict | None =
             on_true[s], on_false[s] = after[q + 2], after[q + 1]
         else:
             on_true[s] = on_false[s] = after[q + 1]
-    return state
+    return kinds, label, on_true, on_false, state
+
+
+def _local(entry: list, ended: bool = False) -> tuple:
+    """The position graph of a memo entry's term (``syntax._entry``), kept
+    in its forms under ``ended`` and never changed; a periodic sequence has
+    no end, so one graph serves it with and without ``ended``."""
+    prefix, period = entry[1]
+    ended = ended and not period
+    graph = entry[2].get(ended)
+    if graph is None:
+        graph = entry[2][ended] = _write(prefix, period, ended)
+    return graph
+
+
+def _joined(entry: list, entry2: list, ended: bool = False) -> tuple:
+    """Both position graphs side by side: (label, on_true, on_false), the
+    state of each position of either term, and the offset of the second
+    graph's states, whose labels are re-interned through the first's."""
+    kinds, label, on_true, on_false, state = _local(entry, ended)
+    kinds2, label2, on_true2, on_false2, state2 = _local(entry2, ended)
+    kinds = dict(kinds)
+    relabel = [kinds.setdefault(kind, len(kinds)) for kind in kinds2]
+    n = len(label)
+    shift = n.__add__
+    graph = (
+        label + list(map(relabel.__getitem__, label2)),
+        on_true + list(map(shift, on_true2)),
+        on_false + list(map(shift, on_false2)),
+    )
+    return graph, state, state2, n
 
 
 def extract(t: InstructionSequenceTerm) -> RegularThread:
     """The regular thread produced by executing the instruction sequence."""
-    graph = _graph()
-    root = _write(*flatten(t), graph)[0]
-    kinds, *arrays = graph
-    return _quotient(list(kinds), *arrays, root)
+    kinds, *graph, state = _local(_entry(t))
+    return _quotient(list(kinds), *graph, state[0])
 
 
 def behaviourally_equivalent(
     t: InstructionSequenceTerm, t2: InstructionSequenceTerm
 ) -> bool:
     """Bisimilarity of the extracted threads, by the union-find kernel."""
-    graph = _graph()
-    root = _write(*flatten(t), graph)[0]
-    root2 = _write(*flatten(t2), graph)[0]
-    return _bisimilar(*graph[1:], [(root, root2)])
+    graph, state, state2, n = _joined(_entry(t), _entry(t2))
+    return _bisimilar(*graph, [(state[0], state2[0] + n)])
 
 
 def behaviourally_congruent(
@@ -157,10 +182,13 @@ def behaviourally_congruent(
     of equal length m, padding with p terminations turns position m + j
     into Stop for j <= p and leaves it inactive beyond; the padded positions
     themselves agree on both sides.  So give each target m + j its own leaf
-    label ``end j`` and compare once.  For a padding p, relabelling ``end j``
-    as Stop when j <= p and as Dead otherwise maps this labelled graph onto
-    the padded one, so labelled bisimilarity implies bisimilarity under
-    every padding.  Conversely, threads are deterministic, so two states
+    label ``end j`` and compare once.  Each sequence's graph holds its own
+    ``end j`` leaf (each graph is written once per term and kept), but the
+    two carry one label and are self-loops, so they are bisimilar and act
+    as one leaf.  For a padding p, relabelling ``end j`` as Stop when
+    j <= p and as Dead otherwise maps this labelled graph onto the padded
+    one, so labelled bisimilarity implies bisimilarity under every
+    padding.  Conversely, threads are deterministic, so two states
     that are not bisimilar under the labels reach, along one reply path, a
     first pair of states with different labels, and some padding separates
     every such pair while keeping the path: an action against a leaf under
@@ -183,23 +211,20 @@ def behaviourally_congruent(
     everywhere.  Hence positions q < M + k_a + k_b - g suffice; two finite
     sequences of equal length m give k_a = k_b = 0 and their m positions.
     """
-    pre_a, per_a = flatten(t)
-    pre_b, per_b = flatten(t2)
+    a, b = _entry(t), _entry(t2)
+    (pre_a, per_a), (pre_b, per_b) = a[1], b[1]
     if bool(per_a) != bool(per_b):
         return False
     if not per_a and len(pre_a) != len(pre_b):
         return False
-    graph = _graph()
-    ends: dict[int, int] = {}
-    entry_a = _write(pre_a, per_a, graph, ends)
-    entry_b = _write(pre_b, per_b, graph, ends)
+    graph, entry_a, entry_b, n = _joined(a, b, ended=True)
     m_a, k_a, m_b, k_b = len(pre_a), len(per_a), len(pre_b), len(per_b)
     limit = max(m_a, m_b) + k_a + k_b - gcd(k_a, k_b)
     pairs = [
-        (entry_a[q if q < m_a else m_a + (q - m_a) % k_a], entry_b[q if q < m_b else m_b + (q - m_b) % k_b])
+        (entry_a[q if q < m_a else m_a + (q - m_a) % k_a], entry_b[q if q < m_b else m_b + (q - m_b) % k_b] + n)
         for q in range(limit)
     ]
-    return _bisimilar(*graph[1:], pairs)
+    return _bisimilar(*graph, pairs)
 
 
 # ---------------------------------------------------------------------------

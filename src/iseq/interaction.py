@@ -35,7 +35,7 @@ from .syntax import (
     PrimitiveInstruction,
     RegisterAction,
     RegisterContent,
-    flatten,
+    _flat,
 )
 from .threads import TAU, Branch, Dead, RegularThread, Stop, _arrays, _chain_ends, _quotient
 
@@ -165,7 +165,7 @@ class Outcome(enum.Enum):
 def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
     """The instruction stream of a term: its finite part, then its repeating
     part forever; anything following an infinite part is never produced."""
-    prefix, period = flatten(t)
+    prefix, period = _flat(t)
     yield from prefix
     while period:
         yield from period
@@ -188,7 +188,7 @@ def simulate(
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
-    prefix, period = flatten(t)
+    prefix, period = _flat(t)
     seq = prefix + period
     m, total, k = len(prefix), len(seq), len(period)
     fam = _named((getattr(instr, "basic", None) for instr in seq), family)

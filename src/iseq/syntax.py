@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -275,10 +276,25 @@ def flatten(
     The one linearization of a term.  Concatenation after an infinite
     sequence is dropped and repetition of an infinite sequence is the
     sequence itself, matching the intended sequence model of the axioms.
-    The walk is iterative at any nesting depth: a repetition drops the rest
-    of the stack, notes where its body starts and walks the body, so the
-    last repetition met starts the period.
+    Each call returns new lists.
     """
+    prefix, period = _flat(t)
+    return list(prefix), list(period)
+
+
+def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
+    """Leaf instructions of a repetition-free term, in order."""
+    prefix, period = _flat(t)
+    if period:  # a repetition's body is never empty
+        raise ValueError("term has a repeating part")
+    return list(prefix)
+
+
+def _walk(t: InstructionSequenceTerm) -> tuple[tuple, tuple]:
+    """``flatten(t)`` as tuples.  The walk is iterative at any nesting
+    depth: a repetition drops the rest of the stack, notes where its body
+    starts and walks the body, so the last repetition met starts the
+    period."""
     seq: list[PrimitiveInstruction] = []
     start = -1
     stack = [t]
@@ -300,16 +316,44 @@ def flatten(
         else:
             seq.append(node)
     if start < 0:
-        return seq, []
-    return seq[:start], seq[start:]
+        return tuple(seq), ()
+    return tuple(seq[:start]), tuple(seq[start:])
 
 
-def leaves(t: InstructionSequenceTerm) -> list[PrimitiveInstruction]:
-    """Leaf instructions of a repetition-free term, in order."""
-    prefix, period = flatten(t)
-    if period:  # a repetition's body is never empty
-        raise ValueError("term has a repeating part")
-    return prefix
+# The intermediate forms of the last few terms asked about, so that asking
+# several questions about one term flattens it and writes its position graph
+# once.  An entry keeps its term alive until it is dropped.
+_MEMO_TERMS = 4
+_memo: dict[int, list] = {}
+_memo_lock = threading.Lock()
+
+
+def _entry(t: InstructionSequenceTerm) -> list:
+    """The memo entry ``[t, flat parts, forms]`` of a term.
+
+    It is keyed by ``id(t)`` and holds ``t``, so no other object can take
+    that id while the entry lives.  A term asked about moves to the end,
+    and past ``_MEMO_TERMS`` entries the oldest is dropped.  The flat parts
+    are ``flatten(t)`` as tuples; ``forms`` is a dict in which other
+    modules keep what they derive from the term.  Nothing stored is ever
+    changed, so two threads storing one form at once store equal values.
+    """
+    key = id(t)
+    with _memo_lock:
+        entry = _memo.pop(key, None)
+        if entry is None or entry[0] is not t:
+            entry = [t, None, {}]
+        _memo[key] = entry
+        if len(_memo) > _MEMO_TERMS:
+            del _memo[next(iter(_memo))]
+    if entry[1] is None:
+        entry[1] = _walk(t)
+    return entry
+
+
+def _flat(t: InstructionSequenceTerm) -> tuple[tuple, tuple]:
+    """``flatten(t)`` as shared tuples from the memo, for reading only."""
+    return _entry(t)[1]
 
 
 # ---------------------------------------------------------------------------

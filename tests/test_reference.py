@@ -14,10 +14,10 @@ import itertools
 import random
 
 from iseq import threads
-from iseq.canonical import CanonicalSeq, flatten, to_second_canonical
-from iseq.extraction import _graph, _write, behaviourally_congruent, extract
+from iseq.canonical import CanonicalSeq, to_second_canonical
+from iseq.extraction import _write, behaviourally_congruent, extract
 from iseq.interaction import abstract_tau
-from iseq.syntax import AbstractAction, Halt, Jump, Plain, PosTest, Repeat, concat_all
+from iseq.syntax import AbstractAction, Halt, Jump, Plain, PosTest, Repeat, concat_all, flatten
 from iseq.syntax import parse_instruction_sequence as parse
 from iseq.threads import (
     STOP,
@@ -72,8 +72,7 @@ def test_position_nodes_match_reference_on_every_split():
         if seq in seen:
             continue
         seen.add(seq)
-        kinds, *arrays = graph = _graph()
-        entry = _write(*seq, graph)
+        kinds, *arrays, entry = _write(*seq, False)
         assert (list(kinds), *arrays, entry) == oracles.position_arrays(seq), seq
     assert len(seen) == 83748
 
