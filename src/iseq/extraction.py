@@ -18,9 +18,9 @@ and by equality once per object.  A term's graph is written once and kept
 with its flat parts in the small memo of ``syntax._entry``, so several
 questions about one term flatten it and write its graph once.  ``extract``
 refines the states reachable from the root and builds nodes only for the
-minimized quotient; each decider lays both terms' graphs side by side,
-re-interning the second's labels through the first's, and asks the
-union-find kernel whether the states it names are pairwise bisimilar.
+minimized quotient; each decider hands both terms' graphs, as they lie,
+to the union-find kernel (``threads._bisimilar``) and asks whether the
+states it names, one of each graph per pair, are pairwise bisimilar.
 
 Behavioural congruence quantifies over every jump-in entry and every
 termination padding.  The entries are the positions, finitely many of
@@ -134,24 +134,6 @@ def _local(entry: list, ended: bool = False) -> tuple:
     return graph
 
 
-def _joined(entry: list, entry2: list, ended: bool = False) -> tuple:
-    """Both position graphs side by side: (label, on_true, on_false), the
-    state of each position of either term, and the offset of the second
-    graph's states, whose labels are re-interned through the first's."""
-    kinds, label, on_true, on_false, state = _local(entry, ended)
-    kinds2, label2, on_true2, on_false2, state2 = _local(entry2, ended)
-    kinds = dict(kinds)
-    relabel = [kinds.setdefault(kind, len(kinds)) for kind in kinds2]
-    n = len(label)
-    shift = n.__add__
-    graph = (
-        label + list(map(relabel.__getitem__, label2)),
-        on_true + list(map(shift, on_true2)),
-        on_false + list(map(shift, on_false2)),
-    )
-    return graph, state, state2, n
-
-
 def extract(t: InstructionSequenceTerm) -> RegularThread:
     """The regular thread produced by executing the instruction sequence."""
     kinds, *graph, state = _local(_entry(t))
@@ -162,8 +144,9 @@ def behaviourally_equivalent(
     t: InstructionSequenceTerm, t2: InstructionSequenceTerm
 ) -> bool:
     """Bisimilarity of the extracted threads, by the union-find kernel."""
-    graph, state, state2, n = _joined(_entry(t), _entry(t2))
-    return _bisimilar(*graph, [(state[0], state2[0] + n)])
+    *graph, state = _local(_entry(t))
+    *graph2, state2 = _local(_entry(t2))
+    return _bisimilar(graph, graph2, [(state[0], state2[0])])
 
 
 def behaviourally_congruent(
@@ -183,19 +166,21 @@ def behaviourally_congruent(
     into Stop for j <= p and leaves it inactive beyond; the padded positions
     themselves agree on both sides.  So give each target m + j its own leaf
     label ``end j`` and compare once.  Each sequence's graph holds its own
-    ``end j`` leaf (each graph is written once per term and kept), but the
-    two carry one label and are self-loops, so they are bisimilar and act
-    as one leaf.  For a padding p, relabelling ``end j`` as Stop when
-    j <= p and as Dead otherwise maps this labelled graph onto the padded
-    one, so labelled bisimilarity implies bisimilarity under every
-    padding.  Conversely, threads are deterministic, so two states
-    that are not bisimilar under the labels reach, along one reply path, a
-    first pair of states with different labels, and some padding separates
-    every such pair while keeping the path: an action against a leaf under
-    any p; Stop against Dead under any p; Stop against ``end j`` under
-    p = 0; Dead against ``end j`` under p = j; and ``end i`` against
-    ``end j`` with i < j under p = i.  Hence labelled bisimilarity is
-    exactly bisimilarity under all paddings at once.
+    ``end j`` leaf under its own label number (each graph is written once
+    per term and kept), but the kernel matches labels by what they stand
+    for, and both leaves stand for ``("end", j)`` and are self-loops, so
+    they are bisimilar and act as one leaf.  For a padding p, relabelling
+    ``end j`` as Stop when j <= p and as Dead otherwise maps this labelled
+    graph onto the padded one, so labelled bisimilarity implies
+    bisimilarity under every padding.  Conversely, threads are
+    deterministic, so two states that are not bisimilar under the labels
+    reach, along one reply path, a first pair of states with different
+    labels, and some padding separates every such pair while keeping the
+    path: an action against a leaf under any p; Stop against Dead under any
+    p; Stop against ``end j`` under p = 0; Dead against ``end j`` under
+    p = j; and ``end i`` against ``end j`` with i < j under p = i.  Hence
+    labelled bisimilarity is exactly bisimilarity under all paddings at
+    once.
 
     No canonical form is needed.  The flat parts of a term spell out the
     sequence it denotes: a finite one position by position, so finiteness
@@ -217,14 +202,15 @@ def behaviourally_congruent(
         return False
     if not per_a and len(pre_a) != len(pre_b):
         return False
-    graph, entry_a, entry_b, n = _joined(a, b, ended=True)
+    *graph_a, entry_a = _local(a, ended=True)
+    *graph_b, entry_b = _local(b, ended=True)
     m_a, k_a, m_b, k_b = len(pre_a), len(per_a), len(pre_b), len(per_b)
     limit = max(m_a, m_b) + k_a + k_b - gcd(k_a, k_b)
     pairs = [
-        (entry_a[q if q < m_a else m_a + (q - m_a) % k_a], entry_b[q if q < m_b else m_b + (q - m_b) % k_b] + n)
+        (entry_a[q if q < m_a else m_a + (q - m_a) % k_a], entry_b[q if q < m_b else m_b + (q - m_b) % k_b])
         for q in range(limit)
     ]
-    return _bisimilar(*graph, pairs)
+    return _bisimilar(graph_a, graph_b, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
     Dead leaf; no tau state stays reachable, so ``_quotient`` drops them.
     """
     n = len(thread.nodes)
-    kinds, label, on_true, on_false = _arrays(thread.nodes, (Dead(),))
+    kinds, label, on_true, on_false = _arrays(thread.nodes + (Dead(),))
     tau = kinds.get(TAU)
     ends = _chain_ends(on_true, [s for s, lab in enumerate(label) if lab == tau], n)
     land = [n if end < 0 else end for end in ends] + [n]

@@ -9,8 +9,9 @@ Equality of threads is bisimilarity; by the approximation induction
 principle this coincides with equality of all finite projections.  Both
 kernels here work on three int arrays: a label, a true successor and a
 false successor per state, with each leaf a self-loop under a label of its
-own.  ``minimize``, ``threads_equal`` and ``interaction.abstract_tau``
-translate nodes into these arrays; :mod:`extraction` writes its position
+own, and ``kinds`` says what each label stands for.  ``minimize``,
+``threads_equal`` and ``interaction.abstract_tau`` translate one node list
+into these arrays (``_arrays``); :mod:`extraction` writes its position
 graphs and ``interaction.use`` its product into them directly.  Every
 thread the library minimizes ends in ``_quotient``.  ``_chain_ends`` is
 the one rule for chains, of jumps in a sequence (``canonical._landings``)
@@ -32,8 +33,9 @@ distinct is returned at once.
 
 Where the answer is whether given pairs of states are bisimilar
 (``threads_equal`` and both behavioural deciders), ``_bisimilar`` runs
-Hopcroft and Karp's union-find test, which visits only the pairs reachable
-from those given and stops at the first pair of different labels.
+Hopcroft and Karp's union-find test on two graphs where they lie.  It
+visits only the pairs reachable from those given and stops at the first
+pair of different labels.
 """
 
 from __future__ import annotations
@@ -113,29 +115,6 @@ STOP = RegularThread((Stop(),))
 DEAD = RegularThread((Dead(),))
 
 
-def prefix_action(action: Action, tail: RegularThread) -> RegularThread:
-    """Thread performing ``action`` then continuing as ``tail`` on any reply."""
-    return branch(action, tail, tail)
-
-
-def branch(action: Action, on_true: RegularThread, on_false: RegularThread) -> RegularThread:
-    """Postconditional composition of two threads."""
-    offset = 1
-    nodes: list[Node] = [Branch(action, on_true.root + 1, on_false.root + 1 + len(on_true.nodes))]
-    for node in on_true.nodes:
-        nodes.append(_shift(node, offset))
-    offset += len(on_true.nodes)
-    for node in on_false.nodes:
-        nodes.append(_shift(node, offset))
-    return RegularThread(tuple(nodes), 0)
-
-
-def _shift(node: Node, offset: int) -> Node:
-    if isinstance(node, Branch):
-        return Branch(node.action, node.on_true + offset, node.on_false + offset)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # bisimilarity: partition refinement and the union-find test
 
@@ -192,34 +171,44 @@ def _classes(label: Sequence[int], on_true: Sequence[int], on_false: Sequence[in
     return [number.setdefault(b, len(number)) for b in block]
 
 
-def _bisimilar(
-    label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], pairs: Iterable[tuple[int, int]]
-) -> bool:
-    """Whether every pair of states of an array graph is bisimilar.
+def _bisimilar(first: Sequence, second: Sequence, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether state ``a`` of graph ``first`` is bisimilar to state ``b``
+    of graph ``second`` for every pair ``(a, b)`` given.
+
+    Each graph is ``(kinds, label, on_true, on_false)``, read where it
+    lies; pass one graph twice to compare two of its states.  ``relabel``
+    maps each label of ``second`` to the label of ``first`` that stands
+    for the same kind, or to -1 if none does.
 
     Hopcroft and Karp's test ("A linear algorithm for testing equivalence
     of finite automata", 1971): pop a pair, find both representatives with
     path halving, and unless they are one, fail on different labels or
-    merge them and push their successor pairs.  If every pair given is
-    bisimilar, so is every pair pushed, so no class merges two labels;
-    otherwise some pushed pair has two labels.  Only pairs reachable from
-    those given are visited.
+    merge them and push the pair's successor pairs, again one state of
+    each graph.  One parent list holds both graphs, ``second``'s states
+    offset by n.  If every pair given is bisimilar, so is every pair
+    pushed, so no class merges two labels; otherwise some pushed pair has
+    two labels.  Only pairs reachable from those given are visited.
     """
-    parent = list(range(len(label)))
+    kinds, label, on_true, on_false = first
+    kinds2, label2, on_true2, on_false2 = second
+    relabel = [kinds.get(kind, -1) for kind in kinds2]
+    n = len(label)
+    parent = list(range(n + len(label2)))
     stack = list(pairs)
     while stack:
-        s, t = stack.pop()
+        a, b = stack.pop()
+        s, t = a, b + n
         while parent[s] != s:
             parent[s] = s = parent[parent[s]]
         while parent[t] != t:
             parent[t] = t = parent[parent[t]]
         if s == t:
             continue
-        if label[s] != label[t]:
+        if label[a] != relabel[label2[b]]:
             return False
         parent[s] = t
-        stack.append((on_true[s], on_true[t]))
-        stack.append((on_false[s], on_false[t]))
+        stack.append((on_true[a], on_true2[b]))
+        stack.append((on_false[a], on_false2[b]))
     return True
 
 
@@ -256,27 +245,6 @@ def _chain_ends(succ: Sequence[int], links: Iterable[int], size: int) -> list[in
     return land
 
 
-def _reachable(
-    label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], roots: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The states reachable from ``roots``, numbered breadth-first, true
-    successor first: (new number or -1 per old state, label, on_true,
-    on_false)."""
-    index = [-1] * len(label)
-    order: list[int] = []
-    for root in roots:
-        if index[root] < 0:
-            index[root] = len(order)
-            order.append(root)
-    for state in order:  # the list grows while it is walked: a queue
-        for succ in (on_true[state], on_false[state]):
-            if index[succ] < 0:
-                index[succ] = len(order)
-                order.append(succ)
-    new_true = [index[on_true[s]] for s in order]
-    return index, [label[s] for s in order], new_true, [index[on_false[s]] for s in order]
-
-
 def _quotient(
     kinds: Sequence, label: Sequence[int], on_true: Sequence[int], on_false: Sequence[int], root: int
 ) -> RegularThread:
@@ -284,11 +252,22 @@ def _quotient(
 
     ``kinds[x]`` is what label ``x`` stands for: an action, or the class
     ``Stop`` or ``Dead`` of a leaf.  Only the states reachable from the root
-    are refined, numbered breadth-first, so the classes, numbered by first
-    occurrence, come out in breadth-first order of the quotient: only the
-    first state of a class can introduce new successor classes.
+    are refined, numbered breadth-first, true successor first, so the
+    classes, numbered by first occurrence, come out in breadth-first order
+    of the quotient: only the first state of a class can introduce new
+    successor classes.
     """
-    _, label, on_true, on_false = _reachable(label, on_true, on_false, (root,))
+    index = [-1] * len(label)
+    index[root] = 0
+    order = [root]
+    for state in order:  # the list grows while it is walked: a queue
+        for succ in (on_true[state], on_false[state]):
+            if index[succ] < 0:
+                index[succ] = len(order)
+                order.append(succ)
+    label = [label[s] for s in order]
+    on_true = [index[on_true[s]] for s in order]
+    on_false = [index[on_false[s]] for s in order]
     classes = _classes(label, on_true, on_false)
     nodes: list[Node] = []
     for state, cls in enumerate(classes):
@@ -299,24 +278,22 @@ def _quotient(
     return RegularThread(tuple(nodes), 0)
 
 
-def _arrays(*node_lists: Sequence[Node]) -> tuple[dict, list[int], list[int], list[int]]:
-    """(kinds, label, on_true, on_false) of the disjoint union of node
-    lists; ``kinds`` interns each action and each leaf class as a label."""
+def _arrays(nodes: Sequence[Node]) -> tuple[dict, list[int], list[int], list[int]]:
+    """(kinds, label, on_true, on_false) of a node list; ``kinds`` interns
+    each action and each leaf class as a label."""
     kinds: dict = {}
     label: list[int] = []
     on_true: list[int] = []
     on_false: list[int] = []
-    for nodes in node_lists:
-        offset = len(label)
-        for state, node in enumerate(nodes, offset):
-            if type(node) is Branch:
-                label.append(kinds.setdefault(node.action, len(kinds)))
-                on_true.append(node.on_true + offset)
-                on_false.append(node.on_false + offset)
-            else:
-                label.append(kinds.setdefault(type(node), len(kinds)))
-                on_true.append(state)
-                on_false.append(state)
+    for state, node in enumerate(nodes):
+        if type(node) is Branch:
+            label.append(kinds.setdefault(node.action, len(kinds)))
+            on_true.append(node.on_true)
+            on_false.append(node.on_false)
+        else:
+            label.append(kinds.setdefault(type(node), len(kinds)))
+            on_true.append(state)
+            on_false.append(state)
     return kinds, label, on_true, on_false
 
 
@@ -327,9 +304,8 @@ def minimize(t: RegularThread) -> RegularThread:
 
 
 def threads_equal(t1: RegularThread, t2: RegularThread) -> bool:
-    """Bisimilarity, decided over the disjoint union of the state sets."""
-    _, *graph = _arrays(t1.nodes, t2.nodes)
-    return _bisimilar(*graph, [(t1.root, len(t1.nodes) + t2.root)])
+    """Bisimilarity of the two roots, by the union-find kernel."""
+    return _bisimilar(_arrays(t1.nodes), _arrays(t2.nodes), [(t1.root, t2.root)])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ tree out by label/goto marks, where the library relocates a heap of blocks.
 The last four helpers are not oracles but test conveniences that no library
 code calls: ``content_of_bit``, ``iter_basics``, ``compose`` of evaluated
 families, and ``hopcroft_classes``, the partition the library's refinement
-(``threads._classes``) finds on a node list.
+(``threads._classes``) finds on a node list.  So are ``branch`` and
+``prefix_action``, which build expected threads by postconditional
+composition.
 """
 
 from __future__ import annotations
@@ -358,6 +360,20 @@ def shift(node, offset):
     if isinstance(node, Branch):
         return Branch(node.action, node.on_true + offset, node.on_false + offset)
     return node
+
+
+def prefix_action(action, tail):
+    """Thread performing ``action`` then continuing as ``tail`` on any reply."""
+    return branch(action, tail, tail)
+
+
+def branch(action, on_true, on_false):
+    """Postconditional composition of two threads."""
+    offset = 1 + len(on_true.nodes)
+    nodes = [Branch(action, on_true.root + 1, on_false.root + offset)]
+    nodes += [shift(n, 1) for n in on_true.nodes]
+    nodes += [shift(n, offset) for n in on_false.nodes]
+    return RegularThread(tuple(nodes), 0)
 
 
 def threads_equal(t1, t2):

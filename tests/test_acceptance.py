@@ -51,11 +51,10 @@ from iseq.threads import (
     RegularThread,
     Stop,
     minimize,
-    prefix_action,
 )
 
 from .genterms import CORE_PAIRS, equal_variant, random_register_program, random_term
-from .oracles import content_of_bit, iter_basics
+from .oracles import content_of_bit, iter_basics, prefix_action
 
 SEED = 20240810
 

@@ -33,14 +33,12 @@ from iseq.threads import (
     Branch,
     RegularThread,
     Stop,
-    branch,
     minimize,
-    prefix_action,
     threads_equal,
 )
 
 from . import oracles
-from .oracles import content_of_bit
+from .oracles import branch, content_of_bit, prefix_action
 from .genterms import random_register_program, random_term
 
 ID = UnaryBoolFunc.IDENTITY

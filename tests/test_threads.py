@@ -9,13 +9,13 @@ from iseq.threads import (
     Dead,
     RegularThread,
     Stop,
-    branch,
     minimize,
-    prefix_action,
     project,
     render_thread,
     threads_equal,
 )
+
+from .oracles import branch, prefix_action
 
 A = AbstractAction("a")
 B = AbstractAction("b")
