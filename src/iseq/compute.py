@@ -21,6 +21,9 @@ in chunks of at most 2**16, fewer for a long program, so a mask takes at
 most 8 KB and a chunk's masks about 8 MB, however many inputs there are.
 A register no program names never changes a row's run, so the registers
 are renumbered densely first, and a register count costs nothing itself.
+A program's decoding under the last convention it was checked against is
+kept in the term's entry of the ``syntax._entry`` memo, so several checks
+of one program under one convention validate and decode it once.
 
 That run equals extract, then ``use`` on the in/aux family, then ``apply``
 on the out family.  The two families are disjoint, so ``use`` carries out
@@ -83,7 +86,7 @@ from .syntax import (
     RegisterAction,
     UnaryBoolFunc,
     concat_all,
-    _flat,
+    _entry,
 )
 
 
@@ -150,11 +153,19 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
 
 def _validate_program(
     t: InstructionSequenceTerm, conv: IoConvention
-) -> tuple[Sequence[PrimitiveInstruction], list[_Op], set[int]]:
+) -> tuple[Sequence[PrimitiveInstruction], tuple[_Op, ...], frozenset[int]]:
     """The program's instructions, their decoding and the register slots
     it names, each distinct instruction object checked and decoded once (a
-    parse shares them)."""
-    instrs, period = _flat(t)
+    parse shares them).  Both depend only on the convention.  The result
+    is kept with its convention in the forms of the term's memo entry under
+    ``"program"``, for one convention at a time, so that a sweep over many
+    conventions keeps one result per term; a program that fails validation
+    keeps nothing."""
+    entry = _entry(t)
+    kept = entry[2].get("program")
+    if kept is not None and kept[0] == conv:
+        return kept[1]
+    instrs, period = entry[1]
     if period:
         raise ValueError("program must be repetition-free")
     keys = list(map(id, instrs))
@@ -165,9 +176,11 @@ def _validate_program(
                 raise ValueError(f"abstract action {instr.basic} is not a register instruction")
             conv.check_focus(instr.basic.focus)
     decoded = _decode(list(distinct.values()), conv)
-    named = {op[0] for op in decoded if type(op) is tuple}
+    named = frozenset(op[0] for op in decoded if type(op) is tuple)
     ops = dict(zip(distinct, decoded))
-    return instrs, list(map(ops.__getitem__, keys)), named
+    form = instrs, tuple(map(ops.__getitem__, keys)), named
+    entry[2]["program"] = conv, form
+    return form
 
 
 def _run_rows(code: Sequence[_Op], regs: list[int], rows: int) -> int:
@@ -249,7 +262,7 @@ def _outputs(code: Sequence[_Op], conv: IoConvention) -> Iterator[tuple[Optional
 
 def _dense(
     terms: Sequence[InstructionSequenceTerm], conv: IoConvention, keep: int = 0
-) -> tuple[list[list[_Op]], IoConvention]:
+) -> tuple[list[Sequence[_Op]], IoConvention]:
     """The validated programs, decoded, with the register slots any of them
     names and the first ``keep`` renumbered 0, 1, ... in slot order, and the
     convention of as many inputs, outputs and auxiliary registers as these

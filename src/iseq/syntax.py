@@ -321,8 +321,9 @@ def _walk(t: InstructionSequenceTerm) -> tuple[tuple, tuple]:
 
 
 # The intermediate forms of the last few terms asked about, so that asking
-# several questions about one term flattens it and writes its position graph
-# once.  An entry keeps its term alive until it is dropped.
+# several questions about one term flattens it, writes its position graphs,
+# derives its second canonical form and decodes it as a program under one
+# convention once.  An entry keeps its term alive until it is dropped.
 _MEMO_TERMS = 4
 _memo: dict[int, list] = {}
 _memo_lock = threading.Lock()
@@ -335,8 +336,13 @@ def _entry(t: InstructionSequenceTerm) -> list:
     that id while the entry lives.  A term asked about moves to the end,
     and past ``_MEMO_TERMS`` entries the oldest is dropped.  The flat parts
     are ``flatten(t)`` as tuples; ``forms`` is a dict in which other
-    modules keep what they derive from the term.  Nothing stored is ever
-    changed, so two threads storing one form at once store equal values.
+    modules keep what they derive from the term: extraction's position
+    graphs under ``False`` and ``True``, the parts of the second canonical
+    form under ``"second"``, and under ``"program"`` the validated, decoded
+    program with the ``compute.IoConvention`` it was checked against.
+    Nothing stored is ever changed, so two threads storing one form at once
+    store equal values; a program checked under another convention replaces
+    the ``"program"`` pair whole, and a reader checks its convention.
     """
     key = id(t)
     with _memo_lock:

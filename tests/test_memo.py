@@ -1,26 +1,44 @@
-"""The per-term memo behind flatten, extraction and the deciders changes no
-answer.
+"""The per-term memo behind flatten, extraction, the deciders, the second
+canonical form and the program checks changes no answer.
 
-``syntax._entry`` keeps the flat parts and extraction's position graphs of
-the last ``_MEMO_TERMS`` terms asked about.  Every answer must be the same
-whether a term's entry is there (a hit), has been pushed out by other
-terms (a miss), or belongs to an equal term built from fresh objects; the
-memo must stay within its bound, give out nothing a caller can change, and
-answer threads that share terms as it answers one caller.
+``syntax._entry`` keeps the flat parts, extraction's position graphs, the
+second canonical form and each convention's decoded program of the last
+``_MEMO_TERMS`` terms asked about.  Every answer must be the same whether a
+term's entry is there (a hit), has been pushed out by other terms (a
+miss), or belongs to an equal term built from fresh objects; the memo must
+stay within its bound, give out nothing a caller can change, derive each
+form once per term, and answer threads that share terms as it answers one
+caller.
 """
 
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from iseq import syntax
+import pytest
+
+from iseq import canonical, compute, syntax
 from iseq.canonical import instruction_sequence_congruent, structurally_congruent, to_second_canonical
+from iseq.compute import IoConvention, computes_check, functionally_equivalent, induced_table, restrict_to_core
 from iseq.extraction import behaviourally_congruent, behaviourally_equivalent, extract
-from iseq.syntax import Halt, flatten, leaves, parse_instruction_sequence as parse
+from iseq.syntax import (
+    Focus,
+    FunctionTable,
+    Halt,
+    Plain,
+    RegisterAction,
+    UnaryBoolFunc,
+    concat_all,
+    flatten,
+    leaves,
+    parse_instruction_sequence as parse,
+    render_term,
+)
 from iseq.threads import render_thread
 
 from . import oracles
-from .genterms import equal_variant, random_term
+from .genterms import equal_variant, random_register_program, random_term
+from .test_compute import conv_foci
 
 DECIDERS = (
     behaviourally_equivalent,
@@ -38,25 +56,54 @@ def evict():
         flatten(filler)
 
 
-def questions(t, t2):
-    """One call per question asked about a pair, each giving a plain value."""
+def questions(t, t2, p, p2, conv):
+    """One call per question asked about two terms and two register
+    programs under a convention, each giving a plain value.
+
+    The table is the one ``p2`` computes, so ``p`` computes it exactly when
+    the two programs are functionally equivalent.  ``p`` is also extracted,
+    so that its entry holds a graph beside its decoding, and read under a
+    convention with one more auxiliary register, so that its decoding
+    changes convention between questions.
+    """
+    table = FunctionTable(conv.n, conv.m, oracles.row_outputs(p2, conv))
+    wider = IoConvention(conv.n, conv.m, conv.k + 1)
     return [lambda decide=decide: decide(t, t2) for decide in DECIDERS] + [
         lambda: render_thread(extract(t)),
         lambda: render_thread(extract(t2)),
         lambda: repr(to_second_canonical(t)),
         lambda: flatten(t2),
+        lambda: computes_check(p, table, conv.k),
+        lambda: computes_check(p2, table, conv.k),
+        lambda: induced_table(p, conv),
+        lambda: functionally_equivalent(p, p2, conv),
+        lambda: render_term(restrict_to_core(p, conv)),
+        lambda: induced_table(p, wider),
+        lambda: render_thread(extract(p)),
     ]
 
 
-def seeded_pairs(count, seed=20):
-    """Pairs from ``tests/genterms.py``: half denote one sequence, half are
-    independent terms."""
+def seeded_cases(count, seed=20):
+    """Cases ``(t, t2, p, p2, conv)``.  The terms come from
+    ``tests/genterms.py``: half denote one sequence, half are independent
+    terms.  The programs are seeded register programs of 1 to 10
+    instructions with 1 to 3 inputs, 1 or 2 outputs and 0 or 1 auxiliary
+    register; half the time ``p2`` is ``p`` followed by ``out:1.c/c``,
+    which only rows that run past the end reach and which leaves them
+    inactive, so the two are functionally equivalent, and half the time an
+    independent program."""
     rng = random.Random(seed)
-    pairs = []
+    complement = Plain(RegisterAction(Focus("out", 1), UnaryBoolFunc.COMPLEMENT, UnaryBoolFunc.COMPLEMENT))
+    cases = []
     for n in range(count):
         t = random_term(rng, 9)
-        pairs.append((t, equal_variant(rng, t) if n % 2 else random_term(rng, 9)))
-    return pairs
+        t2 = equal_variant(rng, t) if n % 2 else random_term(rng, 9)
+        conv = IoConvention(rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 1))
+        p = random_register_program(rng, conv_foci(conv), rng.randint(1, 10))[0]
+        other = random_register_program(rng, conv_foci(conv), rng.randint(1, 10))[0]
+        p2 = concat_all([p, complement]) if n % 2 else other
+        cases.append((t, t2, p, p2, conv))
+    return cases
 
 
 def test_the_memo_keeps_no_more_terms_than_its_bound():
@@ -74,42 +121,60 @@ def test_the_memo_keeps_no_more_terms_than_its_bound():
 def test_changing_what_flatten_or_leaves_returns_changes_no_later_answer():
     t = parse("+a;#2;b;!")
     t2 = parse("+a;#2;b;!;(c)*")
-    want = [ask() for ask in questions(t, t2)]
-    prefix, period = flatten(t)
-    prefix[0] = Halt()
-    prefix.clear()
-    period.append(Halt())
-    listed = leaves(t)
-    listed.reverse()
-    listed.append(Halt())
+    p = parse("+in:1.i/i;#2;out:1.1/1;!")
+    p2 = parse("-in:1.i/i;out:1.1/1;!")
+    conv = IoConvention(1, 1, 0)
+    want = [ask() for ask in questions(t, t2, p, p2, conv)]
+    for term in (t, p):
+        prefix, period = flatten(term)
+        prefix[0] = Halt()
+        prefix.clear()
+        period.append(Halt())
+        listed = leaves(term)
+        listed.reverse()
+        listed.append(Halt())
     assert flatten(t) == flatten(parse("+a;#2;b;!"))
+    assert flatten(p) == flatten(parse("+in:1.i/i;#2;out:1.1/1;!"))
     assert leaves(t) == flatten(t)[0]
-    assert [ask() for ask in questions(t, t2)] == want
+    assert [ask() for ask in questions(t, t2, p, p2, conv)] == want
+
+
+def fresh_case(t, t2, p, p2, conv):
+    """The case rebuilt from new objects, the convention too."""
+    return (*map(oracles.fresh_copy, (t, t2, p, p2)), IoConvention(conv.n, conv.m, conv.k))
 
 
 def test_hits_misses_and_fresh_copies_answer_alike_on_300_seeded_pairs():
-    """Each question once on a miss; then all of them in a row, forwards
-    and backwards, so that each reads the entries the others filled; then
-    on fresh copies of both terms."""
+    """Each of the 15 questions about a pair of terms and a pair of
+    programs once on a miss; then all of them in a row, forwards and
+    backwards, so that each reads the entries the others filled; then on
+    fresh copies of the terms, the programs and the convention.  300 cases,
+    4,500 questions asked four times each."""
     verdicts = set()
-    for t, t2 in seeded_pairs(300):
-        asked = questions(t, t2)
+    equivalent = set()
+    for case in seeded_cases(300):
+        asked = questions(*case)
         missed = []
         for ask in asked:
             evict()
             missed.append(ask())
-        assert [ask() for ask in asked] == missed, (t, t2)
-        assert [ask() for ask in reversed(asked)][::-1] == missed, (t, t2)
-        fresh = questions(oracles.fresh_copy(t), oracles.fresh_copy(t2))
-        assert [ask() for ask in fresh] == missed, (t, t2)
+        assert [ask() for ask in asked] == missed, case
+        assert [ask() for ask in reversed(asked)][::-1] == missed, case
+        fresh = questions(*fresh_case(*case))
+        assert [ask() for ask in fresh] == missed, case
         assert len(syntax._memo) <= syntax._MEMO_TERMS
         verdicts.update(missed[: len(DECIDERS)])
+        computes, functional = missed[8], missed[11]
+        assert computes is functional, case  # p computes p2's table iff the two are equivalent
+        equivalent.add(functional)
     assert verdicts == {True, False}
+    assert equivalent == {True, False}
 
 
 def test_threads_sharing_terms_get_the_serial_answers():
-    pairs = seeded_pairs(40, seed=21)
-    asked = [ask for t, t2 in pairs for ask in questions(t, t2)]
+    """40 seeded cases, 600 questions, each asked 10 times by each of 4
+    threads in its own shuffled order."""
+    asked = [ask for case in seeded_cases(40, seed=21) for ask in questions(*case)]
     serial = [ask() for ask in asked]
 
     def answers(seed):
@@ -129,3 +194,81 @@ def test_threads_sharing_terms_get_the_serial_answers():
     finally:
         sys.setswitchinterval(interval)
     assert all(got == serial for got in results)
+
+
+def counted(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is counted in the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_each_second_canonical_form_is_derived_once_per_term(monkeypatch):
+    """Three finite terms, each normalized in one step: a chained jump, its
+    shortest form, and a term that differs at its last action."""
+    t, variant, mutant = (parse(text) for text in ("a;#2;b;#1;c;!", "a;#3;b;#1;c;!", "a;#3;b;#1;d;!"))
+    evict()
+    steps = counted(monkeypatch, canonical, "_second_step")
+    assert structurally_congruent(t, variant)
+    assert not structurally_congruent(t, mutant)
+    form = to_second_canonical(t)
+    assert len(steps) == 3
+    again = to_second_canonical(t)
+    assert again == form and again is not form  # a new result on every call
+    assert len(steps) == 3
+
+
+def test_each_program_is_decoded_once_per_convention(monkeypatch):
+    """Four checks of one compiled program under one convention, the last
+    against a second program, decode the two programs once each."""
+    conv = IoConvention(2, 1, 0)
+    table = FunctionTable(2, 1, ("0", "1", None, "1"))
+    wrong = FunctionTable(2, 1, ("0", "1", None, "0"))
+    program = compute.compile_table(table)
+    other = parse("+in:2.i/i;out:1.1/1;!")
+    evict()
+    decodes = counted(monkeypatch, compute, "_decode")
+    assert computes_check(program, table, 0)
+    assert not computes_check(program, wrong, 0)
+    assert induced_table(program, conv) == table
+    assert not functionally_equivalent(program, other, conv)
+    assert len(decodes) == 2
+
+
+def test_a_rejected_program_keeps_nothing_for_a_later_convention():
+    program = parse("+aux:2.i/i;out:1.1/1;!")
+    narrow, wide = IoConvention(1, 1, 1), IoConvention(1, 1, 2)
+    with pytest.raises(ValueError) as first:
+        induced_table(program, narrow)
+    assert induced_table(program, wide) == FunctionTable(1, 1, ("0", "0"))
+    with pytest.raises(ValueError) as again:
+        induced_table(program, narrow)
+    assert str(again.value) == str(first.value)
+    assert "aux:2" in str(first.value)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_each_convention_reads_its_own_decoding(order):
+    """One program, read with in:1 as the only input and as the high one of
+    two: each convention gives its own table, whichever is asked first."""
+    program = parse("+in:1.i/i;out:1.1/1;!")
+    cases = [(IoConvention(1, 1, 0), ("0", "1")), (IoConvention(2, 1, 0), ("0", "0", "1", "1"))]
+    for i in order:
+        conv, outputs = cases[i]
+        assert induced_table(program, conv) == FunctionTable(conv.n, 1, outputs)
+
+
+def test_a_program_checked_under_many_conventions_keeps_one_decoding():
+    """A sweep over 100 auxiliary register counts leaves one decoded program
+    in the term's entry, so an entry's size does not grow with the number
+    of conventions asked about."""
+    program = parse("+in:1.i/i;out:1.1/1;!")
+    table = FunctionTable(1, 1, ("0", "1"))
+    assert all(computes_check(program, table, k) for k in range(100))
+    assert list(syntax._entry(program)[2]) == ["program"]
