@@ -22,10 +22,10 @@ A step, costing O(n) for n stored positions, makes each jump the shortest
 jump to its landing: ``(end - q) mod k`` in a period of length k,
 ``end - q`` elsewhere, and ``#0`` for inaction.  A step is repeated only
 while normalizing it shortens the prefix or the period, so there are at
-most n steps and usually one.  The fixpoint's parts are kept in the
-term's entry of the ``syntax._entry`` memo, so ``structurally_congruent``
-and ``normalize --form second`` derive a term's form once however often
-they are asked; each call still returns a new ``CanonicalSeq``.
+most n steps and usually one.  The fixpoint's parts are a form of the
+term kept by ``syntax._form``, so ``structurally_congruent`` and
+``normalize --form second`` derive a term's form once however often they
+are asked; each call still returns a new ``CanonicalSeq``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .syntax import (
     PrimitiveInstruction,
     Repeat,
     concat_all,
-    _entry,
     _flat,
+    _form,
 )
 from .threads import _chain_ends
 
@@ -164,27 +164,27 @@ def _second_step(canon: CanonicalSeq) -> CanonicalSeq:
     return _canonical(seq[:m], seq[m:])
 
 
-def to_second_canonical(t: InstructionSequenceTerm) -> CanonicalSeq:
-    """Minimized second canonical form: no chained jumps, shortest jumps.
+def _second(prefix: Sequence[PrimitiveInstruction], period: Sequence[PrimitiveInstruction]) -> tuple:
+    """The parts of the second canonical form of ``prefix + period^omega``.
 
     Resolving and shortening is idempotent: afterwards every nonzero jump
     lands on a non-jump or past a finite end, and shortening keeps the
     landing position.  So when normalizing the result leaves the prefix and
     period lengths alone, it left the sequence alone too, and the step is
     the fixpoint.  Only a shorter prefix or period can enable more
-    shortening and needs another step.  The fixpoint's parts are kept in
-    the forms of the term's memo entry under ``"second"``.
+    shortening and needs another step.
     """
-    forms = _entry(t)[2]
-    if "second" not in forms:
-        canon = to_first_canonical(t)
-        while True:
-            step = _second_step(canon)
-            if len(step.prefix) == len(canon.prefix) and len(step.period) == len(canon.period):
-                break
-            canon = step
-        forms["second"] = (step.prefix, step.period)
-    return CanonicalSeq(*forms["second"])
+    canon = _canonical(prefix, period)
+    while True:
+        step = _second_step(canon)
+        if len(step.prefix) == len(canon.prefix) and len(step.period) == len(canon.period):
+            return step.prefix, step.period
+        canon = step
+
+
+def to_second_canonical(t: InstructionSequenceTerm) -> CanonicalSeq:
+    """Minimized second canonical form: no chained jumps, shortest jumps."""
+    return CanonicalSeq(*_form(t, "second", _second))
 
 
 def structurally_congruent(

@@ -22,8 +22,8 @@ most 8 KB and a chunk's masks about 8 MB, however many inputs there are.
 A register no program names never changes a row's run, so the registers
 are renumbered densely first, and a register count costs nothing itself.
 A program's decoding under the last convention it was checked against is
-kept in the term's entry of the ``syntax._entry`` memo, so several checks
-of one program under one convention validate and decode it once.
+kept as a form of the term (``syntax._form``), so several checks of one
+program under one convention validate and decode it once.
 
 That run equals extract, then ``use`` on the in/aux family, then ``apply``
 on the out family.  The two families are disjoint, so ``use`` carries out
@@ -86,7 +86,7 @@ from .syntax import (
     RegisterAction,
     UnaryBoolFunc,
     concat_all,
-    _entry,
+    _form,
 )
 
 
@@ -156,31 +156,27 @@ def _validate_program(
 ) -> tuple[Sequence[PrimitiveInstruction], tuple[_Op, ...], frozenset[int]]:
     """The program's instructions, their decoding and the register slots
     it names, each distinct instruction object checked and decoded once (a
-    parse shares them).  Both depend only on the convention.  The result
-    is kept with its convention in the forms of the term's memo entry under
-    ``"program"``, for one convention at a time, so that a sweep over many
-    conventions keeps one result per term; a program that fails validation
-    keeps nothing."""
-    entry = _entry(t)
-    kept = entry[2].get("program")
-    if kept is not None and kept[0] == conv:
-        return kept[1]
-    instrs, period = entry[1]
-    if period:
-        raise ValueError("program must be repetition-free")
-    keys = list(map(id, instrs))
-    distinct = dict(zip(keys, instrs))
-    for instr in distinct.values():
-        if isinstance(instr, (Plain, PosTest, NegTest)):
-            if isinstance(instr.basic, AbstractAction):
-                raise ValueError(f"abstract action {instr.basic} is not a register instruction")
-            conv.check_focus(instr.basic.focus)
-    decoded = _decode(list(distinct.values()), conv)
-    named = frozenset(op[0] for op in decoded if type(op) is tuple)
-    ops = dict(zip(distinct, decoded))
-    form = instrs, tuple(map(ops.__getitem__, keys)), named
-    entry[2]["program"] = conv, form
-    return form
+    parse shares them).  Both depend only on the convention, so the result
+    is a form of the term kept with its convention (``syntax._form``): a
+    sweep over many conventions keeps one result per term, and a program
+    that fails validation keeps nothing."""
+
+    def check(instrs, period):
+        if period:
+            raise ValueError("program must be repetition-free")
+        keys = list(map(id, instrs))
+        distinct = dict(zip(keys, instrs))
+        for instr in distinct.values():
+            if isinstance(instr, (Plain, PosTest, NegTest)):
+                if isinstance(instr.basic, AbstractAction):
+                    raise ValueError(f"abstract action {instr.basic} is not a register instruction")
+                conv.check_focus(instr.basic.focus)
+        decoded = _decode(list(distinct.values()), conv)
+        named = frozenset(op[0] for op in decoded if type(op) is tuple)
+        ops = dict(zip(distinct, decoded))
+        return instrs, tuple(map(ops.__getitem__, keys)), named
+
+    return _form(t, "program", check, conv)
 
 
 def _run_rows(code: Sequence[_Op], regs: list[int], rows: int) -> int:

@@ -10,22 +10,21 @@ in one memoized pass, as it does for the second canonical form: the state
 of the first non-jump on its chain, a leaf past a finite end, or Dead for
 a 0-jump or a cycle.
 
-The graph is written straight into the int arrays of :mod:`threads` (a
-label and two successors per state, leaves as self-loops), one state per
-instruction that acts and shared leaves for Stop and Dead.  Labels are
-found by object identity, which a parse shares per distinct instruction,
-and by equality once per object.  A term's graph is written once and kept
-with its flat parts in the small memo of ``syntax._entry``, so several
-questions about one term flatten it and write its graph once.  ``extract``
-refines the states reachable from the root and builds nodes only for the
-minimized quotient; each decider hands both terms' graphs, as they lie,
-to the union-find kernel (``threads._bisimilar``) and asks whether the
-states it names, one of each graph per pair, are pairwise bisimilar.
-
-Behavioural congruence quantifies over every jump-in entry and every
-termination padding.  The entries are the positions, finitely many of
-which need comparing, and each target past a finite end carries a label of
-its own (see ``behaviourally_congruent``).
+The graph is written straight into the int arrays of :mod:`threads`, one
+state per instruction that acts and shared leaves for Stop and Dead, with
+one label per distinct instruction object (a parse shares equal ones).
+Past the end of a finite sequence lies a leaf ``("end", j)`` for each
+position m + j that execution can run to.  Behavioural congruence reads the
+graph as it is (see ``behaviourally_congruent``); ``extract`` and
+behavioural equivalence read it through ``_graph``'s view of the labels,
+in which every ``end j`` leaf stands for Dead, the inaction that running
+past the end is.  A term's graph is a form kept by ``syntax._form``, so
+several questions about one term flatten it and write its graph once.
+``extract`` refines the states reachable from the root and builds nodes
+only for the minimized quotient; each decider hands both terms' graphs,
+as they lie, to the union-find kernel (``threads._bisimilar``) and asks
+whether the states it names, one of each graph per pair, are pairwise
+bisimilar.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from .syntax import (
     PosTest,
     PrimitiveInstruction,
     concat_all,
-    _entry,
+    _flat,
+    _form,
 )
 from .threads import TAU, Dead, RegularThread, Stop, _bisimilar, _quotient
 
@@ -50,17 +50,17 @@ _DEAD = 0  # state and label of each graph's Dead leaf
 _STOP = 1  # state and label of each graph's Stop leaf
 
 
-def _write(prefix: Sequence, period: Sequence, ended: bool) -> tuple:
+def _write(prefix: Sequence, period: Sequence) -> tuple:
     """The position graph of ``prefix + period^omega``: (kinds, label,
-    on_true, on_false, state), where ``kinds`` interns what each label
-    stands for and ``state`` gives the state of each position.
+    on_true, on_false, state), with ``state`` giving the state of each
+    position.
 
     The Dead and Stop leaves come first, then the acting positions in
     position order; a termination is the Stop leaf and a jump the state of
-    its landing.  Past the end of a finite sequence lies the Dead leaf, or,
-    if ``ended``, at position m + j a leaf labelled ``("end", j)``.
+    its landing.  Past the end of a finite sequence, at position m + j,
+    lies a leaf labelled ``("end", j)``; these leaves come last.
     """
-    kinds = {Dead: _DEAD, Stop: _STOP}
+    kinds = [Dead, Stop]
     label, on_true, on_false = [_DEAD, _STOP], [_DEAD, _STOP], [_DEAD, _STOP]
     seq = prefix + period
     m = len(prefix)
@@ -82,7 +82,8 @@ def _write(prefix: Sequence, period: Sequence, ended: bool) -> tuple:
             state.append(len(label))
             lab = by_id.get(id(instr.basic))
             if lab is None:
-                lab = by_id[id(instr.basic)] = kinds.setdefault(instr.basic, len(kinds))
+                lab = by_id[id(instr.basic)] = len(kinds)
+                kinds.append(instr.basic)
             label.append(lab)
     # successors are set below, once every position has its state
     on_true.extend(range(len(on_true), len(label)))
@@ -91,13 +92,12 @@ def _write(prefix: Sequence, period: Sequence, ended: bool) -> tuple:
 
     def past(q: int) -> int:
         """The leaf at 0-based index ``q`` past the end of a finite sequence."""
-        if not ended:
-            return _DEAD
         j = q - total + 1  # position m + j
         s = ends.get(j)
         if s is None:  # met first here
             s = ends[j] = len(label)
-            label.append(kinds.setdefault(("end", j), len(kinds)))
+            label.append(len(kinds))
+            kinds.append(("end", j))
             on_true.append(s)
             on_false.append(s)
         return s
@@ -122,30 +122,25 @@ def _write(prefix: Sequence, period: Sequence, ended: bool) -> tuple:
     return kinds, label, on_true, on_false, state
 
 
-def _local(entry: list, ended: bool = False) -> tuple:
-    """The position graph of a memo entry's term (``syntax._entry``), kept
-    in its forms under ``ended`` and never changed; a periodic sequence has
-    no end, so one graph serves it with and without ``ended``."""
-    prefix, period = entry[1]
-    ended = ended and not period
-    graph = entry[2].get(ended)
-    if graph is None:
-        graph = entry[2][ended] = _write(prefix, period, ended)
-    return graph
+def _graph(t: InstructionSequenceTerm) -> tuple:
+    """The position graph of ``t`` with kinds that read every ``end j``
+    leaf as Dead."""
+    kinds, *graph = _form(t, "graph", _write)
+    return [Dead if type(kind) is tuple else kind for kind in kinds], *graph
 
 
 def extract(t: InstructionSequenceTerm) -> RegularThread:
     """The regular thread produced by executing the instruction sequence."""
-    kinds, *graph, state = _local(_entry(t))
-    return _quotient(list(kinds), *graph, state[0])
+    *graph, state = _graph(t)
+    return _quotient(*graph, state[0])
 
 
 def behaviourally_equivalent(
     t: InstructionSequenceTerm, t2: InstructionSequenceTerm
 ) -> bool:
     """Bisimilarity of the extracted threads, by the union-find kernel."""
-    *graph, state = _local(_entry(t))
-    *graph2, state2 = _local(_entry(t2))
+    *graph, state = _graph(t)
+    *graph2, state2 = _graph(t2)
     return _bisimilar(graph, graph2, [(state[0], state2[0])])
 
 
@@ -165,11 +160,9 @@ def behaviourally_congruent(
     of equal length m, padding with p terminations turns position m + j
     into Stop for j <= p and leaves it inactive beyond; the padded positions
     themselves agree on both sides.  So give each target m + j its own leaf
-    label ``end j`` and compare once.  Each sequence's graph holds its own
-    ``end j`` leaf under its own label number (each graph is written once
-    per term and kept), but the kernel matches labels by what they stand
-    for, and both leaves stand for ``("end", j)`` and are self-loops, so
-    they are bisimilar and act as one leaf.  For a padding p, relabelling
+    label ``end j``, as ``_write`` does, and compare once: both graphs'
+    ``end j`` leaves stand for ``("end", j)`` and are self-loops, so they
+    are bisimilar and act as one leaf.  For a padding p, relabelling
     ``end j`` as Stop when j <= p and as Dead otherwise maps this labelled
     graph onto the padded one, so labelled bisimilarity implies
     bisimilarity under every padding.  Conversely, threads are
@@ -196,14 +189,13 @@ def behaviourally_congruent(
     everywhere.  Hence positions q < M + k_a + k_b - g suffice; two finite
     sequences of equal length m give k_a = k_b = 0 and their m positions.
     """
-    a, b = _entry(t), _entry(t2)
-    (pre_a, per_a), (pre_b, per_b) = a[1], b[1]
+    (pre_a, per_a), (pre_b, per_b) = _flat(t), _flat(t2)
     if bool(per_a) != bool(per_b):
         return False
     if not per_a and len(pre_a) != len(pre_b):
         return False
-    *graph_a, entry_a = _local(a, ended=True)
-    *graph_b, entry_b = _local(b, ended=True)
+    *graph_a, entry_a = _form(t, "graph", _write)
+    *graph_b, entry_b = _form(t2, "graph", _write)
     m_a, k_a, m_b, k_b = len(pre_a), len(per_a), len(pre_b), len(per_b)
     limit = max(m_a, m_b) + k_a + k_b - gcd(k_a, k_b)
     pairs = [

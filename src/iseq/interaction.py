@@ -67,7 +67,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     the named registers in ``_named``'s order), numbered as found."""
     named = _named((node.action for node in thread.nodes if type(node) is Branch), family)
     foci = tuple(named)
-    kinds = {TAU: 0, Stop: 1, Dead: 2}  # label of each action and leaf class
+    kinds = [TAU, Stop, Dead]  # labels 0, 1 and 2, then one per state acting on an unknown register
     found = [(thread.root, tuple(named.values()))]
     index = {found[0]: 0}
     rows = []  # (label, on_true, on_false) per product state
@@ -82,7 +82,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     for s, (state, contents) in enumerate(found):  # the list grows while it is walked: a queue
         node = thread.nodes[state]
         if type(node) is not Branch:  # Stop or Dead
-            rows.append((kinds[type(node)], s, s))
+            rows.append((1 if type(node) is Stop else 2, s, s))
             continue
         action = node.action
         if action is TAU:
@@ -93,17 +93,17 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
             raise ValueError(f"abstract action {action} cannot interact with registers")
         assert isinstance(action, RegisterAction)
         if action.focus not in named:
-            lab = kinds.setdefault(action, len(kinds))
-            rows.append((lab, state_id(node.on_true, contents), state_id(node.on_false, contents)))
+            rows.append((len(kinds), state_id(node.on_true, contents), state_id(node.on_false, contents)))
+            kinds.append(action)
             continue
         fam = dict(zip(foci, contents))
         reply = _register_step(action, fam)
         if reply is None:
-            rows.append((kinds[Dead], s, s))  # an inoperative register
+            rows.append((2, s, s))  # Dead: an inoperative register
             continue
         succ = state_id(node.on_true if reply else node.on_false, tuple(fam.values()))
         rows.append((0, succ, succ))
-    return _quotient(list(kinds), *zip(*rows), 0)
+    return _quotient(kinds, *zip(*rows), 0)
 
 
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
@@ -144,12 +144,11 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
     Dead leaf; no tau state stays reachable, so ``_quotient`` drops them.
     """
     n = len(thread.nodes)
-    kinds, label, on_true, on_false = _arrays(thread.nodes + (Dead(),))
-    tau = kinds.get(TAU)
-    ends = _chain_ends(on_true, [s for s, lab in enumerate(label) if lab == tau], n)
+    kinds, label, on_true, on_false = _arrays(thread.nodes + (Dead(),))  # state s has label s
+    ends = _chain_ends(on_true, [s for s, kind in enumerate(kinds) if kind is TAU], n)
     land = [n if end < 0 else end for end in ends] + [n]
     redirect = [land[s] for s in on_true], [land[s] for s in on_false]
-    return _quotient(list(kinds), label, *redirect, land[thread.root])
+    return _quotient(kinds, label, *redirect, land[thread.root])
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def _walk(t: InstructionSequenceTerm) -> tuple[tuple, tuple]:
 
 
 # The intermediate forms of the last few terms asked about, so that asking
-# several questions about one term flattens it, writes its position graphs,
+# several questions about one term flattens it, writes its position graph,
 # derives its second canonical form and decodes it as a program under one
 # convention once.  An entry keeps its term alive until it is dropped.
 _MEMO_TERMS = 4
@@ -335,14 +335,8 @@ def _entry(t: InstructionSequenceTerm) -> list:
     It is keyed by ``id(t)`` and holds ``t``, so no other object can take
     that id while the entry lives.  A term asked about moves to the end,
     and past ``_MEMO_TERMS`` entries the oldest is dropped.  The flat parts
-    are ``flatten(t)`` as tuples; ``forms`` is a dict in which other
-    modules keep what they derive from the term: extraction's position
-    graphs under ``False`` and ``True``, the parts of the second canonical
-    form under ``"second"``, and under ``"program"`` the validated, decoded
-    program with the ``compute.IoConvention`` it was checked against.
-    Nothing stored is ever changed, so two threads storing one form at once
-    store equal values; a program checked under another convention replaces
-    the ``"program"`` pair whole, and a reader checks its convention.
+    are ``flatten(t)`` as tuples; ``forms`` maps each name ``_form`` is
+    asked for to a pair ``(given, form)``.
     """
     key = id(t)
     with _memo_lock:
@@ -360,6 +354,22 @@ def _entry(t: InstructionSequenceTerm) -> list:
 def _flat(t: InstructionSequenceTerm) -> tuple[tuple, tuple]:
     """``flatten(t)`` as shared tuples from the memo, for reading only."""
     return _entry(t)[1]
+
+
+def _form(t: InstructionSequenceTerm, name: str, derive, given=None):
+    """``derive(prefix, period)`` of the flat parts of ``t``, kept in its
+    memo entry under ``name`` together with ``given``, for reading only.
+
+    A form kept with another ``given`` is derived again and replaced, so a
+    name keeps one form at a time, and a ``derive`` that raises keeps
+    nothing.  Nothing kept is ever changed, only replaced whole, so two
+    threads deriving one form at once keep equal values.
+    """
+    entry = _entry(t)
+    kept = entry[2].get(name)
+    if kept is None or kept[0] != given:
+        kept = entry[2][name] = given, derive(*entry[1])
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------

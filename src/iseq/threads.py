@@ -7,9 +7,12 @@ that both successors coincide.
 
 Equality of threads is bisimilarity; by the approximation induction
 principle this coincides with equality of all finite projections.  Both
-kernels here work on three int arrays: a label, a true successor and a
-false successor per state, with each leaf a self-loop under a label of its
-own, and ``kinds`` says what each label stands for.  ``minimize``,
+kernels here work on three int arrays, a label, a true successor and a
+false successor per state, with each leaf a self-loop, and on a list
+``kinds``: ``kinds[x]`` is what label x stands for, an action, the class
+``Stop`` or ``Dead`` of a leaf, or a leaf kind of the caller's own such as
+extraction's ``("end", j)``.  Labels that stand for equal kinds count as
+one label, so a writer need not intern its kinds.  ``minimize``,
 ``threads_equal`` and ``interaction.abstract_tau`` translate one node list
 into these arrays (``_arrays``); :mod:`extraction` writes its position
 graphs and ``interaction.use`` its product into them directly.  Every
@@ -35,7 +38,7 @@ Where the answer is whether given pairs of states are bisimilar
 (``threads_equal`` and both behavioural deciders), ``_bisimilar`` runs
 Hopcroft and Karp's union-find test on two graphs where they lie.  It
 visits only the pairs reachable from those given and stops at the first
-pair of different labels.
+pair whose labels stand for different kinds.
 """
 
 from __future__ import annotations
@@ -176,22 +179,23 @@ def _bisimilar(first: Sequence, second: Sequence, pairs: Iterable[tuple[int, int
     of graph ``second`` for every pair ``(a, b)`` given.
 
     Each graph is ``(kinds, label, on_true, on_false)``, read where it
-    lies; pass one graph twice to compare two of its states.  ``relabel``
-    maps each label of ``second`` to the label of ``first`` that stands
-    for the same kind, or to -1 if none does.
+    lies; pass one graph twice to compare two of its states.  ``kind`` and
+    ``kind2`` number the kinds of both graphs alike, by label.
 
     Hopcroft and Karp's test ("A linear algorithm for testing equivalence
     of finite automata", 1971): pop a pair, find both representatives with
-    path halving, and unless they are one, fail on different labels or
+    path halving, and unless they are one, fail on different kinds or
     merge them and push the pair's successor pairs, again one state of
     each graph.  One parent list holds both graphs, ``second``'s states
     offset by n.  If every pair given is bisimilar, so is every pair
-    pushed, so no class merges two labels; otherwise some pushed pair has
-    two labels.  Only pairs reachable from those given are visited.
+    pushed, so no class merges two kinds; otherwise some pushed pair has
+    two kinds.  Only pairs reachable from those given are visited.
     """
     kinds, label, on_true, on_false = first
     kinds2, label2, on_true2, on_false2 = second
-    relabel = [kinds.get(kind, -1) for kind in kinds2]
+    number: dict = {}
+    kind = [number.setdefault(k, len(number)) for k in kinds]
+    kind2 = [number.setdefault(k, len(number)) for k in kinds2]
     n = len(label)
     parent = list(range(n + len(label2)))
     stack = list(pairs)
@@ -204,7 +208,7 @@ def _bisimilar(first: Sequence, second: Sequence, pairs: Iterable[tuple[int, int
             parent[t] = t = parent[parent[t]]
         if s == t:
             continue
-        if label[a] != relabel[label2[b]]:
+        if kind[label[a]] != kind2[label2[b]]:
             return False
         parent[s] = t
         stack.append((on_true[a], on_true2[b]))
@@ -250,8 +254,8 @@ def _quotient(
 ) -> RegularThread:
     """Least-state thread bisimilar to state ``root`` of an array graph.
 
-    ``kinds[x]`` is what label ``x`` stands for: an action, or the class
-    ``Stop`` or ``Dead`` of a leaf.  Only the states reachable from the root
+    Each label is read as the first label of its kind, which must be an
+    action, ``Stop`` or ``Dead``.  Only the states reachable from the root
     are refined, numbered breadth-first, true successor first, so the
     classes, numbered by first occurrence, come out in breadth-first order
     of the quotient: only the first state of a class can introduce new
@@ -265,7 +269,9 @@ def _quotient(
             if index[succ] < 0:
                 index[succ] = len(order)
                 order.append(succ)
-    label = [label[s] for s in order]
+    number: dict = {}
+    first = [number.setdefault(kind, x) for x, kind in enumerate(kinds)]
+    label = [first[label[s]] for s in order]
     on_true = [index[on_true[s]] for s in order]
     on_false = [index[on_false[s]] for s in order]
     classes = _classes(label, on_true, on_false)
@@ -278,29 +284,23 @@ def _quotient(
     return RegularThread(tuple(nodes), 0)
 
 
-def _arrays(nodes: Sequence[Node]) -> tuple[dict, list[int], list[int], list[int]]:
-    """(kinds, label, on_true, on_false) of a node list; ``kinds`` interns
-    each action and each leaf class as a label."""
-    kinds: dict = {}
-    label: list[int] = []
+def _arrays(nodes: Sequence[Node]) -> tuple[list, list[int], list[int], list[int]]:
+    """(kinds, label, on_true, on_false) of a node list, each state under a
+    label of its own."""
+    kinds: list = []
     on_true: list[int] = []
     on_false: list[int] = []
     for state, node in enumerate(nodes):
-        if type(node) is Branch:
-            label.append(kinds.setdefault(node.action, len(kinds)))
-            on_true.append(node.on_true)
-            on_false.append(node.on_false)
-        else:
-            label.append(kinds.setdefault(type(node), len(kinds)))
-            on_true.append(state)
-            on_false.append(state)
-    return kinds, label, on_true, on_false
+        branch = type(node) is Branch
+        kinds.append(node.action if branch else type(node))
+        on_true.append(node.on_true if branch else state)
+        on_false.append(node.on_false if branch else state)
+    return kinds, list(range(len(nodes))), on_true, on_false
 
 
 def minimize(t: RegularThread) -> RegularThread:
     """Least-state bisimilar thread with canonical breadth-first numbering."""
-    kinds, *graph = _arrays(t.nodes)
-    return _quotient(list(kinds), *graph, t.root)
+    return _quotient(*_arrays(t.nodes), t.root)
 
 
 def threads_equal(t1: RegularThread, t2: RegularThread) -> bool:

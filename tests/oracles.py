@@ -1064,7 +1064,8 @@ def compose(left: RegisterFamily, right: RegisterFamily) -> RegisterFamily:
 
 
 def hopcroft_classes(nodes: Sequence[Node]) -> list[int]:
-    """Class index per state by ``threads._classes``, numbered by first
-    occurrence; equal class means bisimilar."""
-    _, *graph = _arrays(nodes)
-    return _classes(*graph)
+    """Class index per state by ``threads._classes``, from one label per
+    kind, numbered by first occurrence; equal class means bisimilar."""
+    kinds, _, *graph = _arrays(nodes)
+    number: dict = {}
+    return _classes([number.setdefault(kind, len(number)) for kind in kinds], *graph)

@@ -1,7 +1,7 @@
 """The per-term memo behind flatten, extraction, the deciders, the second
 canonical form and the program checks changes no answer.
 
-``syntax._entry`` keeps the flat parts, extraction's position graphs, the
+``syntax._entry`` keeps the flat parts, extraction's position graph, the
 second canonical form and each convention's decoded program of the last
 ``_MEMO_TERMS`` terms asked about.  Every answer must be the same whether a
 term's entry is there (a hit), has been pushed out by other terms (a
@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from iseq import canonical, compute, syntax
+from iseq import canonical, compute, extraction, syntax
 from iseq.canonical import instruction_sequence_congruent, structurally_congruent, to_second_canonical
 from iseq.compute import IoConvention, computes_check, functionally_equivalent, induced_table, restrict_to_core
 from iseq.extraction import behaviourally_congruent, behaviourally_equivalent, extract
@@ -222,6 +222,21 @@ def test_each_second_canonical_form_is_derived_once_per_term(monkeypatch):
     again = to_second_canonical(t)
     assert again == form and again is not form  # a new result on every call
     assert len(steps) == 3
+
+
+def test_each_position_graph_is_written_once_per_term(monkeypatch):
+    """A finite and a periodic term, each asked ``extract`` and both
+    behavioural deciders against itself with the memo cleared first: one
+    graph serves all three, so each term's graph is written once."""
+    for text in ("+a;#2;b;!;c", "+a;#2;b;(!;c)*"):
+        t = parse(text)
+        evict()
+        writes = counted(monkeypatch, extraction, "_write")
+        extract(t)
+        assert behaviourally_equivalent(t, t)
+        assert behaviourally_congruent(t, t)
+        assert len(writes) == 1, text
+        monkeypatch.undo()
 
 
 def test_each_program_is_decoded_once_per_convention(monkeypatch):

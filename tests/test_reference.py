@@ -63,17 +63,31 @@ def test_second_canonical_matches_reference_on_every_split():
 def test_position_nodes_match_reference_on_every_split():
     """``extraction._write``'s arrays against the reference's, laid out
     alike, on the 83,748 distinct first canonical forms of every split up
-    to length 5."""
+    to length 5.  The reference runs past a finite end into the Dead
+    state 0, where ``_write`` lays a leaf ``("end", j)`` per target: these
+    leaves come after the acting states, each a self-loop under its own
+    ``end j``, and with each read as state 0 every array must match."""
     # first canonical forms keep chained and cyclic jumps, so this covers
     # every path of the position graph, not just second canonical input
     seen = set()
     for prefix, period in every_split(5):
         seq = oracles.canonical(prefix, period)
-        if seq in seen:
+        key = tuple(map(id, seq[0])), tuple(map(id, seq[1]))  # ALPHABET's objects are shared
+        if key in seen:
             continue
-        seen.add(seq)
-        kinds, *arrays, entry = _write(*seq, False)
-        assert (list(kinds), *arrays, entry) == oracles.position_arrays(seq), seq
+        seen.add(key)
+        kinds, label, on_true, on_false, entry = _write(*seq)
+        want = oracles.position_arrays(seq)
+        if not seq[1]:  # a finite sequence
+            acting = len(want[1])
+            ends = [kinds[x] for x in label[acting:]]
+            assert ends == [("end", j) for _, j in ends] and len(set(ends)) == len(ends), seq
+            assert on_true[acting:] == on_false[acting:] == list(range(acting, len(label))), seq
+            dead = [*range(acting), *[0] * len(ends)].__getitem__  # each end j leaf read as Dead
+            kinds, label = kinds[: len(kinds) - len(ends)], label[:acting]
+            on_true, on_false = list(map(dead, on_true[:acting])), list(map(dead, on_false[:acting]))
+            entry = list(map(dead, entry))
+        assert (kinds, label, on_true, on_false, entry) == want, seq
     assert len(seen) == 83748
 
 
@@ -160,9 +174,10 @@ def test_bisimilar_matches_reference_on_every_pair_of_random_graphs():
 def test_bisimilar_matches_reference_across_two_random_graphs():
     """``threads._bisimilar`` on every pair of a state of one random graph
     and a state of another, 200 pairs of graphs of 1 to 20 states
-    (seed 12), 22,503 pairs, against ``oracles.threads_equal``.  The two
-    graphs intern their labels apart, so a label of the second that the
-    first lacks must match nothing.  Both come from ``RegularThread``,
+    (seed 12), 22,503 pairs, against ``oracles.threads_equal``.  Each
+    graph numbers its own labels, so the kernel must match them by what
+    they stand for, and a kind of the second that the first lacks must
+    match nothing.  Both come from ``RegularThread``,
     which gives a tau branch one successor, as the oracle expects."""
     rng = random.Random(12)
     checked = 0
