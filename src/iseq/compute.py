@@ -23,7 +23,10 @@ A register no program names never changes a row's run, so the registers
 are renumbered densely first, and a register count costs nothing itself.
 A program's decoding under the last convention it was checked against is
 kept as a form of the term (``syntax._form``), so several checks of one
-program under one convention validate and decode it once.
+program under one convention validate and decode it once; so are the
+output rows of its run, when they all fit in one chunk (always for n <= 13),
+so ``computes_check`` and ``induced_table`` run them once.  A run over
+several chunks keeps no rows and still stops at the first wrong chunk.
 
 That run equals extract, then ``use`` on the in/aux family, then ``apply``
 on the out family.  The two families are disjoint, so ``use`` carries out
@@ -67,7 +70,7 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .syntax import (
     F0,
@@ -256,6 +259,33 @@ def _outputs(code: Sequence[_Op], conv: IoConvention) -> Iterator[tuple[Optional
         yield tuple(out if flag == "1" else None for flag, out in zip(format(done, spell)[::-1], got))
 
 
+class _Chunked(Exception):
+    """A row run that spans several chunks: its first chunk's rows and an
+    iterator over the others, raised so that ``_form`` keeps nothing."""
+
+
+def _rows(t: InstructionSequenceTerm, conv: IoConvention) -> Iterable[tuple[Optional[str], ...]]:
+    """``_outputs`` of the program under the convention, every input and
+    output kept.  A run whose rows all fit in the first chunk ``_chunks``
+    cuts is kept as the term's ``"rows"`` form with the convention, so a
+    later check under an equal one runs no rows.  A longer run keeps
+    nothing, and each chunk after the first runs when its first row is
+    read, so a check can stop at the first chunk that holds a wrong row."""
+
+    def run(*_):
+        (code,), dense = _dense([t], conv, conv.n + conv.m)
+        chunks = _outputs(code, dense)
+        first = next(chunks)
+        if len(first).bit_length() <= conv.n:  # fewer than 2**n rows
+            raise _Chunked(first, chunks)
+        return first
+
+    try:
+        return (_form(t, "rows", run, conv),)
+    except _Chunked as chunked:
+        return itertools.chain(chunked.args[:1], chunked.args[1])
+
+
 def _dense(
     terms: Sequence[InstructionSequenceTerm], conv: IoConvention, keep: int = 0
 ) -> tuple[list[Sequence[_Op]], IoConvention]:
@@ -285,16 +315,15 @@ def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTab
     """
     if conv.m == 0:
         raise ValueError("programs without output registers induce no unique table")
-    (code,), conv = _dense([t], conv, conv.n + conv.m)
-    return FunctionTable(conv.n, conv.m, tuple(itertools.chain.from_iterable(_outputs(code, conv))))
+    # a new tuple: the kept rows are never handed out
+    return FunctionTable(conv.n, conv.m, tuple(itertools.chain.from_iterable(_rows(t, conv))))
 
 
 def computes_check(t: InstructionSequenceTerm, table: FunctionTable, k: int) -> bool:
     """Does the program compute the table, with k auxiliary registers?"""
-    (code,), conv = _dense([t], IoConvention(table.n, table.m, k), table.n + table.m)
-    rows = itertools.chain.from_iterable(_outputs(code, conv))  # a chunk runs when its first row is read
+    rows = itertools.chain.from_iterable(_rows(t, IoConvention(table.n, table.m, k)))
     # with no outputs both row conditions require the empty family
-    return conv.m == 0 or all(map(operator.eq, rows, table.outputs))
+    return table.m == 0 or all(map(operator.eq, rows, table.outputs))
 
 
 def functionally_equivalent(

@@ -322,8 +322,9 @@ def _walk(t: InstructionSequenceTerm) -> tuple[tuple, tuple]:
 
 # The intermediate forms of the last few terms asked about, so that asking
 # several questions about one term flattens it, writes its position graph,
-# derives its second canonical form and decodes it as a program under one
-# convention once.  An entry keeps its term alive until it is dropped.
+# derives its second canonical form, and decodes it as a program and runs
+# its rows (when they fit in one chunk) under one convention once.  An
+# entry keeps its term alive until it is dropped.
 _MEMO_TERMS = 4
 _memo: dict[int, list] = {}
 _memo_lock = threading.Lock()
@@ -336,7 +337,9 @@ def _entry(t: InstructionSequenceTerm) -> list:
     that id while the entry lives.  A term asked about moves to the end,
     and past ``_MEMO_TERMS`` entries the oldest is dropped.  The flat parts
     are ``flatten(t)`` as tuples; ``forms`` maps each name ``_form`` is
-    asked for to a pair ``(given, form)``.
+    asked for to a pair ``(given, form)``: ``"graph"``, ``"second"``, and
+    ``"program"`` and ``"rows"`` with their ``IoConvention``, rows only for
+    a run that fits in one chunk.
     """
     key = id(t)
     with _memo_lock:

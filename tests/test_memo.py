@@ -2,8 +2,9 @@
 canonical form and the program checks changes no answer.
 
 ``syntax._entry`` keeps the flat parts, extraction's position graph, the
-second canonical form and each convention's decoded program of the last
-``_MEMO_TERMS`` terms asked about.  Every answer must be the same whether a
+second canonical form, and a convention's decoded program and the rows of
+its run, when they fit in one chunk, of the last ``_MEMO_TERMS`` terms
+asked about.  Every answer must be the same whether a
 term's entry is there (a hit), has been pushed out by other terms (a
 miss), or belongs to an equal term built from fresh objects; the memo must
 stay within its bound, give out nothing a caller can change, derive each
@@ -11,8 +12,10 @@ form once per term, and answer threads that share terms as it answers one
 caller.
 """
 
+import gc
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -256,6 +259,98 @@ def test_each_program_is_decoded_once_per_convention(monkeypatch):
     assert len(decodes) == 2
 
 
+def test_each_program_runs_its_rows_once_per_convention(monkeypatch):
+    """A compiled program checked against its table and a changed one and
+    asked for its induced table runs its one chunk of rows once; under a
+    second convention it runs them again, once, and so it does back under
+    the first, since an entry keeps one convention's rows at a time."""
+    table = FunctionTable(2, 1, ("0", "1", None, "1"))
+    wrong = FunctionTable(2, 1, ("0", "1", None, "0"))
+    program = compute.compile_table(table)
+    evict()
+    runs = counted(monkeypatch, compute, "_run_rows")
+    for k, want in ((0, 1), (1, 2), (0, 3)):
+        assert computes_check(program, table, k)
+        assert not computes_check(program, wrong, k)
+        assert induced_table(program, IoConvention(2, 1, k)) == table
+        assert len(runs) == want, k
+
+
+def test_rows_that_span_several_chunks_are_not_kept(monkeypatch):
+    """With chunks cut down to 4 rows, a compiled 4-input table runs in 4
+    chunks: every check runs all of them again, and the entry keeps its
+    decoding but no rows, even after a check that ran every chunk."""
+    monkeypatch.setattr(compute, "_CHUNK_BITS", 2)
+    rng = random.Random(5)
+    table = FunctionTable(4, 1, tuple(rng.choice((None, "0", "1")) for _ in range(16)))
+    program = compute.compile_table(table)
+    evict()
+    runs = counted(monkeypatch, compute, "_run_rows")
+    for asked in range(1, 4):
+        assert computes_check(program, table, 0)
+        assert induced_table(program, IoConvention(4, 1)) == table
+        assert len(runs) == 8 * asked
+        assert list(syntax._entry(program)[2]) == ["program"]
+
+
+def test_a_rejected_program_keeps_no_rows():
+    """A program naming aux:2 is rejected with one auxiliary register and
+    keeps no rows; with two it keeps them, and a later rejection leaves
+    those rows as they were."""
+    program = parse("+aux:2.i/i;out:1.1/1;!")
+    table = FunctionTable(1, 1, ("0", "0"))
+    evict()
+    for check in (lambda: computes_check(program, table, 1), lambda: induced_table(program, IoConvention(1, 1, 1))):
+        with pytest.raises(ValueError):
+            check()
+        assert "rows" not in syntax._entry(program)[2]
+    assert computes_check(program, table, 2)
+    kept = syntax._entry(program)[2]["rows"]
+    with pytest.raises(ValueError):
+        computes_check(program, table, 1)
+    assert syntax._entry(program)[2]["rows"] is kept
+    assert kept[0] == IoConvention(1, 1, 2)
+
+
+def traced(build):
+    """``build()`` and the bytes it allocated that are still held after it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = build()
+        gc.collect()
+        return value, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_rows_take_no_more_memory_than_the_induced_table():
+    """A 20-instruction program naming 16 inputs and 2 outputs runs its
+    65,536 rows in one chunk, and keeps them.  What a check leaves held
+    beyond the program's decoding is no larger than what the table that
+    ``induced_table`` returns holds once the memo has let the program go
+    (about 1.1 MB each on CPython 3.11), and that table holds a tuple of its
+    own, not the kept one."""
+    steps = [f"+in:{i}.i/i" for i in range(1, 17)]
+    steps[5:5] = ["out:1.c/c"]
+    steps[11:11] = ["out:2.1/1"]
+    steps[17:17] = ["#0"]
+    program = parse(";".join(steps + ["!"]))
+    conv = IoConvention(16, 2)
+    assert len(leaves(program)) == 20
+    evict()
+    table = induced_table(program, conv)
+    assert len(table.outputs) == 2**16
+    assert table.outputs is not syntax._entry(program)[2]["rows"][1]
+    evict()
+    compute._validate_program(program, conv)
+    computes, kept = traced(lambda: computes_check(program, table, 0))
+    assert computes and "rows" in syntax._entry(program)[2]
+    evict()
+    _, alone = traced(lambda: [induced_table(program, conv), evict()][0])
+    assert kept <= alone, (kept, alone)
+
+
 def test_a_rejected_program_keeps_nothing_for_a_later_convention():
     program = parse("+aux:2.i/i;out:1.1/1;!")
     narrow, wide = IoConvention(1, 1, 1), IoConvention(1, 1, 2)
@@ -281,9 +376,12 @@ def test_each_convention_reads_its_own_decoding(order):
 
 def test_a_program_checked_under_many_conventions_keeps_one_decoding():
     """A sweep over 100 auxiliary register counts leaves one decoded program
-    in the term's entry, so an entry's size does not grow with the number
-    of conventions asked about."""
+    and one run's rows in the term's entry, both under the last convention,
+    so an entry's size does not grow with the number of conventions asked
+    about."""
     program = parse("+in:1.i/i;out:1.1/1;!")
     table = FunctionTable(1, 1, ("0", "1"))
     assert all(computes_check(program, table, k) for k in range(100))
-    assert list(syntax._entry(program)[2]) == ["program"]
+    forms = syntax._entry(program)[2]
+    assert sorted(forms) == ["program", "rows"]
+    assert {given for given, _ in forms.values()} == {IoConvention(1, 1, 99)}
