@@ -19,8 +19,8 @@ that will ever stand there has arrived, and a row's registers change only
 where it stands: the final masks hold what each row computes.  Rows run
 in chunks of at most 2**16, fewer for a long program, so a mask takes at
 most 8 KB and a chunk's masks about 8 MB, however many inputs there are.
-A register no program names never changes a row's run, so the registers
-are renumbered densely first, and a register count costs nothing itself.
+A register no program names never changes a row's run, so ``regs`` holds
+only those a check reads or a program names: a count costs nothing itself.
 A program's decoding under the last convention it was checked against is
 kept as a form of the term (``syntax._form``), so several checks of one
 program under one convention validate and decode it once; so are the
@@ -66,9 +66,9 @@ candidate would.  A budget on the frontiers it expands bounds its work.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -182,10 +182,10 @@ def _validate_program(
     return _form(t, "program", check, conv)
 
 
-def _run_rows(code: Sequence[_Op], regs: list[int], rows: int) -> int:
+def _run_rows(code: Sequence[_Op], regs: dict[int, int], rows: int) -> int:
     """Run decoded code on the rows of the mask ``rows`` at once, as the
-    module docstring describes, and return the mask of those that reach
-    ``!``.  ``regs[s]`` holds register s of every row, updated in place."""
+    module docstring describes; return the mask of those that reach ``!``.
+    ``regs`` holds, by slot, each register the code names, updated in place."""
     end = len(code)
     at = [rows] + [0] * (end + 1)  # a step of 1 or 2 may land past the end
     done = 0
@@ -218,20 +218,20 @@ def _run_rows(code: Sequence[_Op], regs: list[int], rows: int) -> int:
 _CHUNK_BITS = 16  # a chunk runs at most 2**16 rows
 
 
-def _chunks(conv: IoConvention, length: int) -> Iterator[tuple[int, list[int]]]:
-    """The input rows in table order, in chunks: per chunk, the mask of its
-    rows and the registers they start with.
+def _chunks(ins: Sequence[int], others: Iterable[int], length: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """The rows of the input slots ``ins``, sorted, in chunks: per chunk,
+    the mask of its rows and their registers by slot, ``others`` at 0.
 
     A chunk holds 2**16 rows, halved for every doubling of the program's
     positions and registers from 1,024 on, down to 2**13.  Rows parked at
     distinct positions are distinct rows, so a chunk's masks never hold
-    much more than 2**26 bits (8 MB) at once.  Row v loads in:i with bit
-    n - i of v.  Within a chunk the low bits of v run through every value
-    and the high ones stay fixed, so an input reads the same row pattern in
-    every chunk, or is all ones or all zeros.
+    much more than 2**26 bits (8 MB) at once.  Row v loads ``ins[j]`` with
+    bit n - 1 - j of v, n = len(ins).  Within a chunk the low bits of v run
+    through every value and the high ones stay fixed, so an input reads the
+    same row pattern in every chunk, or is all ones or all zeros.
     """
-    size = length + conv.n + conv.m + conv.k
-    low = min(conv.n, _CHUNK_BITS, max(13, 26 - size.bit_length()))
+    start = dict.fromkeys(itertools.chain(others, ins), 0)
+    low = min(len(ins), _CHUNK_BITS, max(13, 26 - (length + len(start)).bit_length()))
     rows = 1 << low
     every = (1 << rows) - 1
     patterns = []  # pattern b: the rows of a chunk whose index has bit b set
@@ -242,20 +242,24 @@ def _chunks(conv: IoConvention, length: int) -> Iterator[tuple[int, list[int]]]:
             width <<= 1
         patterns.append(mask)
     patterns.reverse()
-    high = conv.n - low
+    high = len(ins) - low
     for chunk in range(1 << high):
         fixed = [every if chunk >> (high - i) & 1 else 0 for i in range(1, high + 1)]
-        yield every, fixed + patterns + [0] * (conv.m + conv.k)
+        regs = start.copy()
+        regs.update(zip(ins, fixed + patterns))
+        yield every, regs
 
 
-def _outputs(code: Sequence[_Op], conv: IoConvention) -> Iterator[tuple[Optional[str], ...]]:
+def _outputs(
+    code: Sequence[_Op], named: Iterable[int], conv: IoConvention
+) -> Iterator[tuple[Optional[str], ...]]:
     """Output bits computed on each input row, chunk by chunk in table
-    order; None for the empty family."""
-    outs = slice(conv.n, conv.n + conv.m)
-    for rows, regs in _chunks(conv, len(code)):
+    order; None for the empty family.  Equal rows share one string."""
+    outs = range(conv.n, conv.n + conv.m)
+    for rows, regs in _chunks(range(conv.n), itertools.chain(outs, named), len(code)):
         done = _run_rows(code, regs, rows)
         spell = f"0{rows.bit_length()}b"
-        got = map("".join, zip(*[format(reg, spell)[::-1] for reg in regs[outs]]))
+        got = map(sys.intern, map("".join, zip(*[format(regs[s], spell)[::-1] for s in outs])))
         yield tuple(out if flag == "1" else None for flag, out in zip(format(done, spell)[::-1], got))
 
 
@@ -273,8 +277,8 @@ def _rows(t: InstructionSequenceTerm, conv: IoConvention) -> Iterable[tuple[Opti
     read, so a check can stop at the first chunk that holds a wrong row."""
 
     def run(*_):
-        (code,), dense = _dense([t], conv, conv.n + conv.m)
-        chunks = _outputs(code, dense)
+        _, code, named = _validate_program(t, conv)
+        chunks = _outputs(code, named, conv)
         first = next(chunks)
         if len(first).bit_length() <= conv.n:  # fewer than 2**n rows
             raise _Chunked(first, chunks)
@@ -284,27 +288,6 @@ def _rows(t: InstructionSequenceTerm, conv: IoConvention) -> Iterable[tuple[Opti
         return (_form(t, "rows", run, conv),)
     except _Chunked as chunked:
         return itertools.chain(chunked.args[:1], chunked.args[1])
-
-
-def _dense(
-    terms: Sequence[InstructionSequenceTerm], conv: IoConvention, keep: int = 0
-) -> tuple[list[Sequence[_Op]], IoConvention]:
-    """The validated programs, decoded, with the register slots any of them
-    names and the first ``keep`` renumbered 0, 1, ... in slot order, and the
-    convention of as many inputs, outputs and auxiliary registers as these
-    slots hold of each.  A register no program names never changes a row's
-    run and ends as it started.  Dense slots keep their code: a rewrite cost ``tables`` 10 %."""
-    codes, slots = [], set(range(keep))
-    for t in terms:
-        _, code, named = _validate_program(t, conv)
-        codes.append(code)
-        slots |= named
-    slots = sorted(slots)
-    ins, ins_outs = bisect.bisect_left(slots, conv.n), bisect.bisect_left(slots, conv.n + conv.m)
-    if slots and slots[-1] >= len(slots):
-        place = dict(zip(slots, range(len(slots))))
-        codes = [[op if type(op) is not tuple else (place[op[0]], *op[1:]) for op in code] for code in codes]
-    return codes, IoConvention(ins, ins_outs - ins, len(slots) - ins_outs)
 
 
 def induced_table(t: InstructionSequenceTerm, conv: IoConvention) -> FunctionTable:
@@ -335,19 +318,21 @@ def functionally_equivalent(
     neither terminates; a row's outputs count only where it terminates.
     A register neither program names never changes a row's run, and an
     output neither names stays 0 on both sides, so only the named registers
-    count: they are renumbered in slot order, and the rows are those of the
-    n' named inputs.
+    count: the rows are those of the named inputs.
     """
-    (code, code2), dense = _dense([t, t2], conv)
+    _, code, named = _validate_program(t, conv)
+    _, code2, named2 = _validate_program(t2, conv)
     if conv.m == 0:
         return True  # every program computes every function onto zero outputs
-    outs = slice(dense.n, dense.n + dense.m)
-    for rows, regs in _chunks(dense, max(len(code), len(code2))):
-        regs2 = list(regs)
+    named = sorted(named | named2)
+    ins = [s for s in named if s < conv.n]
+    outs = [s for s in named if conv.n <= s < conv.n + conv.m]
+    for rows, regs in _chunks(ins, named, max(len(code), len(code2))):
+        regs2 = regs.copy()
         done = _run_rows(code, regs, rows)
         if done != _run_rows(code2, regs2, rows):
             return False
-        if any((a ^ b) & done for a, b in zip(regs[outs], regs2[outs])):
+        if any((regs[s] ^ regs2[s]) & done for s in outs):
             return False
     return True
 
@@ -479,7 +464,8 @@ def restrict_to_core(
         else:
             if op:
                 reached[min(i + op, total)] = True
-            options.append([([i + op if op else instr], 0, 1)])
+            # past the end any distance is inaction: land just past it
+            options.append([([min(i + op, total) if op else instr], 0, 1)])
 
     # cost[must]: least length of the blocks from a position on, where
     # ``must`` says that its block has to offer a landing

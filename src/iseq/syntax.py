@@ -9,7 +9,7 @@ The surface syntax is plain ASCII:
 
 Concatenation (`;`) parses right-associatively; a repetition star binds to
 the directly preceding atom.  Rendering is deterministic and satisfies
-``parse(render(x)) == x`` for every AST value.
+``parse(render(x)) == x`` for every AST value with jumps of at most 10**9.
 
 Sequences and families are read by one cursor over a list of token
 strings, which one regular expression cuts from the text: a token's first
@@ -423,7 +423,7 @@ class FunctionTable:
 
     def __post_init__(self):
         _check_shape(self.n, self.m, len(self.outputs))
-        for out in self.outputs:
+        for out in dict.fromkeys(self.outputs):  # each distinct output once, in row order
             if out is not None and (len(out) != self.m or set(out) - {"0", "1"}):
                 raise ValueError(f"output {out!r} is not a {self.m}-bit string")
 

@@ -359,6 +359,43 @@ def test_functional_equivalence_runs_only_the_named_inputs(monkeypatch):
     assert not functionally_equivalent(parse("+in:3.i/i;out:1.1/1;!"), parse("+in:4.i/i;out:1.1/1;!"), conv)
 
 
+def spy_rows(monkeypatch):
+    """Each ``_run_rows`` call's row mask and its registers as they start."""
+    calls = []
+    run_rows = compute._run_rows
+
+    def spy(code, regs, rows):
+        calls.append((dict(regs), rows))
+        return run_rows(code, regs, rows)
+
+    monkeypatch.setattr(compute, "_run_rows", spy)
+    return calls
+
+
+def test_row_checks_keep_every_input_and_output_and_the_named_slots(monkeypatch):
+    """Under 10**9 auxiliary registers, a program naming aux:10**9 runs
+    with the registers of every input and output and that one slot, by
+    their slots in the convention; in:1 is the most significant row bit."""
+    calls = spy_rows(monkeypatch)
+    table = FunctionTable(2, 2, ("00", "10", "00", "10"))
+    assert computes_check(parse("+aux:1000000000.i/i;#0;+in:2.i/i;out:1.1/1;!"), table, 10**9)
+    assert calls == [({0: 0b1100, 1: 0b1010, 2: 0, 3: 0, 10**9 + 3: 0}, 0b1111)]
+
+
+def test_functional_equivalence_keeps_only_the_named_slots(monkeypatch):
+    """Under 10**9 outputs and 10**9 auxiliary registers, two programs that
+    name in:2, in:5, out:10**9 and aux:10**9 between them each run the 4
+    rows of those two inputs, with exactly those four slots, in:2 the more
+    significant row bit."""
+    calls = spy_rows(monkeypatch)
+    conv = IoConvention(8, 10**9, 10**9)
+    p = parse("+in:2.i/i;aux:1000000000.1/1;-aux:1000000000.i/i;out:1000000000.1/1;!")
+    p2 = parse("-in:2.i/i;out:1000000000.1/1;+in:5.i/i;!;!")
+    assert functionally_equivalent(p, p2, conv)
+    start = {1: 0b1100, 4: 0b1010, 7 + 10**9: 0, 7 + 2 * 10**9: 0}
+    assert calls == [(start, 0b1111)] * 2
+
+
 def test_row_masks_of_a_compiled_13_input_table_stay_small():
     """``computes_check`` on a compiled table of 13 inputs, 8,192 rows that
     scatter over 35,407 positions, allocates under 10 MB at its peak: the
@@ -520,6 +557,16 @@ def test_restrict_relocates_exits_past_the_end():
     ``#2`` lands just past the end."""
     core = restrict_to_core(parse("+in:1.0/c;!"), IoConvention(1, 1, 0))
     assert render_term(core) == "+in:1.i/i;+in:1.0/0;in:1.1/1;#2;#0"
+
+
+def test_restrict_keeps_a_jump_past_the_end_within_the_parser_bound():
+    """A jump past the end lands just past it after the translation, which
+    may grow the program, so the core program parses back and stays
+    functionally equivalent."""
+    conv = IoConvention(1, 1, 0)
+    prog = parse("+in:1.i/i;#1000000000;+in:1.0/c;+in:1.0/c;!")
+    core = parse(render_term(restrict_to_core(prog, conv)))
+    assert functionally_equivalent(prog, core, conv)
 
 
 def test_restrict_per_block_soundness_all_48_forms():

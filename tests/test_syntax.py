@@ -245,6 +245,13 @@ def test_table_row_count_is_checked_before_any_row():
         table_from_rows(1, 1, {"0": "1", "x": "0"})
 
 
+def test_table_error_names_the_first_bad_output_in_row_order():
+    with pytest.raises(ValueError, match=r"^output '2' is not a 1-bit string$"):
+        FunctionTable(2, 1, ("0", "2", "1", "01"))
+    with pytest.raises(ValueError, match=r"^output '01' is not a 1-bit string$"):
+        FunctionTable(2, 1, ("0", "01", "1", "2"))
+
+
 def test_table_render_round_trip():
     text = "inputs 2 outputs 2\n00 -> 01\n01 -> _\n10 -> 11\n11 -> _\n"
     table = parse_function_table(text)
