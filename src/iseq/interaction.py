@@ -13,20 +13,21 @@ focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 ``simulate`` is a small-step interpreter over the flat instruction
 sequence (``syntax.flatten``), read modulo its period past the stored
 positions, used to cross-check the algebraic route (apply after extract).
-``use``, ``apply`` and ``simulate`` carry out a register action alike, by
-``_register_step``; each handles an unknown focus in its own way.  Each
-runs on the part of the family that the program's actions name (``_named``)
-and passes the rest through untouched, so unnamed registers cost nothing.
+``apply`` and ``simulate`` step over thread states and flat positions in
+``_run``, the one cycle detector.  ``_register_step`` is the one rule for a
+register action's reply; ``use`` looks the focus up first, since there an
+unknown focus stays observable.  Each runs on the part of the family that
+the program's actions name (``_named``) and passes the rest through
+untouched, so unnamed registers cost nothing.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .registers import RegisterFamily
 from .syntax import (
-    AbstractAction,
     Halt,
     InstructionSequenceTerm,
     Jump,
@@ -50,15 +51,50 @@ def _named(actions: Iterable, family: RegisterFamily) -> RegisterFamily:
     return named
 
 
-def _register_step(action: RegisterAction, fam: RegisterFamily) -> bool | None:
-    """Carry out ``action`` on ``fam``, which names its focus: the reply,
-    or None for an inoperative register."""
-    content = fam[action.focus]
+def _register_step(
+    action, fam: RegisterFamily, abstract: str = "abstract action {} cannot interact with registers"
+) -> bool | None:
+    """Carry out ``action`` on ``fam``: the reply, or None where the run
+    sticks, on a focus ``fam`` does not name or an inoperative register.
+    An abstract action raises ValueError with ``abstract`` naming it."""
+    if type(action) is not RegisterAction:
+        raise ValueError(abstract.format(action))
+    content = fam.get(action.focus, RegisterContent.INOPERATIVE)
     if content is RegisterContent.INOPERATIVE:
         return None
     bit = content is RegisterContent.ONE
     fam[action.focus] = RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
     return action.reply(bit)
+
+
+class Outcome(enum.Enum):
+    TERMINATED = "terminated"
+    INACTIVE = "inactive"
+    FUEL_EXHAUSTED = "fuel-exhausted"
+
+
+def _run(step: Callable[[int, RegisterFamily], int | Outcome], q: int, fam: RegisterFamily, fuel: int) -> Outcome:
+    """The Outcome that ``step`` returns within ``fuel`` steps from (``q``,
+    ``fam``), else FUEL_EXHAUSTED; a step changes ``fam`` in place and
+    returns the next ``q`` or an Outcome.  A configuration that comes back
+    makes the run periodic: Brent's cycle finding compares each with the one
+    at the last power-of-two step, and a match L steps later leaves only the
+    fuel modulo L to run, so the work is bounded by the configurations,
+    whatever the fuel, and the memory holds two of them."""
+    mark_q, mark, since, power = -1, None, 0, 1  # the configuration at the last power of two
+    while fuel > 0:
+        if q == mark_q and fam == mark:
+            fuel %= since
+            if not fuel:
+                break
+        elif since == power:
+            mark_q, mark, since, power = q, dict(fam), 0, 2 * power
+        since += 1
+        fuel -= 1
+        q = step(q, fam)
+        if type(q) is Outcome:
+            return q
+    return Outcome.FUEL_EXHAUSTED
 
 
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
@@ -89,10 +125,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
             succ = state_id(node.on_true, contents)
             rows.append((0, succ, succ))
             continue
-        if isinstance(action, AbstractAction):
-            raise ValueError(f"abstract action {action} cannot interact with registers")
-        assert isinstance(action, RegisterAction)
-        if action.focus not in named:
+        if type(action) is RegisterAction and action.focus not in named:
             rows.append((len(kinds), state_id(node.on_true, contents), state_id(node.on_false, contents)))
             kinds.append(action)
             continue
@@ -107,33 +140,26 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
 
 
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
-    """Final family after running the thread on it; empty on any failure."""
-    state = thread.root
-    fam = _named((node.action for node in thread.nodes if isinstance(node, Branch)), family)
-    seen: set[tuple] = set()
-    while True:
-        key = (state, tuple(fam.values()))  # the run never adds a register
-        if key in seen:
-            return {}  # divergence: every projection ends inactive
-        seen.add(key)
-        node = thread.node(state)
-        if isinstance(node, Stop):
-            return {**family, **fam}
-        if isinstance(node, Dead):
-            return {}
-        action = node.action
-        if action is TAU:
-            state = node.on_true
-            continue
-        if isinstance(action, AbstractAction):
-            raise ValueError(f"abstract action {action} cannot interact with registers")
-        assert isinstance(action, RegisterAction)
-        if action.focus not in fam:
-            return {}
-        reply = _register_step(action, fam)
+    """Final family after running the thread on it; empty on inaction or
+    divergence.  ``_run`` gets fuel for one step per configuration (thread
+    state and named contents), so a run still going then diverges."""
+    nodes = thread.nodes
+    fam = _named((node.action for node in nodes if type(node) is Branch), family)
+
+    def step(state: int, fam: RegisterFamily) -> int | Outcome:
+        node = nodes[state]
+        if type(node) is not Branch:  # Stop or Dead
+            return Outcome.TERMINATED if type(node) is Stop else Outcome.INACTIVE
+        if node.action is TAU:
+            return node.on_true
+        reply = _register_step(node.action, fam)
         if reply is None:
-            return {}
-        state = node.on_true if reply else node.on_false
+            return Outcome.INACTIVE
+        return node.on_true if reply else node.on_false
+
+    if _run(step, thread.root, fam, len(nodes) << len(fam)) is Outcome.TERMINATED:
+        return {**family, **fam}
+    return {}
 
 
 def abstract_tau(thread: RegularThread) -> RegularThread:
@@ -155,12 +181,6 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
 # small-step interpreter
 
 
-class Outcome(enum.Enum):
-    TERMINATED = "terminated"
-    INACTIVE = "inactive"
-    FUEL_EXHAUSTED = "fuel-exhausted"
-
-
 def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
     """The instruction stream of a term: its finite part, then its repeating
     part forever; anything following an infinite part is never produced."""
@@ -179,11 +199,8 @@ def simulate(
     unknown focus or an inoperative register makes execution stick, which
     reports as inaction.  A position q past the m + k stored ones reads
     position m + (q - m) mod k of the repeating part, so a long jump
-    unfolds nothing.  A run whose configuration (position and named
-    contents) comes back is periodic from there on: Brent's cycle finding
-    compares each configuration with the one at the last power-of-two
-    step, and a match L steps later leaves only the fuel modulo L to run,
-    so the work is bounded by the configurations, whatever the fuel.
+    unfolds nothing.  ``_run`` runs only the fuel modulo the cycle once a
+    configuration (position and named contents) comes back.
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
@@ -192,43 +209,24 @@ def simulate(
     m, total, k = len(prefix), len(seq), len(period)
     fam = _named((getattr(instr, "basic", None) for instr in seq), family)
 
-    def end(outcome: Outcome) -> tuple[Outcome, RegisterFamily]:
-        return outcome, {**family, **fam}
-
-    q = 0  # 0-based index of the next instruction
-    mark_q, mark, since, power = -1, None, 0, 1  # the configuration at the last power of two
-    while True:
-        if fuel <= 0:
-            return end(Outcome.FUEL_EXHAUSTED)
-        if q >= total:
+    def step(q: int, fam: RegisterFamily) -> int | Outcome:
+        if q >= total:  # read past the end only when the fuel allows a step
             if not k:
-                return end(Outcome.INACTIVE)
+                return Outcome.INACTIVE
             q = m + (q - m) % k
-        if q == mark_q and fam == mark:
-            fuel %= since
-            if not fuel:
-                continue
-        elif since == power:
-            mark_q, mark, since, power = q, dict(fam), 0, 2 * power
-        since += 1
         instr = seq[q]
-        fuel -= 1
-        if isinstance(instr, Halt):
-            return end(Outcome.TERMINATED)
-        if isinstance(instr, Jump):
-            if instr.offset == 0:
-                return end(Outcome.INACTIVE)
-            q += instr.offset
-            continue
-        basic = instr.basic
-        if not isinstance(basic, RegisterAction):
-            raise ValueError(f"cannot execute abstract action {basic}")
-        reply = _register_step(basic, fam) if basic.focus in fam else None
+        kind = type(instr)
+        if kind is Halt:
+            return Outcome.TERMINATED
+        if kind is Jump:
+            return q + instr.offset if instr.offset else Outcome.INACTIVE
+        reply = _register_step(instr.basic, fam, "cannot execute abstract action {}")
         if reply is None:
-            return end(Outcome.INACTIVE)
-        if isinstance(instr, Plain):
-            q += 1
-        elif isinstance(instr, PosTest):
-            q += 1 if reply else 2
-        else:
-            q += 2 if reply else 1
+            return Outcome.INACTIVE
+        if kind is Plain:
+            return q + 1
+        if kind is PosTest:
+            return q + (1 if reply else 2)
+        return q + (2 if reply else 1)
+
+    return _run(step, 0, fam, fuel), {**family, **fam}

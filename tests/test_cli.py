@@ -142,6 +142,21 @@ def test_use_apply_abstract_simulate():
     assert out == "terminated {aux:1=1, aux:2=0, aux:3=1, aux:4=1}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (("apply", "-e", "a;!"), (2, "", "error: abstract action a cannot interact with registers\n")),
+        (("use", "-e", "a;!", "-f", "{f=0}"), (2, "", "error: abstract action a cannot interact with registers\n")),
+        (("simulate", "-e", "a;!"), (2, "", "error: cannot execute abstract action a\n")),
+        # an abstract action that the run never reaches raises nothing
+        (("apply", "-e", "!;a", "-f", "{f=1}"), (0, "{f=1}\n", "")),
+        (("simulate", "-e", "!;a"), (0, "terminated {}\n", "")),
+    ],
+)
+def test_abstract_actions_refuse_to_run_on_registers(argv, result):
+    assert run(*argv) == result
+
+
 def test_computes_and_tables(tmp_path):
     table = tmp_path / "id.tbl"
     table.write_text("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n")
