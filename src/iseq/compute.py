@@ -89,6 +89,7 @@ from .syntax import (
     RegisterAction,
     UnaryBoolFunc,
     concat_all,
+    _EXITS,
     _form,
 )
 
@@ -125,14 +126,11 @@ class IoConvention:
 # register instruction.  Register slots lay out in:1..n, out:1..m, aux:1..k.
 _Op = None | int | tuple
 
-# (effect_on_0, effect_on_1, step_on_0, step_on_1) of every register form
+# (effect_on_0, effect_on_1, step_on_0, step_on_1) of every register form,
+# each step read from the exit table ``syntax._EXITS`` by the reply
 _BEHAVIOUR = {
-    (kind, reply, effect): (
-        effect(False),
-        effect(True),
-        *(1 if kind is Plain or reply(bit) == (kind is PosTest) else 2 for bit in (False, True)),
-    )
-    for kind in (Plain, PosTest, NegTest)
+    (kind, reply, effect): (effect(False), effect(True), *(exits[not reply(bit)] for bit in (False, True)))
+    for kind, exits in _EXITS.items()
     for reply in UnaryBoolFunc
     for effect in UnaryBoolFunc
 }

@@ -2,13 +2,14 @@
 
 Extraction builds the behaviour graph over the positions of the flat
 ``(prefix, period)`` parts of a term (``syntax.flatten``), with no
-canonical form: a plain instruction performs its action and continues, a
-test branches between the next position and the one after, termination
-stops, and positions of the repeating part wrap around.  A jump is an
-alias for its landing, which ``canonical._landings`` finds for every jump
-in one memoized pass, as it does for the second canonical form: the state
-of the first non-jump on its chain, a leaf past a finite end, or Dead for
-a 0-jump or a cycle.
+canonical form: an instruction that acts branches to the positions that
+``syntax._EXITS``, the one exit table, gives for a true and a false reply
+(a plain instruction continues either way, a test skips one on the reply
+it does not want), termination stops, and positions of the repeating part
+wrap around.  A jump is an alias for its landing, which
+``canonical._landings`` finds for every jump in one memoized pass, as it
+does for the second canonical form: the state of the first non-jump on its
+chain, a leaf past a finite end, or Dead for a 0-jump or a cycle.
 
 The graph is written straight into the int arrays of :mod:`threads`, one
 state per instruction that acts and shared leaves for Stop and Dead, with
@@ -37,10 +38,10 @@ from .syntax import (
     Halt,
     InstructionSequenceTerm,
     Jump,
-    NegTest,
     PosTest,
     PrimitiveInstruction,
     concat_all,
+    _EXITS,
     _flat,
     _form,
 )
@@ -112,13 +113,8 @@ def _write(prefix: Sequence, period: Sequence) -> tuple:
     after = state + ([state[m], state[m + 1 % k]] if k else [past(total), past(total + 1)])
     for q in acts:
         s = state[q]
-        kind = type(seq[q])
-        if kind is PosTest:
-            on_true[s], on_false[s] = after[q + 1], after[q + 2]
-        elif kind is NegTest:
-            on_true[s], on_false[s] = after[q + 2], after[q + 1]
-        else:
-            on_true[s] = on_false[s] = after[q + 1]
+        yes, no = _EXITS[type(seq[q])]
+        on_true[s], on_false[s] = after[q + yes], after[q + no]
     return kinds, label, on_true, on_false, state
 
 

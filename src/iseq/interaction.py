@@ -10,35 +10,34 @@ focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 ``use`` writes its product into the int arrays of :mod:`threads`, and
 ``abstract_tau`` resolves tau chains there by ``_chain_ends``, as jumps are.
 
-``simulate`` is a small-step interpreter over the flat instruction
-sequence (``syntax.flatten``), read modulo its period past the stored
-positions, used to cross-check the algebraic route (apply after extract).
-``apply`` and ``simulate`` step over thread states and flat positions in
-``_run``, the one cycle detector.  ``_register_step`` is the one rule for a
-register action's reply; ``use`` looks the focus up first, since there an
-unknown focus stays observable.  Each runs on the part of the family that
-the program's actions name (``_named``) and passes the rest through
-untouched, so unnamed registers cost nothing.
+``_stepper`` is the one step rule, what a thread state does with a family.
+``use`` calls it at every product state but an action on a register the
+family does not name, which stays observable; ``apply`` and ``simulate``
+step through it in ``_run``, the one cycle detector.  ``simulate`` runs a
+term directly, its flat positions (``syntax.flatten``) read as thread
+states, to cross-check the algebraic route (apply after extract).  Each
+runs on the part of the family that the program's actions name
+(``_named``) and passes the rest through untouched, so unnamed registers
+cost nothing.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .registers import RegisterFamily
 from .syntax import (
     Halt,
     InstructionSequenceTerm,
     Jump,
-    Plain,
-    PosTest,
     PrimitiveInstruction,
     RegisterAction,
     RegisterContent,
+    _EXITS,
     _flat,
 )
-from .threads import TAU, Branch, Dead, RegularThread, Stop, _arrays, _chain_ends, _quotient
+from .threads import TAU, Branch, Dead, Node, RegularThread, Stop, _arrays, _chain_ends, _quotient
 
 
 def _named(actions: Iterable, family: RegisterFamily) -> RegisterFamily:
@@ -49,22 +48,6 @@ def _named(actions: Iterable, family: RegisterFamily) -> RegisterFamily:
         if type(action) is RegisterAction and action.focus in family:
             named[action.focus] = family[action.focus]
     return named
-
-
-def _register_step(
-    action, fam: RegisterFamily, abstract: str = "abstract action {} cannot interact with registers"
-) -> bool | None:
-    """Carry out ``action`` on ``fam``: the reply, or None where the run
-    sticks, on a focus ``fam`` does not name or an inoperative register.
-    An abstract action raises ValueError with ``abstract`` naming it."""
-    if type(action) is not RegisterAction:
-        raise ValueError(abstract.format(action))
-    content = fam.get(action.focus, RegisterContent.INOPERATIVE)
-    if content is RegisterContent.INOPERATIVE:
-        return None
-    bit = content is RegisterContent.ONE
-    fam[action.focus] = RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
-    return action.reply(bit)
 
 
 class Outcome(enum.Enum):
@@ -97,12 +80,43 @@ def _run(step: Callable[[int, RegisterFamily], int | Outcome], q: int, fam: Regi
     return Outcome.FUEL_EXHAUSTED
 
 
+def _stepper(
+    nodes: Sequence[Node], abstract: str = "abstract action {} cannot interact with registers"
+) -> Callable[[int, RegisterFamily], int | Outcome]:
+    """The step ``_run`` takes from state q of ``nodes`` (a sequence or a
+    mapping), changing the family in place: Stop gives TERMINATED and Dead
+    INACTIVE, an internal step its successor, and an action ``f.m/n`` on a
+    register holding b sets it to n(b) and gives the true successor where
+    m(b) holds, else the false one.  An action on a focus the family does
+    not name or on an inoperative register sticks, as INACTIVE; an
+    abstract action raises ValueError with ``abstract`` naming it."""
+
+    def step(q: int, fam: RegisterFamily) -> int | Outcome:
+        node = nodes[q]
+        if type(node) is not Branch:  # Stop or Dead
+            return Outcome.TERMINATED if type(node) is Stop else Outcome.INACTIVE
+        action = node.action
+        if action is TAU:
+            return node.on_true
+        if type(action) is not RegisterAction:
+            raise ValueError(abstract.format(action))
+        content = fam.get(action.focus, RegisterContent.INOPERATIVE)
+        if content is RegisterContent.INOPERATIVE:
+            return Outcome.INACTIVE
+        bit = content is RegisterContent.ONE
+        fam[action.focus] = RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
+        return node.on_true if action.reply(bit) else node.on_false
+
+    return step
+
+
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     """Product of the thread with the family it runs against, written into
     the arrays of :mod:`threads`: one state per (thread state, contents of
     the named registers in ``_named``'s order), numbered as found."""
     named = _named((node.action for node in thread.nodes if type(node) is Branch), family)
     foci = tuple(named)
+    step = _stepper(thread.nodes)
     kinds = [TAU, Stop, Dead]  # labels 0, 1 and 2, then one per state acting on an unknown register
     found = [(thread.root, tuple(named.values()))]
     index = {found[0]: 0}
@@ -117,47 +131,28 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
 
     for s, (state, contents) in enumerate(found):  # the list grows while it is walked: a queue
         node = thread.nodes[state]
-        if type(node) is not Branch:  # Stop or Dead
-            rows.append((1 if type(node) is Stop else 2, s, s))
-            continue
-        action = node.action
-        if action is TAU:
-            succ = state_id(node.on_true, contents)
-            rows.append((0, succ, succ))
-            continue
+        action = getattr(node, "action", None)
         if type(action) is RegisterAction and action.focus not in named:
             rows.append((len(kinds), state_id(node.on_true, contents), state_id(node.on_false, contents)))
             kinds.append(action)
             continue
         fam = dict(zip(foci, contents))
-        reply = _register_step(action, fam)
-        if reply is None:
-            rows.append((2, s, s))  # Dead: an inoperative register
-            continue
-        succ = state_id(node.on_true if reply else node.on_false, tuple(fam.values()))
-        rows.append((0, succ, succ))
+        succ = step(state, fam)
+        if type(succ) is Outcome:
+            rows.append((1 if succ is Outcome.TERMINATED else 2, s, s))  # Stop or Dead
+        else:
+            succ = state_id(succ, tuple(fam.values()))
+            rows.append((0, succ, succ))
     return _quotient(kinds, *zip(*rows), 0)
 
 
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
-    """Final family after running the thread on it; empty on inaction or
-    divergence.  ``_run`` gets fuel for one step per configuration (thread
-    state and named contents), so a run still going then diverges."""
-    nodes = thread.nodes
-    fam = _named((node.action for node in nodes if type(node) is Branch), family)
-
-    def step(state: int, fam: RegisterFamily) -> int | Outcome:
-        node = nodes[state]
-        if type(node) is not Branch:  # Stop or Dead
-            return Outcome.TERMINATED if type(node) is Stop else Outcome.INACTIVE
-        if node.action is TAU:
-            return node.on_true
-        reply = _register_step(node.action, fam)
-        if reply is None:
-            return Outcome.INACTIVE
-        return node.on_true if reply else node.on_false
-
-    if _run(step, thread.root, fam, len(nodes) << len(fam)) is Outcome.TERMINATED:
+    """Final family after running the thread on it by the step rule; empty
+    on inaction or divergence.  ``_run`` gets fuel for one step per
+    configuration (thread state and named contents), so a run still going
+    then diverges."""
+    fam = _named((node.action for node in thread.nodes if type(node) is Branch), family)
+    if _run(_stepper(thread.nodes), thread.root, fam, len(thread.nodes) << len(fam)) is Outcome.TERMINATED:
         return {**family, **fam}
     return {}
 
@@ -190,16 +185,29 @@ def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
         yield from period
 
 
+class _Lazy(dict):
+    """A dict that builds a missing key's value by ``build`` and keeps it."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def simulate(
     t: InstructionSequenceTerm, family: RegisterFamily, fuel: int
 ) -> tuple[Outcome, RegisterFamily]:
-    """Cursor-over-expansion execution without any algebraic machinery.
+    """Run the term directly on the family, a step per unit of fuel.
 
-    Every executed primitive instruction consumes one unit of fuel.  An
-    unknown focus or an inoperative register makes execution stick, which
-    reports as inaction.  A position q past the m + k stored ones reads
-    position m + (q - m) mod k of the repeating part, so a long jump
-    unfolds nothing.  ``_run`` runs only the fuel modulo the cycle once a
+    The stored positions are thread states, each built when the run first
+    reads it, and ``_stepper`` steps through them: ``!`` is Stop, ``#0``
+    Dead, any other jump an internal step, an instruction that acts a
+    branch to its two exits (``syntax._EXITS``), and past a finite end lies
+    one Dead state.  A position q past the m + k stored ones reads position
+    m + (q - m) mod k of the repeating part, so a long jump unfolds
+    nothing.  ``_run`` runs only the fuel modulo the cycle once a
     configuration (position and named contents) comes back.
     """
     if fuel < 0:
@@ -209,24 +217,17 @@ def simulate(
     m, total, k = len(prefix), len(seq), len(period)
     fam = _named((getattr(instr, "basic", None) for instr in seq), family)
 
-    def step(q: int, fam: RegisterFamily) -> int | Outcome:
-        if q >= total:  # read past the end only when the fuel allows a step
-            if not k:
-                return Outcome.INACTIVE
-            q = m + (q - m) % k
-        instr = seq[q]
+    def at(q: int) -> int:  # the stored position that position q reads, or total past a finite end
+        return q if q < total else m + (q - m) % k if k else total
+
+    def state(q: int) -> Node:
+        instr = seq[q] if q < total else Jump(0)  # past a finite end: inaction, as at #0
         kind = type(instr)
         if kind is Halt:
-            return Outcome.TERMINATED
+            return Stop()
         if kind is Jump:
-            return q + instr.offset if instr.offset else Outcome.INACTIVE
-        reply = _register_step(instr.basic, fam, "cannot execute abstract action {}")
-        if reply is None:
-            return Outcome.INACTIVE
-        if kind is Plain:
-            return q + 1
-        if kind is PosTest:
-            return q + (1 if reply else 2)
-        return q + (2 if reply else 1)
+            return Branch(TAU, at(q + instr.offset), at(q + instr.offset)) if instr.offset else Dead()
+        yes, no = _EXITS[kind]
+        return Branch(instr.basic, at(q + yes), at(q + no))
 
-    return _run(step, 0, fam, fuel), {**family, **fam}
+    return _run(_stepper(_Lazy(state), "cannot execute abstract action {}"), 0, fam, fuel), {**family, **fam}

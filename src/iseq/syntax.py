@@ -176,6 +176,9 @@ class Halt:
 
 PrimitiveInstruction = Plain | PosTest | NegTest | Jump | Halt
 
+# How far an instruction that acts moves on after a true and a false reply
+_EXITS = {Plain: (1, 1), PosTest: (1, 2), NegTest: (2, 1)}
+
 
 def _preorder(node, cls):
     """Nodes of a tree of ``cls`` pairs in pre-order, ``cls`` itself marking

@@ -17,7 +17,9 @@ from iseq.syntax import (
     Focus,
     Halt,
     Jump,
+    NegTest,
     Plain,
+    PosTest,
     RegisterAction,
     RegisterContent,
     Repeat,
@@ -207,6 +209,87 @@ def test_use_rejects_abstract_actions():
         use(t, fam("{f=1}"))
     with pytest.raises(ValueError):
         apply(t, fam("{f=1}"))
+
+
+F, G = Focus("f"), Focus("g")
+CONTENTS = (RegisterContent.ZERO, RegisterContent.ONE, RegisterContent.INOPERATIVE)
+# the 16 families over f and g, each absent, 0, 1 or inoperative
+FAMILIES = [
+    {focus: c for focus, c in ((F, cf), (G, cg)) if c is not None}
+    for cf in (None, *CONTENTS)
+    for cg in (None, *CONTENTS)
+]
+
+
+def used_by_equations(t, family):
+    """``t / family`` by the equations of ``use``, on a thread given as
+    "S", "D" or (action, P, Q): S and D stay; ``tau o P`` gives ``tau o (P /
+    H)``; an action on a register the family does not name stays, with both
+    branches used; one on an inoperative register gives D; otherwise the
+    register takes the effect and the thread goes on by an internal step to
+    P on a true reply and to Q on a false one, used on the changed family."""
+    if t in ("S", "D"):
+        return t
+    action, p, q = t
+    if action is TAU:
+        return TAU, used_by_equations(p, family), used_by_equations(p, family)
+    content = family.get(action.focus)
+    if content is None:
+        return action, used_by_equations(p, family), used_by_equations(q, family)
+    if content is RegisterContent.INOPERATIVE:
+        return "D"
+    bit = content is RegisterContent.ONE
+    after = {**family, action.focus: content_of_bit(action.effect(bit))}
+    rest = used_by_equations(p if action.reply(bit) else q, after)
+    return TAU, rest, rest
+
+
+def applied_by_equations(t, family):
+    """``t . family`` by the equations of ``apply``: S gives the family, D
+    the empty family, ``tau o P`` what P gives; an action on a register the
+    family does not name or an inoperative one gives the empty family, and
+    otherwise P on a true reply and Q on a false one run on the family the
+    effect changed."""
+    if t in ("S", "D"):
+        return family if t == "S" else {}
+    action, p, q = t
+    if action is TAU:
+        return applied_by_equations(p, family)
+    content = family.get(action.focus, RegisterContent.INOPERATIVE)
+    if content is RegisterContent.INOPERATIVE:
+        return {}
+    bit = content is RegisterContent.ONE
+    after = {**family, action.focus: content_of_bit(action.effect(bit))}
+    return applied_by_equations(p if action.reply(bit) else q, after)
+
+
+def thread_of(t):
+    if t in ("S", "D"):
+        return STOP if t == "S" else DEAD
+    action, p, q = t
+    return branch(action, thread_of(p), thread_of(q))
+
+
+def test_use_and_apply_follow_their_equations():
+    """``use`` and ``apply`` at the root of every thread ``P <a> Q`` (on a
+    true reply P, on a false one Q), against ``used_by_equations`` and
+    ``applied_by_equations``, which spell out the equations of the
+    ``interaction`` docstrings.  The action a is tau, ``f.i/c``, ``g.c/i``,
+    ``f.1/0`` or ``g.0/1``, so that replies come out true and false, and P
+    and Q are S, D or ``f.1/1 o S``: 45 threads, each on the 16 families over
+    f and g (720 cases, each checked for ``use`` by ``threads_equal`` and
+    for ``apply`` by ``==``)."""
+    actions = [TAU, *(instr.basic for instr in leaves(parse("f.i/c;g.c/i;f.1/0;g.0/1")))]
+    ends = ["S", "D", (RegisterAction(F, UnaryBoolFunc.CONST_TRUE, UnaryBoolFunc.CONST_TRUE), "S", "S")]
+    cases = 0
+    for action, p, q in itertools.product(actions, ends, ends):
+        t = (action, p, q)
+        thread = thread_of(t)
+        for family in FAMILIES:
+            assert threads_equal(use(thread, family), thread_of(used_by_equations(t, family))), (t, family)
+            assert apply(thread, family) == applied_by_equations(t, family), (t, family)
+            cases += 1
+    assert cases == 720
 
 
 # -- simulate -------------------------------------------------------------------
@@ -453,6 +536,33 @@ def test_simulate_with_huge_fuel_reads_the_period():
         ends.add(render_family(got))
     assert len(ends) == 6
     assert time.perf_counter() - start < 1.0
+
+
+def test_simulate_builds_a_state_only_where_the_run_goes():
+    """``simulate`` reads a position as a thread state only once the run
+    reaches it: on a 20,000-position term of shared register instructions
+    on ``f`` and ``g``, after a warm-up call that flattens the term, a run
+    with fuel 10 peaks under 64 KiB of traced memory.  A state built for
+    every position up front took 2.4 MiB."""
+    shared = [
+        kind(RegisterAction(focus, reply, effect))
+        for kind in (Plain, PosTest, NegTest)
+        for focus in (F, G)
+        for reply in UnaryBoolFunc
+        for effect in UnaryBoolFunc
+    ]
+    rng = random.Random(29)
+    t = concat_all([rng.choice(shared) for _ in range(19999)] + [Halt()])
+    family = fam("{f=0, g=1}")
+    want = simulate(t, family, 10)
+    assert want[0] is Outcome.FUEL_EXHAUSTED
+    tracemalloc.start()
+    try:
+        assert simulate(t, family, 10) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_use_costs_what_the_named_registers_cost():
