@@ -41,8 +41,13 @@ The module also provides the two constructive results: compiling an
 explicit truth table to a program that uses only the core operations
 (set-false 0/0, set-true 1/1, read i/i), and translating an arbitrary
 program into a functionally equivalent core-only one.  Both lay their
-blocks out by one relocation loop, ``_relocate``; the compiled program is a
-heap of input tests followed by one block per row.  The translation looks
+blocks out by one relocation loop, ``_relocate``.  The compiled program is
+the table's reduced ordered decision diagram (Bryant 1986) over in:1..in:n:
+a 3-slot block per node, which tests its input and jumps to either child,
+level by level from the root, then a block per distinct output value.
+Forward jumps lay out any such graph in topological order, so a function
+with a small diagram compiles to a short program however many rows its
+table has: 16-input parity takes 96 instructions.  The translation looks
 up each instruction's behaviour in a table of shortest core blocks of at
 most four slots, derived by brute force and committed as a literal; one
 backward pass picks the blocks of least total length that fit together,
@@ -342,43 +347,58 @@ def functionally_equivalent(
 def _relocate(blocks: Sequence[Sequence]) -> InstructionSequenceTerm:
     """The blocks laid out one after another.  An int slot ``b`` in a block
     is a jump to the start of block ``b``; past the last block, ``b`` counts
-    positions past the end."""
+    positions past the end.  Like a parse, the program shares one ``Jump``
+    object among the jumps of each offset."""
     total = len(blocks)
     starts = list(itertools.accumulate(map(len, blocks), initial=0))
+    jumps: dict[int, Jump] = {}
     out: list[PrimitiveInstruction] = []
     for slots in blocks:
         for slot in slots:
             if type(slot) is int:
-                target = starts[slot] if slot < total else starts[total] + slot - total
-                slot = Jump(target - len(out))
+                offset = (starts[slot] if slot < total else starts[total] + slot - total) - len(out)
+                slot = jumps.get(offset) or jumps.setdefault(offset, Jump(offset))
             out.append(slot)
     return concat_all(out)
 
 
-def _core_read(conv_focus: Focus) -> RegisterAction:
-    return RegisterAction(conv_focus, ID, ID)
+def _node(unique: dict, level: int, lo, hi):
+    """The reduced ordered decision diagram's node at ``level`` with false
+    child ``lo`` and true child ``hi``, from ``unique``, the level's table of
+    nodes by children: a node with equal children is that child, and equal
+    nodes are one, ``(level, i)`` for the i-th the table met."""
+    return lo if lo == hi else unique.setdefault((lo, hi), (level, len(unique)))
 
 
 def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
     """Repetition-free core-only program computing the table with no auxiliaries.
 
-    A branching tree reads the inputs once; defined leaves set the 1-bits of
-    the output (outputs start false) and terminate, undefined leaves jump
-    nowhere, which is inaction.  The tree is laid out as a heap: test i, at
-    depth d, reads input d + 1 and goes on to test or leaf 2i + 2 on a true
-    reply and 2i + 1 on a false one, and the leaves follow in row order.
-    Like a parse, the program shares one object among equal tests, among
-    equal output sets, among its halts and among its ``#0``s.
+    It lays out the table's reduced ordered decision diagram over in:1..in:n,
+    built bottom up: the distinct output values are the leaves, and each
+    level pairs up the sub-tables below it through ``_node``.  A node that
+    tests in:d is the block ``+in:d.i/i;#hi;#lo``; a leaf sets the 1-bits of
+    its output (outputs start false) and terminates, or jumps nowhere, which
+    is inaction, where the rows are undefined.  The nodes follow level by
+    level from the root, each level in order of first occurrence, then the
+    leaves.  Like a parse, the program shares one object among equal
+    instructions.
     """
     conv = IoConvention(table.n, table.m, 0)
-    reads = [PosTest(_core_read(conv.in_focus(d))) for d in range(1, table.n + 1)]
+    reads = [PosTest(RegisterAction(conv.in_focus(d), ID, ID)) for d in range(1, table.n + 1)]
     sets = [Plain(RegisterAction(conv.out_focus(i), T1, T1)) for i in range(1, table.m + 1)]
     halt, inaction = Halt(), Jump(0)
-    tests = [[reads[(i + 1).bit_length() - 1], 2 * i + 2, 2 * i + 1] for i in range(2**table.n - 1)]
+    unique: list[dict] = [{} for _ in range(table.n + 1)]  # level n holds the leaves by value
+    below = [unique[-1].setdefault(value, (table.n, len(unique[-1]))) for value in table.outputs]
+    for d in reversed(range(table.n)):
+        below = [_node(unique[d], d, lo, hi) for lo, hi in zip(below[::2], below[1::2])]
+    base = list(itertools.accumulate(map(len, unique), initial=0))
+    tests = [
+        [reads[d], base[hi[0]] + hi[1], base[lo[0]] + lo[1]] for d in range(table.n) for lo, hi in unique[d]
+    ]
     ends = [
         [inaction] if value is None
         else [set_ for set_, bit in zip(sets, value) if bit == "1"] + [halt]
-        for value in table.outputs
+        for value in unique[-1]
     ]
     return _relocate(tests + ends)
 
@@ -428,12 +448,16 @@ _CORE_OPTIONS = {
 _TOKEN_KIND = {"": Plain, "+": PosTest, "-": NegTest}
 
 
-def _core_slot(token: str, focus: Focus, i: int) -> PrimitiveInstruction | int:
-    """A block token as a core instruction, or an exit as its 0-based target."""
+def _core_slot(token: str, focus: Focus, i: int, shared: dict) -> PrimitiveInstruction | int:
+    """A block token as a core instruction, one object per instruction in
+    ``shared``, or an exit as its 0-based target."""
     if token[0] == ">":
         return i + int(token[1])
-    op = UnaryBoolFunc(token[-1])
-    return _TOKEN_KIND[token[:-1]](RegisterAction(focus, op, op))
+    key = token, focus.name, focus.index
+    if key not in shared:
+        op = UnaryBoolFunc(token[-1])
+        shared[key] = _TOKEN_KIND[token[:-1]](RegisterAction(focus, op, op))
+    return shared[key]
 
 
 def restrict_to_core(
@@ -447,7 +471,8 @@ def restrict_to_core(
     picks the blocks of least total length such that a block that needs a
     landing is followed by one that offers it (past the end always does);
     then every jump and exit is relocated to the start of its target's
-    block.
+    block.  Like a parse, the program shares one object among its equal
+    core instructions and among its jumps of each offset.
     """
     instrs, code, _ = _validate_program(t, conv)
     total = len(instrs)
@@ -455,15 +480,15 @@ def restrict_to_core(
     options: list[list[tuple]] = []  # per position: (slots, needs, offers)
     for i, (instr, op) in enumerate(zip(instrs, code)):
         if not reached[i]:
-            options.append([([Jump(0)], 0, 1)])
+            options.append([([i], 0, 1)])  # a jump to its own block is #0
         elif type(op) is tuple:
             reached[i + op[3]] = reached[i + op[4]] = True
             options.append(_CORE_OPTIONS[op[1:]])
-        else:
-            if op:
-                reached[min(i + op, total)] = True
-            # past the end any distance is inaction: land just past it
-            options.append([([min(i + op, total) if op else instr], 0, 1)])
+        elif op is None:
+            options.append([([instr], 0, 1)])
+        else:  # past the end any distance is inaction: land just past it
+            reached[min(i + op, total)] = True
+            options.append([([min(i + op, total)], 0, 1)])
 
     # cost[must]: least length of the blocks from a position on, where
     # ``must`` says that its block has to offer a landing
@@ -480,10 +505,11 @@ def restrict_to_core(
 
     blocks: list[list] = []
     must = 0
+    shared: dict = {}
     for i, best in enumerate(reversed(picks)):
         slots, must, _ = best[must]  # the next block must offer what this one needs
         if type(slots[0]) is str:
-            slots = [_core_slot(token, instrs[i].basic.focus, i) for token in slots]
+            slots = [_core_slot(token, instrs[i].basic.focus, i, shared) for token in slots]
         blocks.append(slots)
     return _relocate(blocks)
 

@@ -26,8 +26,7 @@ character-by-character tokenizer, check the parsers over token strings.
 the whole family and run the fuel out step by step; they check the routes
 over the named registers and ``simulate``'s cycle finding.
 ``abstract_tau`` walks the tau chain afresh from every state that enters
-it, where the library resolves every chain once; ``compile_table`` lays its
-tree out by label/goto marks, where the library relocates a heap of blocks.
+it, where the library resolves every chain once.
 The last four helpers are not oracles but test conveniences that no library
 code calls: ``content_of_bit``, ``iter_basics``, ``compose`` of evaluated
 families, and ``hopcroft_classes``, the partition the library's refinement
@@ -42,7 +41,7 @@ import itertools
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
-from iseq.compute import IoConvention, _Op, _core_read, _decode, _search_alphabet
+from iseq.compute import IoConvention, _Op, _decode, _search_alphabet
 from iseq.interaction import Outcome
 from iseq.registers import RegisterFamily
 from iseq.syntax import (
@@ -67,7 +66,6 @@ from iseq.syntax import (
     RegisterFamilyTerm,
     Repeat,
     SingletonFamily,
-    T1,
     UnaryBoolFunc,
     concat_all,
     flatten,
@@ -962,77 +960,6 @@ def abstract_tau(thread: RegularThread) -> RegularThread:
         else:
             nodes.append(node)
     return minimize(RegularThread(tuple(nodes), root))
-
-
-_Label = tuple[str, str]
-_Item = PrimitiveInstruction | tuple
-
-
-def _assemble(items: Sequence[_Item]) -> list[PrimitiveInstruction]:
-    """Resolve ('label', key) / ('goto', key) marks to forward jump literals."""
-    positions: dict[_Label, int] = {}
-    pos = 1
-    for item in items:
-        if isinstance(item, tuple) and item[0] == "label":
-            if item[1] in positions:
-                raise ValueError(f"duplicate label {item[1]!r}")
-            positions[item[1]] = pos
-        else:
-            pos += 1
-    out: list[PrimitiveInstruction] = []
-    pos = 1
-    for item in items:
-        if isinstance(item, tuple) and item[0] == "label":
-            continue
-        if isinstance(item, tuple) and item[0] == "goto":
-            target = positions[item[1]]
-            if target < pos:
-                raise ValueError("only forward jumps can be assembled")
-            out.append(Jump(target - pos))
-        else:
-            out.append(item)
-        pos += 1
-    return out
-
-
-def _leaf_instructions(conv: IoConvention, value: Optional[str]) -> list[PrimitiveInstruction]:
-    if value is None:
-        return [Jump(0)]
-    instrs: list[PrimitiveInstruction] = [
-        Plain(RegisterAction(conv.out_focus(i), T1, T1))
-        for i, bit in enumerate(value, start=1)
-        if bit == "1"
-    ]
-    instrs.append(Halt())
-    return instrs
-
-
-def compile_table(table: FunctionTable) -> InstructionSequenceTerm:
-    """Repetition-free core-only program computing the table with no auxiliaries.
-
-    A branching tree reads the inputs once; defined leaves set the 1-bits of
-    the output (outputs start false) and terminate, undefined leaves jump
-    nowhere, which is inaction.
-    """
-    conv = IoConvention(table.n, table.m, 0)
-    if table.n == 0:
-        return concat_all(_leaf_instructions(conv, table.outputs[0]))
-    items: list[_Item] = []
-
-    def child_key(prefix: str) -> _Label:
-        return ("leaf", prefix) if len(prefix) == table.n else ("node", prefix)
-
-    for depth in range(table.n):
-        for v in range(2**depth):
-            prefix = format(v, f"0{depth}b") if depth else ""
-            items.append(("label", ("node", prefix)))
-            items.append(PosTest(_core_read(conv.in_focus(depth + 1))))
-            items.append(("goto", child_key(prefix + "1")))
-            items.append(("goto", child_key(prefix + "0")))
-    for bits, value in table.rows():
-        items.append(("label", ("leaf", bits)))
-        items.extend(_leaf_instructions(conv, value))
-    return concat_all(_assemble(items))
 
 
 # ---------------------------------------------------------------------------

@@ -398,8 +398,8 @@ def test_functional_equivalence_keeps_only_the_named_slots(monkeypatch):
 
 def test_row_masks_of_a_compiled_13_input_table_stay_small():
     """``computes_check`` on a compiled table of 13 inputs, 8,192 rows that
-    scatter over 35,407 positions, allocates under 10 MB at its peak: the
-    mask of a position is dropped once its rows move on (21 MB if kept)."""
+    scatter over 6,085 positions, allocates under 2 MB at its peak: the
+    mask of a position is dropped once its rows move on (3.8 MB if kept)."""
     rng = random.Random(3)
     table = FunctionTable(13, 1, tuple(rng.choice((None, "0", "1")) for _ in range(2**13)))
     prog = compile_table(table)
@@ -409,7 +409,7 @@ def test_row_masks_of_a_compiled_13_input_table_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10_000_000, peak
+    assert peak < 2_000_000, peak
 
 
 def test_row_masks_match_the_per_row_oracle_in_chunks_of_four_rows(monkeypatch):
@@ -438,17 +438,19 @@ def test_checks_stop_at_the_first_chunk_that_differs(monkeypatch, row):
     Against a table changed only in ``row``, ``computes_check`` runs the
     chunks up to that row's and no more, and ``functionally_equivalent`` of
     the two compiled programs runs both on those chunks; where nothing
-    differs, every chunk runs."""
+    differs, every chunk runs.  The table is 4-input parity, so its
+    compiled program reads all four inputs and ``functionally_equivalent``
+    runs all 16 rows."""
     monkeypatch.setattr(compute, "_CHUNK_BITS", 2)
     calls = []
     run_rows = compute._run_rows
     monkeypatch.setattr(compute, "_run_rows", lambda *args: calls.append(args) or run_rows(*args))
-    rng = random.Random(row)
-    outputs = [rng.choice(("0", "1")) for _ in range(16)]
+    outputs = [str(bin(v).count("1") % 2) for v in range(16)]
     table = FunctionTable(4, 1, tuple(outputs))
     outputs[row] = "1" if outputs[row] == "0" else "0"
     changed = FunctionTable(4, 1, tuple(outputs))
     prog, conv = compile_table(table), IoConvention(4, 1)
+    assert {basic.focus for basic in iter_basics(prog)} >= {Focus("in", i) for i in range(1, 5)}
     chunks = row // 4 + 1
     for check, want, runs in (
         (lambda: computes_check(prog, changed, 0), False, chunks),
@@ -501,17 +503,60 @@ def every_table(n, m):
     return [FunctionTable(n, m, outputs) for outputs in itertools.product(values, repeat=2**n)]
 
 
-def test_compile_matches_the_label_assembler():
-    """``compile_table``, a heap of tests laid out by ``_relocate``, renders
-    as the label/goto assembler it replaced (``tests/oracles.py``) on every
-    table with n <= 2 and m <= 2 (770 tables) and on 300 seeded tables with
-    n = 3 to 5."""
+def test_compile_lays_out_the_reduced_ordered_decision_diagram():
+    """On every table with n <= 2 and m <= 2 (770 tables) and on 300 seeded
+    tables with n = 3 to 5, the program tests in:d + 1 once for each
+    distinct sub-table at depth d whose two halves differ, as counted by
+    brute force over the table; each distinct output value is one leaf:
+    one ``!`` per defined value and one ``#0`` if a row is undefined; and
+    the program is those 3-slot tests and leaves and nothing else."""
     rng = random.Random(41)
     tables = [table for n in range(3) for m in range(3) for table in every_table(n, m)]
     assert len(tables) == 770
     tables += [random_table(rng, rng.randint(3, 5), rng.randint(0, 3)) for _ in range(300)]
     for table in tables:
-        assert render_term(compile_table(table)) == render_term(oracles.compile_table(table)), table
+        instrs = leaves(compile_table(table))
+        tests = [0] * table.n
+        for instr in instrs:
+            if isinstance(instr, PosTest):
+                tests[instr.basic.focus.index - 1] += 1
+        wanted = []
+        for d in range(table.n):
+            size = 2 ** (table.n - d)
+            subtables = {table.outputs[i : i + size] for i in range(0, 2**table.n, size)}
+            wanted.append(sum(sub[: size // 2] != sub[size // 2 :] for sub in subtables))
+        assert tests == wanted, table
+        values = set(table.outputs)
+        defined = values - {None}
+        assert instrs.count(Halt()) == len(defined), table
+        assert instrs.count(Jump(0)) == (None in values), table
+        ends = sum(value.count("1") + 1 for value in defined) + (None in values)
+        assert len(instrs) == 3 * sum(tests) + ends, table
+
+
+def test_compile_is_correct_on_seeded_tables_of_up_to_10_inputs():
+    """300 seeded tables with n = 3 to 10 compile to programs that
+    ``computes_check`` accepts."""
+    rng = random.Random(10)
+    for _ in range(300):
+        table = random_table(rng, rng.randint(3, 10), rng.randint(1, 3))
+        assert computes_check(compile_table(table), table, 0), table
+
+
+def test_compiled_and_restricted_programs_share_equal_instructions():
+    """Compiled programs of 50 seeded tables and restricted programs of 50
+    seeded parsed programs hold one object per distinct instruction, as
+    their parses do."""
+    rng = random.Random(12)
+    programs = [compile_table(random_table(rng, rng.randint(0, 6), rng.randint(0, 3))) for _ in range(50)]
+    for _ in range(50):
+        conv = IoConvention(rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 1))
+        prog, _ = random_register_program(rng, conv_foci(conv), rng.randint(1, 30))
+        programs.append(restrict_to_core(parse(render_term(prog)), conv))
+    for prog in programs:
+        instrs = leaves(prog)
+        assert len(set(map(id, instrs))) == len(set(instrs)), render_term(prog)
+        assert len(set(map(id, leaves(parse(render_term(prog)))))) == len(set(instrs))
 
 
 def test_compile_is_correct_on_every_small_table():
