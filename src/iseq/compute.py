@@ -95,6 +95,7 @@ from .syntax import (
     UnaryBoolFunc,
     concat_all,
     _EXITS,
+    _TRUTH,
     _form,
 )
 
@@ -131,15 +132,6 @@ class IoConvention:
 # register instruction.  Register slots lay out in:1..n, out:1..m, aux:1..k.
 _Op = None | int | tuple
 
-# (effect_on_0, effect_on_1, step_on_0, step_on_1) of every register form,
-# each step read from the exit table ``syntax._EXITS`` by the reply
-_BEHAVIOUR = {
-    (kind, reply, effect): (effect(False), effect(True), *(exits[not reply(bit)] for bit in (False, True)))
-    for kind, exits in _EXITS.items()
-    for reply in UnaryBoolFunc
-    for effect in UnaryBoolFunc
-}
-
 
 def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[_Op]:
     """Instruction array of a validated program, for :func:`_run_rows` and the search."""
@@ -153,7 +145,9 @@ def _decode(instrs: Sequence[PrimitiveInstruction], conv: IoConvention) -> list[
         else:
             action = instr.basic
             slot = base[action.focus.name] + action.focus.index - 1
-            code.append((slot, *_BEHAVIOUR[type(instr), action.reply, action.effect]))
+            yes, no = _EXITS[type(instr)]  # each step is read from the exit table by the reply
+            on_0, on_1 = _TRUTH[action.reply._value_]
+            code.append((slot, *_TRUTH[action.effect._value_], yes if on_0 else no, yes if on_1 else no))
     return code
 
 

@@ -24,7 +24,8 @@ cost nothing.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator, Sequence
+import functools
+from typing import Callable, Iterable, Iterator
 
 from .registers import RegisterFamily
 from .syntax import (
@@ -81,18 +82,18 @@ def _run(step: Callable[[int, RegisterFamily], int | Outcome], q: int, fam: Regi
 
 
 def _stepper(
-    nodes: Sequence[Node], abstract: str = "abstract action {} cannot interact with registers"
+    node_of: Callable[[int], Node], abstract: str = "abstract action {} cannot interact with registers"
 ) -> Callable[[int, RegisterFamily], int | Outcome]:
-    """The step ``_run`` takes from state q of ``nodes`` (a sequence or a
-    mapping), changing the family in place: Stop gives TERMINATED and Dead
-    INACTIVE, an internal step its successor, and an action ``f.m/n`` on a
-    register holding b sets it to n(b) and gives the true successor where
-    m(b) holds, else the false one.  An action on a focus the family does
+    """The step ``_run`` takes from state q, whose node is ``node_of(q)``,
+    changing the family in place: Stop gives TERMINATED and Dead INACTIVE,
+    an internal step its successor, and an action ``f.m/n`` on a register
+    holding b sets it to n(b) and gives the true successor where m(b)
+    holds, else the false one.  An action on a focus the family does
     not name or on an inoperative register sticks, as INACTIVE; an
     abstract action raises ValueError with ``abstract`` naming it."""
 
     def step(q: int, fam: RegisterFamily) -> int | Outcome:
-        node = nodes[q]
+        node = node_of(q)
         if type(node) is not Branch:  # Stop or Dead
             return Outcome.TERMINATED if type(node) is Stop else Outcome.INACTIVE
         action = node.action
@@ -116,7 +117,7 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     the named registers in ``_named``'s order), numbered as found."""
     named = _named((node.action for node in thread.nodes if type(node) is Branch), family)
     foci = tuple(named)
-    step = _stepper(thread.nodes)
+    step = _stepper(thread.nodes.__getitem__)
     kinds = [TAU, Stop, Dead]  # labels 0, 1 and 2, then one per state acting on an unknown register
     found = [(thread.root, tuple(named.values()))]
     index = {found[0]: 0}
@@ -152,7 +153,7 @@ def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
     configuration (thread state and named contents), so a run still going
     then diverges."""
     fam = _named((node.action for node in thread.nodes if type(node) is Branch), family)
-    if _run(_stepper(thread.nodes), thread.root, fam, len(thread.nodes) << len(fam)) is Outcome.TERMINATED:
+    if _run(_stepper(thread.nodes.__getitem__), thread.root, fam, len(thread.nodes) << len(fam)) is Outcome.TERMINATED:
         return {**family, **fam}
     return {}
 
@@ -185,27 +186,16 @@ def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
         yield from period
 
 
-class _Lazy(dict):
-    """A dict that builds a missing key's value by ``build`` and keeps it."""
-
-    def __init__(self, build: Callable):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 def simulate(
     t: InstructionSequenceTerm, family: RegisterFamily, fuel: int
 ) -> tuple[Outcome, RegisterFamily]:
     """Run the term directly on the family, a step per unit of fuel.
 
     The stored positions are thread states, each built when the run first
-    reads it, and ``_stepper`` steps through them: ``!`` is Stop, ``#0``
-    Dead, any other jump an internal step, an instruction that acts a
-    branch to its two exits (``syntax._EXITS``), and past a finite end lies
-    one Dead state.  A position q past the m + k stored ones reads position
+    reads it and kept by ``functools.cache``, and ``_stepper`` steps
+    through them: ``!`` is Stop, ``#0`` Dead, any other jump an internal
+    step, an instruction that acts a branch to its two exits
+    (``syntax._EXITS``), and past a finite end lies one Dead state.  A position q past the m + k stored ones reads position
     m + (q - m) mod k of the repeating part, so a long jump unfolds
     nothing.  ``_run`` runs only the fuel modulo the cycle once a
     configuration (position and named contents) comes back.
@@ -230,4 +220,4 @@ def simulate(
         yes, no = _EXITS[kind]
         return Branch(instr.basic, at(q + yes), at(q + no))
 
-    return _run(_stepper(_Lazy(state), "cannot execute abstract action {}"), 0, fam, fuel), {**family, **fam}
+    return _run(_stepper(functools.cache(state), "cannot execute abstract action {}"), 0, fam, fuel), {**family, **fam}

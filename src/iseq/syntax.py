@@ -40,6 +40,10 @@ class ParseError(ValueError):
 # unary Boolean functions and register contents
 
 
+# the truth table of each unary Boolean function by its token: (f(0), f(1))
+_TRUTH = {"0": (False, False), "1": (True, True), "i": (False, True), "c": (True, False)}
+
+
 class UnaryBoolFunc(enum.Enum):
     """The four functions from {0,1} to {0,1}, keyed by their source token."""
 
@@ -49,13 +53,7 @@ class UnaryBoolFunc(enum.Enum):
     COMPLEMENT = "c"
 
     def __call__(self, b: bool) -> bool:
-        if self is UnaryBoolFunc.CONST_FALSE:
-            return False
-        if self is UnaryBoolFunc.CONST_TRUE:
-            return True
-        if self is UnaryBoolFunc.IDENTITY:
-            return b
-        return not b
+        return _TRUTH[self._value_][b]
 
     @property
     def token(self) -> str:
@@ -265,9 +263,14 @@ def concat_all(instrs) -> InstructionSequenceTerm:
     items = list(instrs)
     if not items:
         raise ValueError("cannot build an empty instruction sequence")
+    return _fold_right(Concat, items)
+
+
+def _fold_right(cls, items: list):
+    """``cls(items[0], cls(items[1], ... items[-1]))`` of a nonempty list."""
     term = items[-1]
     for item in reversed(items[:-1]):
-        term = Concat(item, term)
+        term = cls(item, term)
     return term
 
 
@@ -522,7 +525,7 @@ class _Cursor:
         self.tokens = _tokens(text)
         self.pos = 0
         self.depth = 0
-        # one object per distinct instruction of this parse, by source key
+        # one object per distinct instruction and per focus of this parse, by source key
         self.shared: dict = {}
 
     def fail(self, message: str, index: Optional[int] = None) -> ParseError:
@@ -608,18 +611,18 @@ def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
 
 
 def _parse_basic(cur: _Cursor) -> BasicInstruction:
-    name, index = _parse_focus_name(cur)
+    focus = _parse_focus(cur)
     if cur.skip("."):
         reply = _parse_func(cur)
         cur.expect("/")
         effect = _parse_func(cur)
-        key = (name, index, reply, effect)
+        key = (id(focus), reply, effect)  # the focus is shared, so its id stands for it
         return cur.shared.get(key) or cur.shared.setdefault(
-            key, RegisterAction(Focus(name, index), _FUNC_OF[reply], _FUNC_OF[effect])
+            key, RegisterAction(focus, _FUNC_OF[reply], _FUNC_OF[effect])
         )
-    if index is not None:
+    if focus.index is not None:
         raise cur.fail("indexed focus must name a register operation ('.')")
-    return cur.shared.get(name) or cur.shared.setdefault(name, AbstractAction(name))
+    return cur.shared.get(focus.name) or cur.shared.setdefault(focus.name, AbstractAction(focus.name))
 
 
 def _parse_func(cur: _Cursor) -> str:
@@ -668,14 +671,7 @@ def _parse_family(cur: _Cursor) -> RegisterFamilyTerm:
     operands = [_parse_family_primary(cur)]
     while cur.skip("+"):
         operands.append(_parse_family_primary(cur))
-    return _compose_all(operands)
-
-
-def _compose_all(families: list) -> RegisterFamilyTerm:
-    family = families[-1]
-    for left in reversed(families[:-1]):
-        family = ComposeFamily(left, family)
-    return family
+    return _fold_right(ComposeFamily, operands)
 
 
 def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
@@ -683,9 +679,9 @@ def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
     if tok == "hide":
         cur.pos += 1
         cur.expect("{")
-        hidden = [Focus(*_parse_focus_name(cur))]
+        hidden = [_parse_focus(cur)]
         while cur.skip(","):
-            hidden.append(Focus(*_parse_focus_name(cur)))
+            hidden.append(_parse_focus(cur))
         cur.expect("}")
         cur.expect("(")
         return HideFamily(frozenset(hidden), cur.inside(_parse_family))
@@ -697,26 +693,27 @@ def _parse_family_primary(cur: _Cursor) -> RegisterFamilyTerm:
         while cur.skip(","):
             bindings.append(_parse_binding(cur))
         cur.expect("}")
-        return _compose_all(bindings)
+        return _fold_right(ComposeFamily, bindings)
     if tok == "(":
         cur.pos += 1
         return cur.inside(_parse_family)
     raise cur.fail(f"expected a register family, found {tok or 'end of input'!r}")
 
 
-def _parse_focus_name(cur: _Cursor) -> tuple[str, Optional[int]]:
-    """The name and the index, if any, of a focus such as ``aux:3``."""
+def _parse_focus(cur: _Cursor) -> Focus:
+    """A focus such as ``aux:3``, one object per focus in a parse."""
     name = cur.expect("ident")
     index = None
     if cur.skip(":"):
         index = int(cur.expect("nat"))
         if index < 1:
             raise cur.fail("focus index must be >= 1", cur.pos - 1)
-    return name, index
+    key = (name, index)
+    return cur.shared.get(key) or cur.shared.setdefault(key, Focus(name, index))
 
 
 def _parse_binding(cur: _Cursor) -> SingletonFamily:
-    focus = Focus(*_parse_focus_name(cur))
+    focus = _parse_focus(cur)
     cur.expect("=")
     content = _CONTENT_OF.get(cur.tokens[cur.pos])
     if content is None:

@@ -43,7 +43,6 @@ pair whose labels stand for different kinds.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,15 +50,11 @@ from .syntax import AbstractAction, BasicInstruction, RegisterAction
 
 
 class _Tau:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "tau"
+
+    def __reduce__(self) -> str:
+        return "TAU"  # copies and unpickled objects are the one TAU
 
 
 TAU = _Tau()
@@ -315,36 +310,27 @@ def threads_equal(t1: RegularThread, t2: RegularThread) -> bool:
 def project(t: RegularThread, depth: int) -> RegularThread:
     """Approximation up to ``depth`` actions; the depth-0 projection is Dead.
 
-    States are numbered depth first, true successor first, with an explicit
-    stack, so any depth works.
+    States are numbered breadth first, true successor first, as
+    ``minimize`` numbers them, with no recursion, so any depth works.
     """
-    memo: dict[tuple[int, int], int] = {}
+    found = [(t.root, depth)]
+    index = {found[0]: 0}
     nodes: list[Node] = []
-    stack: list[tuple[int, Branch, int, list[int]]] = []
-
-    def visit(state: int, remaining: int) -> int:
-        index = memo.get((state, remaining))
-        if index is None:
-            index = memo[state, remaining] = len(nodes)
-            node = t.node(state)
-            if remaining == 0 or isinstance(node, Dead):
-                nodes.append(Dead())
-            elif isinstance(node, Stop):
-                nodes.append(Stop())
-            else:
-                nodes.append(Dead())  # placeholder until both successors are known
-                stack.append((index, node, remaining - 1, []))
-        return index
-
-    root = visit(t.root, depth)
-    while stack:
-        index, node, remaining, succ = stack[-1]
-        if len(succ) == 2:
-            stack.pop()
-            nodes[index] = Branch(node.action, *succ)
+    for state, remaining in found:  # the list grows while it is walked: a queue
+        node = t.node(state)
+        if remaining == 0 or isinstance(node, Dead):
+            nodes.append(Dead())
+        elif isinstance(node, Stop):
+            nodes.append(Stop())
         else:
-            succ.append(visit(node.on_false if succ else node.on_true, remaining))
-    return RegularThread(tuple(nodes), root)
+            succ = []
+            for key in ((node.on_true, remaining - 1), (node.on_false, remaining - 1)):
+                if key not in index:
+                    index[key] = len(found)
+                    found.append(key)
+                succ.append(index[key])
+            nodes.append(Branch(node.action, *succ))
+    return RegularThread(tuple(nodes), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +357,9 @@ def render_thread(t: RegularThread) -> str:
     if isinstance(root_node, Dead):
         return "X0 = D"
     numbering: dict[int, int] = {t.root: 0}
-    queue = deque([t.root])
+    order = [t.root]
     lines = []
-    while queue:
-        state = queue.popleft()
+    for number, state in enumerate(order):  # the list grows while it is walked: a queue, in number order
         node = t.node(state)
         assert isinstance(node, Branch)
         refs = []
@@ -386,9 +371,8 @@ def render_thread(t: RegularThread) -> str:
                 refs.append("D")
             else:
                 if succ not in numbering:
-                    numbering[succ] = len(numbering)
-                    queue.append(succ)
+                    numbering[succ] = len(order)
+                    order.append(succ)
                 refs.append(f"X{numbering[succ]}")
-        lines.append((numbering[state], f"X{numbering[state]} = ({refs[0]}) <{action_text(node.action)}> ({refs[1]})"))
-    lines.sort()
-    return "\n".join(text for _, text in lines)
+        lines.append(f"X{number} = ({refs[0]}) <{action_text(node.action)}> ({refs[1]})")
+    return "\n".join(lines)

@@ -164,6 +164,78 @@ def test_kernel_matches_definition_on_seeded_programs():
     assert seen == {"#0", "past end", "#l", "non-core"}
 
 
+# Every register form f.m/n, with the content it leaves in a register that
+# held 0 and one that held 1 (n(0), n(1)), then how far it moves on from
+# each: a plain instruction 1, ``+`` 1 on a true reply m(b) and 2 on a false
+# one, ``-`` the other way round.
+DECODED = """
+ in:1.0/0  0 0  1 1
+ in:1.0/1  1 1  1 1
+ in:1.0/i  0 1  1 1
+ in:1.0/c  1 0  1 1
+ in:1.1/0  0 0  1 1
+ in:1.1/1  1 1  1 1
+ in:1.1/i  0 1  1 1
+ in:1.1/c  1 0  1 1
+ in:1.i/0  0 0  1 1
+ in:1.i/1  1 1  1 1
+ in:1.i/i  0 1  1 1
+ in:1.i/c  1 0  1 1
+ in:1.c/0  0 0  1 1
+ in:1.c/1  1 1  1 1
+ in:1.c/i  0 1  1 1
+ in:1.c/c  1 0  1 1
++in:1.0/0  0 0  2 2
++in:1.0/1  1 1  2 2
++in:1.0/i  0 1  2 2
++in:1.0/c  1 0  2 2
++in:1.1/0  0 0  1 1
++in:1.1/1  1 1  1 1
++in:1.1/i  0 1  1 1
++in:1.1/c  1 0  1 1
++in:1.i/0  0 0  2 1
++in:1.i/1  1 1  2 1
++in:1.i/i  0 1  2 1
++in:1.i/c  1 0  2 1
++in:1.c/0  0 0  1 2
++in:1.c/1  1 1  1 2
++in:1.c/i  0 1  1 2
++in:1.c/c  1 0  1 2
+-in:1.0/0  0 0  1 1
+-in:1.0/1  1 1  1 1
+-in:1.0/i  0 1  1 1
+-in:1.0/c  1 0  1 1
+-in:1.1/0  0 0  2 2
+-in:1.1/1  1 1  2 2
+-in:1.1/i  0 1  2 2
+-in:1.1/c  1 0  2 2
+-in:1.i/0  0 0  1 2
+-in:1.i/1  1 1  1 2
+-in:1.i/i  0 1  1 2
+-in:1.i/c  1 0  1 2
+-in:1.c/0  0 0  2 1
+-in:1.c/1  1 1  2 1
+-in:1.c/i  0 1  2 1
+-in:1.c/c  1 0  2 1
+"""
+
+
+def test_truth_tables_and_the_decoding_of_every_register_form():
+    values = {(f, b): f(b) for f in UnaryBoolFunc for b in (False, True)}
+    assert values == {
+        (UnaryBoolFunc.CONST_FALSE, False): False, (UnaryBoolFunc.CONST_FALSE, True): False,
+        (UnaryBoolFunc.CONST_TRUE, False): True, (UnaryBoolFunc.CONST_TRUE, True): True,
+        (UnaryBoolFunc.IDENTITY, False): False, (UnaryBoolFunc.IDENTITY, True): True,
+        (UnaryBoolFunc.COMPLEMENT, False): True, (UnaryBoolFunc.COMPLEMENT, True): False,
+    }
+    forms = [line.split() for line in DECODED.splitlines() if line]
+    assert len({form for form, *_ in forms}) == 48
+    for form, *behaviour in forms:
+        (op,) = compute._decode([parse(form)], IoConvention(1, 0))
+        assert op == (0, *map(int, behaviour)), form
+        assert all(type(x) is bool for x in op[1:3]), form
+
+
 # -- functional equivalence -------------------------------------------------------
 
 

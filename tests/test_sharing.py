@@ -1,18 +1,18 @@
 """Sharing instruction objects within a parse changes no result.
 
-A parse returns one object per distinct instruction, and extraction finds
-labels by object identity first.  ``oracles.fresh_copy`` rebuilds a term
-with equal but distinct objects, foci included.  On the exhaustive scopes
-of ``tests/test_deciders.py``, parsed terms, their fresh copies and a
-parsed term against a fresh copy must give the same verdicts and the same
-``extract`` rendering.
+A parse returns one object per distinct instruction and per focus, and
+extraction finds labels by object identity first.  ``oracles.fresh_copy``
+rebuilds a term with equal but distinct objects, foci included.  On the
+exhaustive scopes of ``tests/test_deciders.py``, parsed terms, their fresh
+copies and a parsed term against a fresh copy must give the same verdicts
+and the same ``extract`` rendering.
 """
 
 import functools
 import itertools
 
 from iseq.extraction import behaviourally_congruent, behaviourally_equivalent, extract
-from iseq.syntax import leaves, parse_instruction_sequence as parse, render_term
+from iseq.syntax import leaves, parse_instruction_sequence as parse, parse_register_family, render_term
 from iseq.threads import render_thread
 
 from . import oracles
@@ -37,6 +37,15 @@ def test_a_parse_shares_equal_instructions():
     assert len({id(x) for x in copied}) == 4
     assert copied[0].basic is not copied[1].basic
     assert copied[0].basic.focus is not copied[1].basic.focus
+
+
+def test_a_parse_shares_each_focus():
+    read, complement = leaves(parse("+in:1.i/i;in:1.c/c"))
+    assert read.basic is not complement.basic
+    assert read.basic.focus is complement.basic.focus
+    family = parse_register_family("{f=1} + hide{f}({f=0})")
+    (hidden,) = family.right.hidden
+    assert family.left.focus is hidden is family.right.body.focus
 
 
 def check_pair(x, y, equivalence=True):
