@@ -41,21 +41,21 @@ The module also provides the two constructive results: compiling an
 explicit truth table to a program that uses only the core operations
 (set-false 0/0, set-true 1/1, read i/i), and translating an arbitrary
 program into a functionally equivalent core-only one.  Both lay their
-blocks out by one relocation loop, ``_relocate``.  The compiled program is
-the table's reduced ordered decision diagram (Bryant 1986) over in:1..in:n:
-a 3-slot block per node, which tests its input and jumps to either child,
-level by level from the root, then a block per distinct output value.
-Forward jumps lay out any such graph in topological order, so a function
-with a small diagram compiles to a short program however many rows its
-table has: 16-input parity takes 96 instructions.  The translation looks
-up each instruction's behaviour in a table of shortest core blocks of at
-most four slots, derived by brute force and committed as a literal; one
-backward pass picks the blocks of least total length that fit together,
-and the jumps are relocated.  Each non-core instruction thus grows the
-program by at most three instructions, except where a skipping core test
-directly precedes a block that cannot catch its skip and must take an
-explicit jump: 36 of the 22,350 programs of length at most 2 over in:1,
-out:1 and aux:1.
+blocks out by ``syntax._relocate``, the one relocation loop, which also
+lays out single-repetition synthesis (``extraction``).  The compiled
+program is the table's reduced ordered decision diagram (Bryant 1986) over
+in:1..in:n: a 3-slot block per node, which tests its input and jumps to
+either child, level by level from the root, then a block per distinct
+output value.  Forward jumps lay out any such graph in topological order,
+so a function with a small diagram compiles to a short program however many
+rows its table has: 16-input parity takes 96 instructions.  The translation
+looks up each instruction's behaviour in a table of shortest core blocks of
+at most four slots, derived by brute force and committed as a literal; one
+backward pass picks the blocks of least total length that fit together, and
+the jumps are relocated.  Each non-core instruction thus grows the program
+by at most three instructions, except where a skipping core test directly
+precedes a block that cannot catch its skip and must take an explicit jump:
+36 of the 22,350 programs of length at most 2 over in:1, out:1 and aux:1.
 
 The shortest-program search fixes the positions of each candidate length
 left to right, over the same decoded instructions.  Jumps only go forward,
@@ -97,6 +97,7 @@ from .syntax import (
     _EXITS,
     _TRUTH,
     _form,
+    _relocate,
 )
 
 
@@ -336,24 +337,6 @@ def functionally_equivalent(
 
 # ---------------------------------------------------------------------------
 # truth table -> core-only program
-
-
-def _relocate(blocks: Sequence[Sequence]) -> InstructionSequenceTerm:
-    """The blocks laid out one after another.  An int slot ``b`` in a block
-    is a jump to the start of block ``b``; past the last block, ``b`` counts
-    positions past the end.  Like a parse, the program shares one ``Jump``
-    object among the jumps of each offset."""
-    total = len(blocks)
-    starts = list(itertools.accumulate(map(len, blocks), initial=0))
-    jumps: dict[int, Jump] = {}
-    out: list[PrimitiveInstruction] = []
-    for slots in blocks:
-        for slot in slots:
-            if type(slot) is int:
-                offset = (starts[slot] if slot < total else starts[total] + slot - total) - len(out)
-                slot = jumps.get(offset) or jumps.setdefault(offset, Jump(offset))
-            out.append(slot)
-    return concat_all(out)
 
 
 def _node(unique: dict, level: int, lo, hi):

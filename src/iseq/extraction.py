@@ -39,13 +39,12 @@ from .syntax import (
     InstructionSequenceTerm,
     Jump,
     PosTest,
-    PrimitiveInstruction,
-    concat_all,
     _EXITS,
     _flat,
     _form,
+    _relocate,
 )
-from .threads import TAU, Dead, RegularThread, Stop, _bisimilar, _quotient
+from .threads import Dead, RegularThread, Stop, _bisimilar, _quotient
 
 _DEAD = 0  # state and label of each graph's Dead leaf
 _STOP = 1  # state and label of each graph's Stop leaf
@@ -208,35 +207,17 @@ def behaviourally_congruent(
 def synthesize_repetition(t: InstructionSequenceTerm) -> InstructionSequenceTerm:
     """Repetition-free ``s`` with ``t`` behaviourally equivalent to ``s*``.
 
-    Each state of the minimized extracted thread compiles to a fixed-width
-    block of three instructions; jump targets are taken modulo the total
-    length, which the repetition turns into unrestricted state-to-state
-    jumps.
+    Each state of the minimized extracted thread becomes a block of three
+    slots, laid out in state order by ``syntax._relocate``: a branch is
+    ``+action`` and jumps to the blocks of its two successors, Stop is
+    ``!;#0;#0`` and Dead ``#0;#0;#0``.  A jump to an earlier block wraps
+    around the whole program, which the repetition turns into a jump back.
+    Like a parse, the program shares one object among equal instructions.
     """
-    thread = extract(t)
-    width = 3
-    total = width * len(thread.nodes)
-
-    def jump_to(target_state: int, source_pos: int) -> Jump:
-        target_pos = width * target_state + 1
-        offset = (target_pos - source_pos) % total
-        return Jump(offset if offset else total)
-
-    instrs: list[PrimitiveInstruction] = []
-    for state, node in enumerate(thread.nodes):
-        start = width * state + 1
-        if isinstance(node, Stop):
-            instrs.extend([Halt(), Jump(0), Jump(0)])
-        elif isinstance(node, Dead):
-            instrs.extend([Jump(0), Jump(0), Jump(0)])
-        else:
-            if node.action is TAU:
-                raise ValueError("cannot synthesize an instruction for an internal action")
-            instrs.extend(
-                [
-                    PosTest(node.action),
-                    jump_to(node.on_true, start + 1),
-                    jump_to(node.on_false, start + 2),
-                ]
-            )
-    return concat_all(instrs)
+    halt, inaction = Halt(), Jump(0)
+    ends = {Stop: [halt, inaction, inaction], Dead: [inaction] * 3}
+    tests: dict = {}
+    return _relocate([
+        ends.get(type(node)) or [tests.setdefault(node.action, PosTest(node.action)), node.on_true, node.on_false]
+        for node in extract(t).nodes
+    ])

@@ -192,13 +192,13 @@ def simulate(
     """Run the term directly on the family, a step per unit of fuel.
 
     The stored positions are thread states, each built when the run first
-    reads it and kept by ``functools.cache``, and ``_stepper`` steps
-    through them: ``!`` is Stop, ``#0`` Dead, any other jump an internal
-    step, an instruction that acts a branch to its two exits
-    (``syntax._EXITS``), and past a finite end lies one Dead state.  A position q past the m + k stored ones reads position
-    m + (q - m) mod k of the repeating part, so a long jump unfolds
-    nothing.  ``_run`` runs only the fuel modulo the cycle once a
-    configuration (position and named contents) comes back.
+    reads it and kept by ``functools.cache``, and ``_stepper`` steps through
+    them: ``!`` is Stop, ``#0`` Dead, any other jump an internal step, an
+    instruction that acts a branch to its two exits (``syntax._EXITS``), and
+    past a finite end lies one Dead state.  A position q past the m + k
+    stored ones reads position m + (q - m) mod k of the repeating part, so a
+    long jump unfolds nothing.  ``_run`` runs only the fuel modulo the cycle
+    once a configuration (position and named contents) comes back.
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")

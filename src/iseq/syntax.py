@@ -274,6 +274,27 @@ def _fold_right(cls, items: list):
     return term
 
 
+def _relocate(blocks: list[list]) -> InstructionSequenceTerm:
+    """The blocks laid out one after another.  An int slot ``b`` in a block
+    is a jump to the start of block ``b``: past the last block, ``b`` counts
+    positions past the end; a block before the jump is reached by wrapping
+    around the whole program, as it is inside the program's repetition.
+    Like a parse, the program shares one ``Jump`` object per offset."""
+    total = len(blocks)
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
+    jumps: dict[int, Jump] = {}
+    out: list[PrimitiveInstruction] = []
+    for slots in blocks:
+        for slot in slots:
+            if type(slot) is int:
+                offset = (starts[slot] if slot < total else starts[total] + slot - total) - len(out)
+                if offset < 0:
+                    offset += starts[total]
+                slot = jumps.get(offset) or jumps.setdefault(offset, Jump(offset))
+            out.append(slot)
+    return concat_all(out)
+
+
 def flatten(
     t: InstructionSequenceTerm,
 ) -> tuple[list[PrimitiveInstruction], list[PrimitiveInstruction]]:

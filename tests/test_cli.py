@@ -236,6 +236,28 @@ def test_missing_file_exits_2():
     assert code == 2 and "error" in err
 
 
+def test_term_counts_exit_2():
+    assert run("parse", "-e", "a", "-e", "b") == (2, "", "error: expected exactly one term (-e/--file)\n")
+    assert run("equiv", "--relation", "isc", "-e", "a") == (2, "", "error: equiv needs exactly two terms\n")
+
+
+def test_family_file_reads_like_family(tmp_path):
+    """``--family-file`` gives what ``-f`` gives with the file's text, and
+    for ``abstract`` the file alone turns ``use`` on."""
+    missing = tmp_path / "missing.fam"
+    assert run("use", "-e", "a", "--family-file", str(missing)) == (
+        2, "", f"error: cannot read {missing}: No such file or directory\n"
+    )
+    prog = "-aux:1.i/i;#3;aux:1.0/0;!;aux:2.1/1;f.i/c;!"
+    family = "{aux:2=1, aux:1=0, f=0}"
+    path = tmp_path / "family.fam"
+    path.write_text(family + "\n")
+    for argv in (("use",), ("apply",), ("abstract",), ("simulate", "--fuel", "20")):
+        assert run(*argv, "-e", prog, "--family-file", str(path)) == run(*argv, "-e", prog, "-f", family), argv
+    path.write_text("{f=0}\n")
+    assert run("abstract", "-e", "f.i/c;!", "--family-file", str(path)) == (0, "X0 = S\n", "")
+
+
 def test_help_lists_subcommands():
     code, out, err = run("--help")
     assert code == 0

@@ -14,7 +14,7 @@ from iseq.compute import (
     restrict_to_core,
     search_shortest,
 )
-from iseq.extraction import extract
+from iseq.extraction import extract, synthesize_repetition
 from iseq.interaction import Outcome, apply, simulate, use
 from iseq.syntax import (
     Focus,
@@ -36,7 +36,7 @@ from iseq.syntax import (
 
 from . import oracles
 from .oracles import content_of_bit, iter_basics
-from .genterms import CORE_PAIRS, random_register_program
+from .genterms import CORE_PAIRS, random_register_program, random_term
 
 ID_TABLE = parse_function_table("inputs 1 outputs 1\n0 -> 0\n1 -> 1\n")
 CONST_TRUE = parse_function_table("inputs 0 outputs 1\n -> 1\n")
@@ -254,6 +254,19 @@ def test_functional_inequivalence_of_constants():
     assert not functionally_equivalent(
         parse("out:1.1/1;!"), parse("out:1.0/0;!"), IoConvention(0, 1, 0)
     )
+
+
+def test_programs_without_output_registers():
+    """With m = 0 a program induces no unique table, and any two programs
+    are functionally equivalent once both fit the convention."""
+    conv = IoConvention(1, 0, 0)
+    with pytest.raises(ValueError) as raised:
+        induced_table(parse("!"), conv)
+    assert str(raised.value) == "programs without output registers induce no unique table"
+    assert functionally_equivalent(parse("!"), parse("#0"), conv)
+    with pytest.raises(ValueError) as raised:
+        functionally_equivalent(parse("out:1.1/1;!"), parse("#0"), conv)
+    assert str(raised.value) == "focus out:1 is outside the in/out/aux convention IoConvention(n=1, m=0, k=0)"
 
 
 # -- row masks against the per-row oracle ---------------------------------------------
@@ -616,15 +629,16 @@ def test_compile_is_correct_on_seeded_tables_of_up_to_10_inputs():
 
 
 def test_compiled_and_restricted_programs_share_equal_instructions():
-    """Compiled programs of 50 seeded tables and restricted programs of 50
-    seeded parsed programs hold one object per distinct instruction, as
-    their parses do."""
+    """Compiled programs of 50 seeded tables, restricted programs of 50
+    seeded parsed programs and synthesized programs of 500 seeded terms hold
+    one object per distinct instruction, as their parses do."""
     rng = random.Random(12)
     programs = [compile_table(random_table(rng, rng.randint(0, 6), rng.randint(0, 3))) for _ in range(50)]
     for _ in range(50):
         conv = IoConvention(rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 1))
         prog, _ = random_register_program(rng, conv_foci(conv), rng.randint(1, 30))
         programs.append(restrict_to_core(parse(render_term(prog)), conv))
+    programs += [synthesize_repetition(random_term(rng, 8)) for _ in range(500)]
     for prog in programs:
         instrs = leaves(prog)
         assert len(set(map(id, instrs))) == len(set(instrs)), render_term(prog)

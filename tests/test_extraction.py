@@ -8,7 +8,7 @@ from iseq.extraction import (
     synthesize_repetition,
 )
 from iseq.canonical import instruction_sequence_congruent, structurally_congruent
-from iseq.syntax import AbstractAction, Concat, Halt, Jump, Repeat, concat_all, leaves
+from iseq.syntax import AbstractAction, Concat, Halt, Jump, Repeat, concat_all, leaves, render_term
 from iseq.syntax import parse_instruction_sequence as parse
 from iseq.threads import (
     DEAD,
@@ -158,6 +158,20 @@ def test_synthesize_loop():
     t = parse("(+a;#2;#3;b;!)*")
     s = synthesize_repetition(t)
     assert behaviourally_equivalent(t, Repeat(s))
+
+
+def test_synthesize_lays_out_one_block_per_state():
+    """One 3-slot block per state of the minimized thread, in state order: a
+    branch tests its action and jumps to its successors' blocks, Stop is
+    ``!;#0;#0`` and Dead ``#0;#0;#0``.  Each program has a jump to an
+    earlier block, which wraps around the whole program."""
+    for text, synthesized in [
+        ("(+a;#2;#3;b;!)*", "+a;#2;#7;+b;#2;#1;!;#0;#0"),
+        ("a;(+b;#2;a)*", "+a;#2;#1;+b;#5;#1"),
+        ("(a;+b;#0;!)*", "+a;#2;#1;+b;#2;#4;#0;#0;#0;!;#0;#0"),
+        ("-a;#2;(+b;#2)*", "+a;#2;#4;+b;#2;#7;#0;#0;#0"),
+    ]:
+        assert render_term(synthesize_repetition(parse(text))) == synthesized, text
 
 
 def test_synthesize_random_terms():
