@@ -63,10 +63,11 @@ so after each position every input row has either ended or is parked
 further on with its registers.  Four exact rules prune the walk: a row
 that ends wrongly kills the prefix, and so does a row with w wrong output
 bits and at most w positions left, since it needs w writes and a ``!``,
-each at its own position; a position no row reaches gets only ``!``; and
-of prefixes with equal frontiers only the least is kept.  So the search
-returns the length-lexicographically least program that enumerating every
-candidate would.  A budget on the frontiers it expands bounds its work.
+each at its own position; so do two unfinished rows in one state that
+want different results, since they end alike; and of prefixes with equal
+frontiers only the least is kept.  So the search returns the
+length-lexicographically least program that enumerating every candidate
+would.  A budget on the frontiers it expands bounds its work.
 """
 
 from __future__ import annotations
@@ -495,20 +496,29 @@ def restrict_to_core(
 # exhaustive shortest-program search
 
 
-def _search_alphabet(conv: IoConvention, length: int) -> list[PrimitiveInstruction]:
-    """Candidate instructions, in the order that defines 'lexicographically least'."""
-    instrs: list[PrimitiveInstruction] = [Halt()]
-    instrs.extend(Jump(l) for l in range(length + 1))
-    foci = (
-        [conv.in_focus(i) for i in range(1, conv.n + 1)]
-        + [conv.out_focus(i) for i in range(1, conv.m + 1)]
-        + [conv.aux_focus(i) for i in range(1, conv.k + 1)]
-    )
-    for focus in foci:
-        for op in (F0, T1, ID):
-            action = RegisterAction(focus, op, op)
-            instrs.extend((Plain(action), PosTest(action), NegTest(action)))
-    return instrs
+def _search_alphabets(n: int, m: int, k: int) -> Iterator[tuple[list[PrimitiveInstruction], list[_Op]]]:
+    """The candidate instructions of each length L = 1, 2, ... with their
+    decoding, in the order that defines 'lexicographically least': ``!``,
+    ``#0`` to ``#L``, then the nine core instructions on each of in:1..n,
+    out:1..m and aux:1..min(k, L).  Each length builds and decodes only the
+    symbols it adds to the one before, and only when it is asked for, so a
+    negative count raises ValueError only once length 1 is."""
+    conv = IoConvention(n, m, k)
+    jumps, registers, jump_code, register_code = [Halt(), Jump(0)], [], [], []  # ``!`` leads the jumps
+    # the foci a length adds: in and out at length 1, and aux:L while L <= k
+    added = [conv.in_focus(i) for i in range(1, n + 1)] + [conv.out_focus(i) for i in range(1, m + 1)]
+    for length in itertools.count(1):
+        if length <= k:
+            added.append(conv.aux_focus(length))
+        jumps.append(Jump(length))
+        for focus in added:
+            for op in (F0, T1, ID):
+                action = RegisterAction(focus, op, op)
+                registers += (Plain(action), PosTest(action), NegTest(action))
+        added = []
+        jump_code += _decode(jumps[len(jump_code) :], conv)
+        register_code += _decode(registers[len(register_code) :], conv)
+        yield jumps + registers, jump_code + register_code
 
 
 DEFAULT_MAX_NODES = 250_000
@@ -531,7 +541,7 @@ def search_shortest(
 
     The candidates are all programs over the core instructions, forward
     jumps with literals up to the candidate length, and termination, in the
-    order of ``_search_alphabet``.  For each length, a depth-first walk
+    order of ``_search_alphabets``.  For each length, a depth-first walk
     fixes one position at a time, trying the symbols in that order.  Jumps
     only go forward, so once the first p positions are fixed every input
     row has either ended or is parked at a later position with some
@@ -545,14 +555,19 @@ def search_shortest(
       differ from the wanted ones in w >= d bits: each instruction it still
       runs has its own position, and changes at most one register (``!``
       none), so it needs w writes and a ``!`` at w + 1 positions;
-    - a position where no row is parked gets only ``!``, the first symbol,
-      since every symbol leaves the frontier as it is;
+    - so do two unfinished rows in one state that want different results
+      (other outputs, or one defined and one undefined): from equal states
+      they run the same instructions and end alike, so no completion
+      serves both.  This is the consistency argument of exact automaton
+      identification (Heule & Verwer, ICGI 2010); it is checked where a
+      row moves on, so unfinished rows in one state always agree;
     - a frontier met before with as many positions left is dropped: equal
       frontiers accept the same completions, and the earlier one came from
       a smaller prefix of this length, or from a shorter length that found
       no program.  Positions are counted from the end, so the memo
       carries over from one length to the next.  A jump past the end
-      gives the frontier of ``#0``, which comes first.
+      gives the frontier of ``#0``, which comes first, and at a position
+      where no row is parked every symbol gives the frontier of ``!``.
 
     Each rule drops only prefixes that cannot complete, or that complete no
     earlier than one the walk keeps, so the first program it completes is
@@ -592,8 +607,10 @@ def search_shortest(
 
     def advance(frontier: tuple, left: int, parked: list[int], op: _Op) -> Optional[tuple]:
         """The frontier after ``op`` at the position ``left`` positions from
-        the end, or None if a row parked there ends with the wrong result."""
+        the end, or None if a row parked there ends with the wrong result,
+        or moves on into a state where another row wants another result."""
         child = list(frontier)
+        moved = {}  # the new state of each row that moves on, to its wanted result
         for r in parked:
             regs = frontier[r] >> width
             if op is None:
@@ -614,21 +631,25 @@ def search_shortest(
                     if effect0:
                         regs += 1 << slot
             if step < left:
-                if wants[r] is not None and ((regs & outputs) ^ wants[r]).bit_count() >= left - step:
+                want = wants[r]
+                if want is not None and ((regs & outputs) ^ want).bit_count() >= left - step:
                     return None  # w wrong output bits need w writes and a ``!``
-                child[r] = regs << width | (left - step)
+                state = child[r] = regs << width | (left - step)
+                if moved.setdefault(state, want) != want:
+                    return None
             elif wants[r] is None:
                 child[r] = 0
             else:
                 return None
+        if moved:
+            for state, want in zip(child, wants):
+                if state in moved and moved[state] != want:
+                    return None  # two rows in one state end alike
         return tuple(child)
 
     seen: list[set] = [set()]  # frontiers met, by the number of positions left
     visited = 0
-    for length in range(1, max_len + 1):
-        conv = IoConvention(table.n, table.m, min(k, length))
-        alphabet = _search_alphabet(conv, length)
-        code = _decode(alphabet, conv)
+    for length, (alphabet, code) in zip(range(1, max_len + 1), _search_alphabets(table.n, table.m, k)):
         seen.append(set())
         # (prefix as symbol indices, frontier); the least prefix on top
         stack = [((), tuple(regs << width | length for regs in starts))]
@@ -642,8 +663,7 @@ def search_shortest(
                 raise SearchBudgetExceeded(max_nodes, length - 1)
             parked = [r for r, s in enumerate(frontier) if s & left_of == left]
             children = []
-            # where no row is parked, every symbol gives this frontier: only ``!``
-            for i, op in enumerate(code if parked else code[:1]):
+            for i, op in enumerate(code):
                 child = advance(frontier, left, parked, op)
                 if child is not None and child not in seen[left - 1]:
                     seen[left - 1].add(child)

@@ -36,6 +36,7 @@ from .syntax import (
     RegisterAction,
     RegisterContent,
     _EXITS,
+    _TRUTH,
     _flat,
 )
 from .threads import TAU, Branch, Dead, Node, RegularThread, Stop, _arrays, _chain_ends, _quotient
@@ -104,9 +105,9 @@ def _stepper(
         content = fam.get(action.focus, RegisterContent.INOPERATIVE)
         if content is RegisterContent.INOPERATIVE:
             return Outcome.INACTIVE
-        bit = content is RegisterContent.ONE
-        fam[action.focus] = RegisterContent.ONE if action.effect(bit) else RegisterContent.ZERO
-        return node.on_true if action.reply(bit) else node.on_false
+        bit = content is RegisterContent.ONE  # read _TRUTH directly: UnaryBoolFunc.__call__ is a Python call
+        fam[action.focus] = RegisterContent.ONE if _TRUTH[action.effect._value_][bit] else RegisterContent.ZERO
+        return node.on_true if _TRUTH[action.reply._value_][bit] else node.on_false
 
     return step
 

@@ -9,9 +9,13 @@ congruence of finite sequences checked once per termination padding.
 They work on plain ``(prefix, period)`` tuples and node lists, so they
 share nothing with the code under test but the instruction and node types.
 The last one is the shortest-program search by enumerating every program
-of each length; it shares the decoding and the alphabet with the search
-under test, and runs each row on its own through ``_run``, the per-row
-kernel that ``iseq.compute`` replaced by one pass over row masks.
+of each length, over ``search_alphabet``, which lists every auxiliary
+register at every length; it shares the decoding with the search under
+test, and runs each row on its own through ``_run``, the per-row kernel
+that ``iseq.compute`` replaced by one pass over row masks.
+``search_without_conflicts`` is the frontier walk without the rule that
+two rows in one state must want one result, written afresh over the
+search's own alphabets, so it checks that rule alone.
 ``row_outputs`` reads a table's rows through ``_run`` to check that pass.
 ``fresh_copy`` undoes the parser's sharing of instruction objects, so that
 tests can show the sharing changes no result.  ``Stream``
@@ -41,7 +45,7 @@ import itertools
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
-from iseq.compute import IoConvention, _Op, _decode, _search_alphabet
+from iseq.compute import IoConvention, _Op, _decode, _search_alphabets
 from iseq.interaction import Outcome
 from iseq.registers import RegisterFamily
 from iseq.syntax import (
@@ -473,6 +477,19 @@ def row_outputs(t: InstructionSequenceTerm, conv: IoConvention) -> tuple[Optiona
     return tuple(outputs)
 
 
+def search_alphabet(conv: IoConvention, length: int) -> list[PrimitiveInstruction]:
+    """Candidate instructions, in the order that defines 'lexicographically
+    least': ``!``, ``#0`` to ``#length``, then the nine core instructions on
+    each of in:1..n, out:1..m and aux:1..k."""
+    instrs: list[PrimitiveInstruction] = [Halt(), *map(Jump, range(length + 1))]
+    for name, count in (("in", conv.n), ("out", conv.m), ("aux", conv.k)):
+        for i in range(1, count + 1):
+            for op in (UnaryBoolFunc.CONST_FALSE, UnaryBoolFunc.CONST_TRUE, UnaryBoolFunc.IDENTITY):
+                action = RegisterAction(Focus(name, i), op, op)
+                instrs += (Plain(action), PosTest(action), NegTest(action))
+    return instrs
+
+
 def search_shortest(
     table: FunctionTable, k: int, max_len: int
 ) -> Optional[InstructionSequenceTerm]:
@@ -499,7 +516,7 @@ def search_shortest(
         return True
 
     for length in range(1, max_len + 1):
-        alphabet = _search_alphabet(conv, length)
+        alphabet = search_alphabet(conv, length)
         decoded = _decode(alphabet, conv)
         candidates = zip(
             itertools.product(alphabet, repeat=length),
@@ -509,6 +526,69 @@ def search_shortest(
             if passes(code):
                 return concat_all(candidate)
     return None
+
+
+def search_without_conflicts(
+    table: FunctionTable, k: int, max_len: int
+) -> tuple[Optional[InstructionSequenceTerm], int]:
+    """``compute.search_shortest`` without the rule that two unfinished rows
+    in one state must want one result, and with no node budget: its answer
+    and the number of frontiers it expanded.  A row's state packs its
+    registers above its positions left, 0 once it ended right."""
+    if table.m == 0:
+        return (Halt() if max_len else None), 0
+    width = max_len.bit_length()
+    outputs = ((1 << table.m) - 1) << table.n
+    starts = [int(bits[::-1] or "0", 2) for bits, _ in table.rows()]
+    wants = [None if want is None else int(want[::-1], 2) << table.n for _, want in table.rows()]
+
+    def advance(frontier, left, op):
+        child = list(frontier)
+        for r, state in enumerate(frontier):
+            if state & ((1 << width) - 1) != left:
+                continue
+            regs = state >> width
+            if op is None:
+                if regs & outputs != wants[r]:
+                    return None
+                child[r] = 0
+                continue
+            if type(op) is int:
+                step = op or left
+            else:
+                slot, effect0, effect1, step0, step1 = op
+                bit = (regs >> slot) & 1
+                regs = regs & ~(1 << slot) | (effect1 if bit else effect0) << slot
+                step = step1 if bit else step0
+            if step >= left:
+                if wants[r] is not None:
+                    return None
+                child[r] = 0
+            elif wants[r] is not None and ((regs & outputs) ^ wants[r]).bit_count() >= left - step:
+                return None
+            else:
+                child[r] = regs << width | (left - step)
+        return tuple(child)
+
+    seen: list[set] = [set()]
+    visited = 0
+    for length, (alphabet, code) in zip(range(1, max_len + 1), _search_alphabets(table.n, table.m, k)):
+        seen.append(set())
+        stack = [((), tuple(regs << width | length for regs in starts))]
+        while stack:
+            prefix, frontier = stack.pop()
+            left = length - len(prefix)
+            if not left:
+                return concat_all(alphabet[i] for i in prefix), visited
+            visited += 1
+            children = []
+            for i, op in enumerate(code):
+                child = advance(frontier, left, op)
+                if child is not None and child not in seen[left - 1]:
+                    seen[left - 1].add(child)
+                    children.append((prefix + (i,), child))
+            stack.extend(reversed(children))
+    return None, visited
 
 
 # ---------------------------------------------------------------------------

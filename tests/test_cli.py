@@ -207,7 +207,7 @@ def test_search_node_budget_exits_2(tmp_path):
     assert (code, out) == (2, "")
     assert err == (
         "error: search node budget of 100 exhausted; "
-        "no program of length 4 or less computes the table\n"
+        "no program of length 5 or less computes the table\n"
     )
     code, out, err = run("search", "--table", str(table), "--max-len", "3", "--max-nodes", "-1")
     assert (code, out) == (2, "") and err.startswith("error: ")

@@ -21,7 +21,7 @@ from iseq.cli import run_command
 from iseq.compute import (
     IoConvention,
     SearchBudgetExceeded,
-    _search_alphabet,
+    _search_alphabets,
     computes_check,
     search_shortest,
 )
@@ -57,16 +57,19 @@ def test_search_matches_enumeration_up_to_length_3(k):
 @pytest.mark.parametrize("k", (0, 1, 2, 5, 10**9))
 def test_search_tries_as_many_aux_registers_as_positions(monkeypatch, k):
     """A program of L positions names at most L auxiliary registers, so at
-    length L the walk tries aux:1 to aux:min(k, L), and no more or fewer."""
+    length L the walk tries aux:1 to aux:min(k, L), and no more or fewer:
+    the register slots of each length's decoded alphabet are in:1, in:2,
+    out:1 (slots 0 to 2), then one per auxiliary register tried."""
     tried = []
 
-    def alphabet(conv, length):
-        tried.append((length, conv.k))
-        return _search_alphabet(conv, length)
+    def alphabets(n, m, k):
+        for alphabet, code in _search_alphabets(n, m, k):
+            tried.append(sorted({op[0] for op in code if type(op) is tuple}))
+            yield alphabet, code
 
-    monkeypatch.setattr("iseq.compute._search_alphabet", alphabet)
+    monkeypatch.setattr("iseq.compute._search_alphabets", alphabets)
     assert search_shortest(XOR, k, 3) is None  # so every length is walked
-    assert tried == [(length, min(k, length)) for length in (1, 2, 3)]
+    assert tried == [list(range(3 + min(k, length))) for length in (1, 2, 3)]
 
 
 def test_search_with_a_billion_aux_registers_answers_as_with_max_len_of_them(tmp_path):
@@ -103,7 +106,7 @@ def test_zero_output_tables_are_computed_by_halt(n):
 def test_memo_expands_far_fewer_frontiers_than_the_enumeration_runs():
     # no XOR program has length <= 5; the enumeration runs 34**5 programs
     # of length 5 alone, and the walk expands fewer than 34**2 frontiers
-    alphabet = len(_search_alphabet(IoConvention(2, 1, 0), 5))
+    alphabet = len(oracles.search_alphabet(IoConvention(2, 1, 0), 5))
     assert alphabet == 34
     start = time.perf_counter()
     assert search_shortest(XOR, 0, 5, max_nodes=alphabet**2) is None
@@ -111,7 +114,9 @@ def test_memo_expands_far_fewer_frontiers_than_the_enumeration_runs():
 
 
 def test_node_budget_names_the_last_length_searched_in_full():
-    with pytest.raises(SearchBudgetExceeded, match="no program of length 4 or less"):
+    # the walk expands 74 XOR frontiers up to length 5 and 282 up to
+    # length 6, so a budget of 100 runs out within length 6
+    with pytest.raises(SearchBudgetExceeded, match="no program of length 5 or less"):
         search_shortest(XOR, 0, 40, max_nodes=100)
     assert issubclass(SearchBudgetExceeded, ValueError)
     with pytest.raises(ValueError, match="max_nodes"):
@@ -124,6 +129,50 @@ def test_node_budget_names_the_last_length_searched_in_full():
     assert render_term(search_shortest(const_true, 0, 5, max_nodes=3)) == "out:1.1/1;!"
     with pytest.raises(SearchBudgetExceeded, match="length 1 or less"):
         search_shortest(const_true, 0, 5, max_nodes=2)
+
+
+@pytest.mark.parametrize("k", (0, 1))
+def test_conflict_rule_changes_no_answer(k):
+    """The walk against a copy of it without the rule that two unfinished
+    rows in one state must want one result: every one-output partial table
+    of one input (9) and of two inputs (81), each searched up to length 5,
+    90 cases per k and 180 in all.  Both give the same program or None, and
+    the walk with the rule expands no more frontiers than the copy."""
+    cases = 0
+    for n in (1, 2):
+        for outputs in itertools.product((None, "0", "1"), repeat=2**n):
+            table = FunctionTable(n, 1, outputs)
+            want, expanded = oracles.search_without_conflicts(table, k, 5)
+            assert search_shortest(table, k, 5, max_nodes=expanded) == want, table
+            cases += 1
+    assert cases == 90
+
+
+@pytest.mark.parametrize(
+    "outputs, max_len, program, expanded, without_rule",
+    [
+        # in:1.0/0, for one, puts the identity's two rows, which want 0
+        # and 1, in one state
+        (("0", "1"), 3, "+in:1.i/i;out:1.1/1;!", 6, 8),
+        # a rule that compared registers alone, not positions, would drop
+        # one of these 23 frontiers and expand 22
+        ((None, "1", None, "0"), 4, "-in:1.i/i;out:1.1/1;+in:2.i/i;!", 23, 49),
+    ],
+)
+def test_rows_in_one_state_that_want_different_results_kill_the_prefix(
+    outputs, max_len, program, expanded, without_rule
+):
+    """The walk drops a prefix where it puts two unfinished rows that want
+    different results in one state; rows with equal registers parked at
+    different positions run on differently and are kept.  Pinned: the
+    frontiers the walk expands up to ``max_len``, and those the walk
+    without the rule expands."""
+    table = FunctionTable(len(outputs).bit_length() - 1, 1, outputs)
+    found = search_shortest(table, 0, max_len, max_nodes=expanded)
+    assert render_term(found) == program
+    with pytest.raises(SearchBudgetExceeded, match=f"length {max_len - 1} or less"):
+        search_shortest(table, 0, max_len, max_nodes=expanded - 1)
+    assert oracles.search_without_conflicts(table, 0, max_len) == (found, without_rule)
 
 
 def test_inaction_before_the_end():
