@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=compute.DEFAULT_MAX_NODES,
         help="frontier nodes the search may expand before it gives up with exit 2 "
         f"(default {compute.DEFAULT_MAX_NODES}); each is kept until the search ends, "
-        "and using up the default on 3-input parity took peak memory from 17 to 73 MB",
+        "and using up the default on 3-input parity took peak memory from 16 to 65 MB",
     )
     p.set_defaults(run=_search)
 

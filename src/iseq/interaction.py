@@ -10,15 +10,13 @@ focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 ``use`` writes its product into the int arrays of :mod:`threads`, and
 ``abstract_tau`` resolves tau chains there by ``_chain_ends``, as jumps are.
 
-``_stepper`` is the one step rule, what a thread state does with a family.
-``use`` calls it at every product state but an action on a register the
-family does not name, which stays observable; ``apply`` and ``simulate``
-step through it in ``_run``, the one cycle detector.  ``simulate`` runs a
-term directly, its flat positions (``syntax.flatten``) read as thread
-states, to cross-check the algebraic route (apply after extract).  Each
-runs on the part of the family that the program's actions name
-(``_named``) and passes the rest through untouched, so unnamed registers
-cost nothing.
+A run holds registers as the bits of one int, by slot, as the row kernel
+and the search of :mod:`compute` do: ``_slots`` gives one to each focus the
+program names and the family holds as 0 or 1; the family is read on entry
+and written back on exit.  ``_decoder`` decodes each thread state once, and
+``_run`` is the one step loop: ``apply`` and ``simulate``, which reads a
+term's flat positions as thread states to cross-check apply after extract,
+run in it, and ``use`` steps through it once per product state.
 """
 
 from __future__ import annotations
@@ -28,28 +26,9 @@ import functools
 from typing import Callable, Iterable, Iterator
 
 from .registers import RegisterFamily
-from .syntax import (
-    Halt,
-    InstructionSequenceTerm,
-    Jump,
-    PrimitiveInstruction,
-    RegisterAction,
-    RegisterContent,
-    _EXITS,
-    _TRUTH,
-    _flat,
-)
+from .syntax import Focus, Halt, InstructionSequenceTerm, Jump, PrimitiveInstruction, RegisterAction
+from .syntax import RegisterContent, _EXITS, _TRUTH, _flat
 from .threads import TAU, Branch, Dead, Node, RegularThread, Stop, _arrays, _chain_ends, _quotient
-
-
-def _named(actions: Iterable, family: RegisterFamily) -> RegisterFamily:
-    """The part of ``family`` under the foci of the register actions among
-    ``actions``, in the order first named."""
-    named = {}
-    for action in actions:
-        if type(action) is RegisterAction and action.focus in family:
-            named[action.focus] = family[action.focus]
-    return named
 
 
 class Outcome(enum.Enum):
@@ -58,42 +37,38 @@ class Outcome(enum.Enum):
     FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-def _run(step: Callable[[int, RegisterFamily], int | Outcome], q: int, fam: RegisterFamily, fuel: int) -> Outcome:
-    """The Outcome that ``step`` returns within ``fuel`` steps from (``q``,
-    ``fam``), else FUEL_EXHAUSTED; a step changes ``fam`` in place and
-    returns the next ``q`` or an Outcome.  A configuration that comes back
-    makes the run periodic: Brent's cycle finding compares each with the one
-    at the last power-of-two step, and a match L steps later leaves only the
-    fuel modulo L to run, so the work is bounded by the configurations,
-    whatever the fuel, and the memory holds two of them."""
-    mark_q, mark, since, power = -1, None, 0, 1  # the configuration at the last power of two
-    while fuel > 0:
-        if q == mark_q and fam == mark:
-            fuel %= since
-            if not fuel:
-                break
-        elif since == power:
-            mark_q, mark, since, power = q, dict(fam), 0, 2 * power
-        since += 1
-        fuel -= 1
-        q = step(q, fam)
-        if type(q) is Outcome:
-            return q
-    return Outcome.FUEL_EXHAUSTED
+def _slots(actions: Iterable, family: RegisterFamily) -> tuple[dict[Focus, int], int]:
+    """A slot per focus of the register actions among ``actions`` that
+    ``family`` holds as 0 or 1, in the order first named, and the int whose
+    bit in each slot is that register's content."""
+    slots, bits = {}, 0
+    for action in actions:
+        if type(action) is RegisterAction and action.focus not in slots:
+            content = family.get(action.focus)
+            if content is RegisterContent.ZERO or content is RegisterContent.ONE:
+                bits |= (content is RegisterContent.ONE) << len(slots)
+                slots[action.focus] = len(slots)
+    return slots, bits
 
 
-def _stepper(
-    node_of: Callable[[int], Node], abstract: str = "abstract action {} cannot interact with registers"
-) -> Callable[[int, RegisterFamily], int | Outcome]:
-    """The step ``_run`` takes from state q, whose node is ``node_of(q)``,
-    changing the family in place: Stop gives TERMINATED and Dead INACTIVE,
-    an internal step its successor, and an action ``f.m/n`` on a register
-    holding b sets it to n(b) and gives the true successor where m(b)
-    holds, else the false one.  An action on a focus the family does
-    not name or on an inoperative register sticks, as INACTIVE; an
-    abstract action raises ValueError with ``abstract`` naming it."""
+def _family(family: RegisterFamily, slots: dict[Focus, int], bits: int) -> RegisterFamily:
+    """``family`` with each slotted register holding its bit of ``bits``."""
+    return {**family, **{focus: RegisterContent("01"[bits >> slot & 1]) for focus, slot in slots.items()}}
 
-    def step(q: int, fam: RegisterFamily) -> int | Outcome:
+
+def _decoder(
+    node_of: Callable, slots: dict, family=None, abstract="abstract action {} cannot interact with registers"
+) -> Callable:
+    """The decoding of state q, whose node is ``node_of(q)``, kept by
+    ``functools.cache``: Stop gives TERMINATED and Dead INACTIVE, an
+    internal step its successor, and an action ``f.m/n`` on the register in
+    slot s (s, n(0), n(1), successor on m(0), successor on m(1)), as in
+    ``compute._decode``.  An action on a register without a slot sticks, as
+    INACTIVE, or gives None, observable, where ``family`` is given and does
+    not hold it; an abstract action raises ValueError, ``abstract`` naming it."""
+
+    @functools.cache
+    def decode(q: int):
         node = node_of(q)
         if type(node) is not Branch:  # Stop or Dead
             return Outcome.TERMINATED if type(node) is Stop else Outcome.INACTIVE
@@ -102,61 +77,85 @@ def _stepper(
             return node.on_true
         if type(action) is not RegisterAction:
             raise ValueError(abstract.format(action))
-        content = fam.get(action.focus, RegisterContent.INOPERATIVE)
-        if content is RegisterContent.INOPERATIVE:
-            return Outcome.INACTIVE
-        bit = content is RegisterContent.ONE  # read _TRUTH directly: UnaryBoolFunc.__call__ is a Python call
-        fam[action.focus] = RegisterContent.ONE if _TRUTH[action.effect._value_][bit] else RegisterContent.ZERO
-        return node.on_true if _TRUTH[action.reply._value_][bit] else node.on_false
+        slot = slots.get(action.focus)
+        if slot is None:
+            return None if family is not None and action.focus not in family else Outcome.INACTIVE
+        on_0, on_1 = _TRUTH[action.reply._value_]  # read _TRUTH directly: UnaryBoolFunc.__call__ is a Python call
+        yes, no = node.on_true, node.on_false
+        return (slot, *_TRUTH[action.effect._value_], yes if on_0 else no, yes if on_1 else no)
 
-    return step
+    return decode
+
+
+def _run(decode: Callable[[int], Outcome | int | tuple], q: int, bits: int, fuel: int) -> tuple[Outcome, int, int]:
+    """The Outcome that ``decode`` gives within ``fuel`` steps from state
+    ``q`` with the registers ``bits``, else FUEL_EXHAUSTED, and the state
+    and bits the run stops at.  A configuration that comes back makes the
+    run periodic: Brent's cycle finding compares each with the one at the
+    last power-of-two step, and a match L steps later leaves only the fuel
+    modulo L to run, so the work is bounded by the configurations, whatever
+    the fuel, and the memory holds two of them."""
+    mark_q, mark_bits, since, power = -1, 0, 0, 1  # the configuration at the last power of two
+    while fuel > 0:
+        if q == mark_q and bits == mark_bits:
+            fuel %= since
+            if not fuel:
+                break
+        elif since == power:
+            mark_q, mark_bits, since, power = q, bits, 0, 2 * power
+        since += 1
+        fuel -= 1
+        op = decode(q)
+        if type(op) is int:
+            q = op
+        elif type(op) is tuple:  # (slot, effect on 0, effect on 1, successor on 0, successor on 1)
+            bit = bits >> op[0] & 1
+            bits ^= (op[1 + bit] ^ bit) << op[0]
+            q = op[3 + bit]
+        else:
+            return op, q, bits
+    return Outcome.FUEL_EXHAUSTED, q, bits
 
 
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     """Product of the thread with the family it runs against, written into
-    the arrays of :mod:`threads`: one state per (thread state, contents of
-    the named registers in ``_named``'s order), numbered as found."""
-    named = _named((node.action for node in thread.nodes if type(node) is Branch), family)
-    foci = tuple(named)
-    step = _stepper(thread.nodes.__getitem__)
-    kinds = [TAU, Stop, Dead]  # labels 0, 1 and 2, then one per state acting on an unknown register
-    found = [(thread.root, tuple(named.values()))]
+    the arrays of :mod:`threads`: one state per (thread state, bits of the
+    slotted registers), numbered as found.  A thread state acting on a
+    register the family does not hold keeps its action, under its own label."""
+    slots, bits = _slots((getattr(node, "action", None) for node in thread.nodes), family)
+    decode = _decoder(thread.nodes.__getitem__, slots, family=family)
+    outcomes = (Outcome.FUEL_EXHAUSTED, Outcome.TERMINATED, Outcome.INACTIVE)  # labels 0, 1, 2: tau, Stop, Dead
+    labels: dict[int, int] = {}  # thread state -> label, for those whose action stays observable
+    found = [(thread.root, bits)]
     index = {found[0]: 0}
     rows = []  # (label, on_true, on_false) per product state
 
-    def state_id(state: int, contents: tuple) -> int:
-        key = (state, contents)
-        if key not in index:
-            index[key] = len(found)
+    def state_id(key: tuple[int, int]) -> int:
+        if index.setdefault(key, len(found)) == len(found):
             found.append(key)
         return index[key]
 
-    for s, (state, contents) in enumerate(found):  # the list grows while it is walked: a queue
-        node = thread.nodes[state]
-        action = getattr(node, "action", None)
-        if type(action) is RegisterAction and action.focus not in named:
-            rows.append((len(kinds), state_id(node.on_true, contents), state_id(node.on_false, contents)))
-            kinds.append(action)
-            continue
-        fam = dict(zip(foci, contents))
-        succ = step(state, fam)
-        if type(succ) is Outcome:
-            rows.append((1 if succ is Outcome.TERMINATED else 2, s, s))  # Stop or Dead
-        else:
-            succ = state_id(succ, tuple(fam.values()))
-            rows.append((0, succ, succ))
-    return _quotient(kinds, *zip(*rows), 0)
+    for q, bits in found:  # the list grows while it is walked: a queue
+        if decode(q) is None:  # an action on a register the family does not hold
+            node = thread.nodes[q]
+            label = labels.setdefault(q, 3 + len(labels))
+            rows.append((label, state_id((node.on_true, bits)), state_id((node.on_false, bits))))
+        else:  # an internal step, or a leaf, whose state stays put
+            outcome, q, bits = _run(decode, q, bits, 1)
+            succ = state_id((q, bits))
+            rows.append((outcomes.index(outcome), succ, succ))
+    return _quotient([TAU, Stop, Dead, *(thread.nodes[q].action for q in labels)], *zip(*rows), 0)
 
 
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
     """Final family after running the thread on it by the step rule; empty
     on inaction or divergence.  ``_run`` gets fuel for one step per
-    configuration (thread state and named contents), so a run still going
+    configuration (thread state and slotted bits), so a run still going
     then diverges."""
-    fam = _named((node.action for node in thread.nodes if type(node) is Branch), family)
-    if _run(_stepper(thread.nodes.__getitem__), thread.root, fam, len(thread.nodes) << len(fam)) is Outcome.TERMINATED:
-        return {**family, **fam}
-    return {}
+    slots, bits = _slots((getattr(node, "action", None) for node in thread.nodes), family)
+    decode = _decoder(thread.nodes.__getitem__, slots)
+    outcome, _, bits = _run(decode, thread.root, bits, len(thread.nodes) << len(slots))
+    return _family(family, slots, bits) if outcome is Outcome.TERMINATED else {}
 
 
 def abstract_tau(thread: RegularThread) -> RegularThread:
@@ -192,21 +191,20 @@ def simulate(
 ) -> tuple[Outcome, RegisterFamily]:
     """Run the term directly on the family, a step per unit of fuel.
 
-    The stored positions are thread states, each built when the run first
-    reads it and kept by ``functools.cache``, and ``_stepper`` steps through
-    them: ``!`` is Stop, ``#0`` Dead, any other jump an internal step, an
-    instruction that acts a branch to its two exits (``syntax._EXITS``), and
-    past a finite end lies one Dead state.  A position q past the m + k
+    The stored positions are thread states, each decoded when the run first
+    reads it: ``!`` is Stop, ``#0`` Dead, any other jump an internal step,
+    an instruction that acts a branch to its two exits (``syntax._EXITS``),
+    and past a finite end lies one Dead state.  A position q past the m + k
     stored ones reads position m + (q - m) mod k of the repeating part, so a
     long jump unfolds nothing.  ``_run`` runs only the fuel modulo the cycle
-    once a configuration (position and named contents) comes back.
+    once a configuration (position and slotted bits) comes back.
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
     prefix, period = _flat(t)
     seq = prefix + period
     m, total, k = len(prefix), len(seq), len(period)
-    fam = _named((getattr(instr, "basic", None) for instr in seq), family)
+    slots, bits = _slots((getattr(instr, "basic", None) for instr in seq), family)
 
     def at(q: int) -> int:  # the stored position that position q reads, or total past a finite end
         return q if q < total else m + (q - m) % k if k else total
@@ -221,4 +219,5 @@ def simulate(
         yes, no = _EXITS[kind]
         return Branch(instr.basic, at(q + yes), at(q + no))
 
-    return _run(_stepper(functools.cache(state), "cannot execute abstract action {}"), 0, fam, fuel), {**family, **fam}
+    outcome, _, bits = _run(_decoder(state, slots, abstract="cannot execute abstract action {}"), 0, bits, fuel)
+    return outcome, _family(family, slots, bits)
