@@ -14,18 +14,20 @@ they coincide after additionally collapsing chained jumps and making all
 jumps as short as possible (second canonical forms coincide).
 
 The second canonical form works on the flat ``prefix + period`` tuple of
-the first, by index.  ``_landings``, shared with extraction, gives each
-jump its successor, and ``threads._chain_ends``, the one chain resolver,
-gives every jump its landing in one memoized pass: the first non-jump on
-its chain, an index past a finite end, or inaction for a 0-jump or a cycle.
-A step, costing O(n) for n stored positions, makes each jump the shortest
-jump to its landing: ``(end - q) mod k`` in a period of length k,
-``end - q`` elsewhere, and ``#0`` for inaction.  A step is repeated only
-while normalizing it shortens the prefix or the period, so there are at
-most n steps and usually one.  The fixpoint's parts are a form of the
-term kept by ``syntax._form``, so ``structurally_congruent`` and
-``normalize --form second`` derive a term's form once however often they
-are asked; each call still returns a new ``CanonicalSeq``.
+the first, by index.  ``_second_step`` gives each jump its successor, and
+``threads._chain_ends``, the one chain resolver, gives every jump its
+landing in one memoized pass: the first non-jump on its chain, an index
+past a finite end, or inaction for a 0-jump or a cycle.  A step, costing
+O(n) for n stored positions, makes each jump the shortest jump to its
+landing: ``(end - q) mod k`` in a period of length k, ``end - q``
+elsewhere, and ``#0`` for inaction.  A step is repeated only while
+normalizing it shortens the prefix or the period, so there are at most n
+steps and usually one.  The fixpoint's parts are a form of the term kept
+by ``syntax._form``, so ``structurally_congruent``, ``normalize --form
+second`` and the behavioural layer (:mod:`extraction` writes its position
+graph from these parts) derive a term's form once however often they are
+asked; each call still returns a new ``CanonicalSeq``.  This is the only
+place where jump chains are walked.
 """
 
 from __future__ import annotations
@@ -130,31 +132,23 @@ def instruction_sequence_congruent(
 # second canonical form: chained-jump collapse plus jump shortening
 
 
-def _landings(seq: Sequence[PrimitiveInstruction], m: int, jumps: Sequence[int]) -> list[int]:
-    """Where execution from each index of ``seq`` first meets a non-jump.
+def _second_step(canon: CanonicalSeq) -> CanonicalSeq:
+    """Each jump replaced by the shortest jump to its landing.
 
-    ``seq`` is the flat ``prefix + period`` of a sequence whose prefix has
-    ``m`` positions, and ``jumps`` lists the indices of its jumps.  Each
-    jump's successor is -1 for a 0-jump, wraps through the repeating part,
-    and may lie past the end of a finite sequence; ``threads._chain_ends``
-    follows the chains.
+    A jump's successor is -1 for a 0-jump, wraps through the repeating
+    part, and may lie past the end of a finite sequence;
+    ``threads._chain_ends`` follows the chains.
     """
+    seq = list(canon.prefix + canon.period)
+    m = len(canon.prefix)
     total = len(seq)
     k = total - m
+    jumps = [q for q, instr in enumerate(seq) if type(instr) is Jump]
     succ = [0] * total
     for q in jumps:
         to = q + seq[q].offset
         succ[q] = -1 if to == q else to if to < total or not k else m + (to - m) % k
-    return _chain_ends(succ, jumps, total)
-
-
-def _second_step(canon: CanonicalSeq) -> CanonicalSeq:
-    """Each jump replaced by the shortest jump to its landing."""
-    seq = list(canon.prefix + canon.period)
-    m = len(canon.prefix)
-    k = len(seq) - m
-    jumps = [q for q, instr in enumerate(seq) if type(instr) is Jump]
-    land = _landings(seq, m, jumps)
+    land = _chain_ends(succ, jumps, total)
     shared: dict[int, Jump] = {}  # one jump per offset, as a parse shares them
     for q in jumps:
         end = land[q]

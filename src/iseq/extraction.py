@@ -1,15 +1,17 @@
 """Thread extraction and the behavioural equivalence/congruence deciders.
 
-Extraction builds the behaviour graph over the positions of the flat
-``(prefix, period)`` parts of a term (``syntax.flatten``), with no
-canonical form: an instruction that acts branches to the positions that
+Extraction builds the behaviour graph over the positions of a term's
+second canonical form (``canonical._second``), whose parts are kept in the
+term's memo entry: an instruction that acts branches to the positions that
 ``syntax._EXITS``, the one exit table, gives for a true and a false reply
 (a plain instruction continues either way, a test skips one on the reply
 it does not want), termination stops, and positions of the repeating part
-wrap around.  A jump is an alias for its landing, which
-``canonical._landings`` finds for every jump in one memoized pass, as it
-does for the second canonical form: the state of the first non-jump on its
-chain, a leaf past a finite end, or Dead for a 0-jump or a cycle.
+wrap around.  Structural congruence implies behavioural congruence, so the
+second canonical form has the term's threads from every position and its
+behavioural verdicts.  It has no chained jumps, so a jump is an alias for
+the position its offset names, read directly: the state of a non-jump, a
+leaf past a finite end, or Dead for a 0-jump.  ``canonical._second_step``
+is the one place where chains are walked.
 
 The graph is written straight into the int arrays of :mod:`threads`, one
 state per instruction that acts and shared leaves for Stop and Dead, with
@@ -19,12 +21,13 @@ position m + j that execution can run to.  Behavioural congruence reads the
 graph as it is (see ``behaviourally_congruent``); ``extract`` and
 behavioural equivalence read it through ``_graph``'s view of the labels,
 in which every ``end j`` leaf stands for Dead, the inaction that running
-past the end is.  A term's graph is a form kept by ``syntax._form``, so
-several questions about one term flatten it and write its graph once.
-``extract`` refines the states reachable from the root and builds nodes
-only for the minimized quotient; each decider hands both terms' graphs,
-as they lie, to the union-find kernel (``threads._bisimilar``) and asks
-whether the states it names, one of each graph per pair, are pairwise
+past the end is.  A term's graph is a form kept by ``syntax._form`` beside
+its second canonical form, so several questions about one term, whether
+structural or behavioural, flatten it, normalize it and write its graph
+once.  ``extract`` refines the states reachable from the root and builds
+nodes only for the minimized quotient; each decider hands both terms'
+graphs, as they lie, to the union-find kernel (``threads._bisimilar``) and
+asks whether the states it names, one of each graph per pair, are pairwise
 bisimilar.
 """
 
@@ -33,17 +36,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .canonical import _landings
-from .syntax import (
-    Halt,
-    InstructionSequenceTerm,
-    Jump,
-    PosTest,
-    _EXITS,
-    _flat,
-    _form,
-    _relocate,
-)
+from .canonical import _second
+from .syntax import Halt, InstructionSequenceTerm, Jump, PosTest, _EXITS, _form, _relocate
 from .threads import Dead, RegularThread, Stop, _bisimilar, _quotient
 
 _DEAD = 0  # state and label of each graph's Dead leaf
@@ -51,14 +45,17 @@ _STOP = 1  # state and label of each graph's Stop leaf
 
 
 def _write(prefix: Sequence, period: Sequence) -> tuple:
-    """The position graph of ``prefix + period^omega``: (kinds, label,
-    on_true, on_false, state), with ``state`` giving the state of each
-    position.
+    """The position graph of the second canonical form ``prefix +
+    period^omega``: (kinds, label, on_true, on_false, state), with
+    ``state`` giving the state of each position.
 
     The Dead and Stop leaves come first, then the acting positions in
-    position order; a termination is the Stop leaf and a jump the state of
-    its landing.  Past the end of a finite sequence, at position m + j,
-    lies a leaf labelled ``("end", j)``; these leaves come last.
+    position order; a termination is the Stop leaf and a 0-jump the Dead
+    one.  A second canonical form has no chained jumps, so any other jump
+    takes the state of the position its offset names, folded into the
+    period past the stored positions, and that position is no jump.  Past
+    the end of a finite sequence, at position m + j, lies a leaf labelled
+    ``("end", j)``; these leaves come last.
     """
     kinds = [Dead, Stop]
     label, on_true, on_false = [_DEAD, _STOP], [_DEAD, _STOP], [_DEAD, _STOP]
@@ -75,8 +72,9 @@ def _write(prefix: Sequence, period: Sequence) -> tuple:
         if kind is Halt:
             state.append(_STOP)
         elif kind is Jump:
-            jumps.append(q)
-            state.append(_DEAD)  # inactive unless it lands below
+            if instr.offset:
+                jumps.append(q)
+            state.append(_DEAD)  # a 0-jump; any other is set below
         else:
             acts.append(q)
             state.append(len(label))
@@ -102,13 +100,9 @@ def _write(prefix: Sequence, period: Sequence) -> tuple:
             on_false.append(s)
         return s
 
-    land = _landings(seq, m, jumps)
     for q in jumps:
-        end = land[q]
-        if end >= total:
-            state[q] = past(end)
-        elif end >= 0:
-            state[q] = state[end]
+        to = q + seq[q].offset
+        state[q] = state[to] if to < total else state[m + (to - m) % k] if k else past(to)
     after = state + ([state[m], state[m + 1 % k]] if k else [past(total), past(total + 1)])
     for q in acts:
         s = state[q]
@@ -117,10 +111,16 @@ def _write(prefix: Sequence, period: Sequence) -> tuple:
     return kinds, label, on_true, on_false, state
 
 
+def _positions(t: InstructionSequenceTerm) -> tuple:
+    """``_write`` of the second canonical form of ``t``, kept in its memo
+    entry beside that form."""
+    return _form(t, "graph", lambda *flat: _write(*_form(t, "second", _second)))
+
+
 def _graph(t: InstructionSequenceTerm) -> tuple:
     """The position graph of ``t`` with kinds that read every ``end j``
     leaf as Dead."""
-    kinds, *graph = _form(t, "graph", _write)
+    kinds, *graph = _positions(t)
     return [Dead if type(kind) is tuple else kind for kind in kinds], *graph
 
 
@@ -170,34 +170,37 @@ def behaviourally_congruent(
     labelled bisimilarity is exactly bisimilarity under all paddings at
     once.
 
-    No canonical form is needed.  The flat parts of a term spell out the
-    sequence it denotes: a finite one position by position, so finiteness
-    and length are read off them directly; a periodic one as a prefix of
-    length m and a period of length k, so position q >= m behaves like
-    position m + (q - m) mod k.  Past M = max(m_a, m_b), the classes of the
-    positions of both sequences form a k_a- and a k_b-periodic sequence.
-    If these agree on their first k_a + k_b - gcd(k_a, k_b) terms, that
-    common word has both periods, so by Fine and Wilf's lemma ("Uniqueness
-    theorems for periodic functions", 1965) it has period g = gcd(k_a, k_b).
-    It is at least max(k_a, k_b) long and g divides both periods, so both
-    sequences are g-periodic, and as they agree on g terms they agree
-    everywhere.  Hence positions q < M + k_a + k_b - g suffice; two finite
-    sequences of equal length m give k_a = k_b = 0 and their m positions.
+    The second canonical form of a term is structurally congruent to it,
+    so it has the term's behaviour from every position and under every
+    padding, and its parts spell out the sequence: a finite one position
+    by position, so finiteness and length are read off them directly; a
+    periodic one as a prefix of length m and a period of length k, so
+    position q >= m behaves like position m + (q - m) mod k.  Past M =
+    max(m_a, m_b), the classes of the positions of both sequences form a
+    k_a- and a k_b-periodic sequence.  If these agree on their first
+    k_a + k_b - gcd(k_a, k_b) terms, that common word has both periods, so
+    by Fine and Wilf's lemma ("Uniqueness theorems for periodic
+    functions", 1965) it has period g = gcd(k_a, k_b).  It is at least
+    max(k_a, k_b) long and g divides both periods, so both sequences are
+    g-periodic, and as they agree on g terms they agree everywhere.  Hence
+    positions q < M + k_a + k_b - g suffice; two finite sequences of equal
+    length m give k_a = k_b = 0 and their m positions.
     """
-    (pre_a, per_a), (pre_b, per_b) = _flat(t), _flat(t2)
-    if bool(per_a) != bool(per_b):
+    (pre_a, per_a), (pre_b, per_b) = _form(t, "second", _second), _form(t2, "second", _second)
+    if bool(per_a) != bool(per_b) or not per_a and len(pre_a) != len(pre_b):
         return False
-    if not per_a and len(pre_a) != len(pre_b):
-        return False
-    *graph_a, entry_a = _form(t, "graph", _write)
-    *graph_b, entry_b = _form(t2, "graph", _write)
+    *graph_a, entry_a = _positions(t)
+    *graph_b, entry_b = _positions(t2)
     m_a, k_a, m_b, k_b = len(pre_a), len(per_a), len(pre_b), len(per_b)
     limit = max(m_a, m_b) + k_a + k_b - gcd(k_a, k_b)
-    pairs = [
-        (entry_a[q if q < m_a else m_a + (q - m_a) % k_a], entry_b[q if q < m_b else m_b + (q - m_b) % k_b])
-        for q in range(limit)
-    ]
-    return _bisimilar(graph_a, graph_b, pairs)
+    return _bisimilar(graph_a, graph_b, zip(_unrolled(entry_a, m_a, limit), _unrolled(entry_b, m_b, limit)))
+
+
+def _unrolled(entry: list, m: int, limit: int) -> list:
+    """The states of positions 0 to ``limit - 1``, where ``entry`` holds
+    those of the stored positions and the period starts at m."""
+    k = len(entry) - m
+    return (entry + entry[m:] * ((limit - m) // k))[:limit] if k else entry
 
 
 # ---------------------------------------------------------------------------

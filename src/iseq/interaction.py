@@ -204,7 +204,8 @@ def simulate(
     prefix, period = _flat(t)
     seq = prefix + period
     m, total, k = len(prefix), len(seq), len(period)
-    slots, bits = _slots((getattr(instr, "basic", None) for instr in seq), family)
+    distinct = dict(zip(map(id, seq), seq)).values()  # a parse shares equal instructions
+    slots, bits = _slots((getattr(instr, "basic", None) for instr in distinct), family)
 
     def at(q: int) -> int:  # the stored position that position q reads, or total past a finite end
         return q if q < total else m + (q - m) % k if k else total

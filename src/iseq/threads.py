@@ -17,7 +17,7 @@ one label, so a writer need not intern its kinds.  ``minimize``,
 into these arrays (``_arrays``); :mod:`extraction` writes its position
 graphs and ``interaction.use`` its product into them directly.  Every
 thread the library minimizes ends in ``_quotient``.  ``_chain_ends`` is
-the one rule for chains, of jumps in a sequence (``canonical._landings``)
+the one rule for chains, of jumps in a sequence (``canonical._second_step``)
 and of tau steps (``abstract_tau``): a chain lands on its first real step,
 or on inaction at a 0-jump or a cycle, and one memoized walk resolves
 every chain in time linear in its links.

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from iseq import interaction
 from iseq.canonical import to_first_canonical
 from iseq.cli import run_command
 from iseq.extraction import extract
@@ -25,6 +26,7 @@ from iseq.syntax import (
     Repeat,
     UnaryBoolFunc,
     concat_all,
+    flatten,
     leaves,
     parse_instruction_sequence as parse,
     parse_register_family,
@@ -415,6 +417,27 @@ def test_simulate_long_jump_in_a_repetition_is_bounded():
     outcome, _ = simulate(parse("(f.1/1;(#100000000;f.0/0)*)*"), fam("{f=0}"), 5)
     assert outcome is Outcome.FUEL_EXHAUSTED
     assert time.perf_counter() - start < 1.0
+
+
+def test_simulate_slots_each_distinct_instruction_once(monkeypatch):
+    """On a 20,000-position term of six distinct register actions and a
+    termination, each shared by the parse, ``_slots`` is handed one action
+    per distinct instruction object, not one per stored position, and the
+    run ends as the oracle's does."""
+    rng = random.Random(1)
+    texts = ("f.i/c", "+g.c/i", "-f.1/0", "g.0/1", "+f.i/i", "-g.c/c")
+    t = parse(";".join(rng.choice(texts) for _ in range(19999)) + ";!")
+    handed = []
+    slots = interaction._slots
+
+    def counted(actions, family):
+        actions = list(actions)
+        handed.append(len(actions))
+        return slots(actions, family)
+
+    monkeypatch.setattr(interaction, "_slots", counted)
+    assert simulate(t, fam("{f=0, g=1}"), 10) == oracles.simulate(t, fam("{f=0, g=1}"), 10)
+    assert handed and max(handed) <= len(set(map(id, flatten(t)[0]))) == 7, handed
 
 
 def test_deep_repetition_nesting_needs_no_recursion():

@@ -242,6 +242,46 @@ def test_each_position_graph_is_written_once_per_term(monkeypatch):
         monkeypatch.undo()
 
 
+CHAINED = ("+a;#2;(#3;b;#2;c;#1;d)*", "a;#1;(#2)*")  # one step and two steps to the second form
+
+
+def test_jump_chains_are_walked_once_per_second_step(monkeypatch):
+    """Terms with chained jumps, each asked for its second canonical form,
+    structural congruence, both behavioural deciders and ``extract`` with
+    the memo cleared first: the chains are walked once per step of the
+    second canonical form and never again, since the position graph is
+    written from that form."""
+    for text in CHAINED:
+        t = parse(text)
+        evict()
+        steps = counted(monkeypatch, canonical, "_second_step")
+        walks = counted(monkeypatch, canonical, "_chain_ends")
+        to_second_canonical(t)
+        assert structurally_congruent(t, t)
+        assert behaviourally_equivalent(t, t)
+        assert behaviourally_congruent(t, t)
+        extract(t)
+        assert len(walks) == len(steps) == CHAINED.index(text) + 1, text
+        monkeypatch.undo()
+
+
+def test_a_structural_question_after_a_behavioural_one_derives_nothing(monkeypatch):
+    """A behavioural question derives the term's second canonical form and
+    its graph; structural congruence and the second canonical form asked
+    later read them from the memo entry."""
+    for text in CHAINED:
+        t = parse(text)
+        evict()
+        assert behaviourally_congruent(t, t)
+        kept = dict(syntax._entry(t)[2])
+        assert sorted(kept) == ["graph", "second"]
+        steps = counted(monkeypatch, canonical, "_second_step")
+        assert structurally_congruent(t, t)
+        assert to_second_canonical(t) == canonical.CanonicalSeq(*kept["second"][1])
+        assert steps == [] and syntax._entry(t)[2] == kept, text
+        monkeypatch.undo()
+
+
 def test_each_program_is_decoded_once_per_convention(monkeypatch):
     """Four checks of one compiled program under one convention, the last
     against a second program, decode the two programs once each."""

@@ -62,17 +62,20 @@ def test_second_canonical_matches_reference_on_every_split():
 
 def test_position_nodes_match_reference_on_every_split():
     """``extraction._write``'s arrays against the reference's, laid out
-    alike, on the 83,748 distinct first canonical forms of every split up
-    to length 5.  The reference runs past a finite end into the Dead
-    state 0, where ``_write`` lays a leaf ``("end", j)`` per target: these
-    leaves come after the acting states, each a self-loop under its own
-    ``end j``, and with each read as state 0 every array must match."""
-    # first canonical forms keep chained and cyclic jumps, so this covers
-    # every path of the position graph, not just second canonical input
+    alike, on the 31,823 distinct second canonical forms of every split up
+    to length 5, the reference's own (``oracles.second_canonical``).  The
+    reference runs past a finite end into the Dead state 0, where
+    ``_write`` lays a leaf ``("end", j)`` per target: these leaves come
+    after the acting states, each a self-loop under its own ``end j``, and
+    with each read as state 0 every array must match."""
+    # _write takes second canonical forms only, which have no chained
+    # jumps; chained and cyclic jumps are covered by the second canonical
+    # form's test above and by the exhaustive decider tests
     seen = set()
     for prefix, period in every_split(5):
-        seq = oracles.canonical(prefix, period)
-        key = tuple(map(id, seq[0])), tuple(map(id, seq[1]))  # ALPHABET's objects are shared
+        seq = oracles.second_canonical(prefix, period)
+        # ALPHABET's objects are shared; the reference makes new jumps
+        key = tuple(tuple(i.offset if type(i) is Jump else id(i) for i in part) for part in seq)
         if key in seen:
             continue
         seen.add(key)
@@ -88,7 +91,7 @@ def test_position_nodes_match_reference_on_every_split():
             on_true, on_false = list(map(dead, on_true[:acting])), list(map(dead, on_false[:acting]))
             entry = list(map(dead, entry))
         assert (kinds, label, on_true, on_false, entry) == want, seq
-    assert len(seen) == 83748
+    assert len(seen) == 31823
 
 
 # -- bisimulation, on seeded random graphs ------------------------------------
