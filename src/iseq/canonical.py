@@ -61,12 +61,13 @@ def normalize_ultimately_periodic(
     per = tuple(period)
     if not per:
         return pre, ()
-    # primitive period: shortest divisor-length block generating the same cycle
+    # primitive period: shortest divisor-length block generating the same cycle,
+    # which is one whose shift by d leaves the period as it was; a first block
+    # unlike the second rules d out without comparing the whole period
     k = len(per)
-    for d in range(1, k + 1):
-        if k % d == 0 and per[:d] * (k // d) == per:
-            per = per[:d]
-            k = d
+    for d in range(1, k):
+        if k % d == 0 and per[d : 2 * d] == per[:d] and per[d:] == per[:-d]:
+            per, k = per[:d], d
             break
     # absorb the prefix tail into the cycle while it matches the cycle's last
     # element; absorbing r elements rotates the period right by r

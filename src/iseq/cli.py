@@ -52,7 +52,7 @@ def _family_argument(args) -> registers.RegisterFamily:
         text = _read_text(args.family_file).strip()
     if text is None:
         text = "{}"
-    return registers.evaluate_family(syntax.parse_register_family(text))
+    return registers._read(text)
 
 
 def _table_argument(args) -> syntax.FunctionTable:
@@ -151,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family-eval", help="evaluate a register family term")
     p.add_argument("-e", "--expr", action="append", metavar="FAMILY")
     p.add_argument("--file", action="append", metavar="PATH")
-    p.set_defaults(run=lambda args: (0, registers.render_family(
-        registers.evaluate_family(syntax.parse_register_family(_one_text(args, "family"))))))
+    p.set_defaults(run=lambda args: (0, registers.render_family(registers._read(_one_text(args, "family")))))
 
     p = sub.add_parser("use", help="run a term's behaviour against a register family")
     _add_term_options(p)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .registers import RegisterFamily
@@ -202,16 +203,15 @@ def simulate(
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
     prefix, period = _flat(t)
-    seq = prefix + period
-    m, total, k = len(prefix), len(seq), len(period)
-    distinct = dict(zip(map(id, seq), seq)).values()  # a parse shares equal instructions
+    m, k, total = len(prefix), len(period), len(prefix) + len(period)
+    distinct = {id(instr): instr for instr in chain(prefix, period)}.values()  # a parse shares equal instructions
     slots, bits = _slots((getattr(instr, "basic", None) for instr in distinct), family)
 
     def at(q: int) -> int:  # the stored position that position q reads, or total past a finite end
         return q if q < total else m + (q - m) % k if k else total
 
     def state(q: int) -> Node:
-        instr = seq[q] if q < total else Jump(0)  # past a finite end: inaction, as at #0
+        instr = prefix[q] if q < m else period[q - m] if q < total else Jump(0)  # past the end: inaction
         kind = type(instr)
         if kind is Halt:
             return Stop()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from iseq.canonical import (
     CanonicalSeq,
     instruction_sequence_congruent,
+    normalize_ultimately_periodic,
     structurally_congruent,
     term_of_canonical,
     to_first_canonical,
@@ -151,6 +153,27 @@ def test_repetition_free_prefix_is_leaf_list():
         assert list(canon.prefix) == flat
         stream = oracles.Stream(t)  # shares no code with ``flatten``
         assert [stream.at(pos) for pos in range(1, len(flat) + 2)] == flat + [None]
+
+
+def _primitive_by_copies(period):
+    """The shortest divisor-length block whose copies spell ``period``, by
+    building those copies for each divisor in turn."""
+    k = len(period)
+    return next(period[:d] for d in range(1, k + 1) if k % d == 0 and period[:d] * (k // d) == period)
+
+
+def test_primitive_period_agrees_with_copies_exhaustively():
+    """Every period of length 1 to 8 over three instructions, after no
+    prefix and after a one-instruction prefix that the cycle may absorb,
+    normalizes as it does with its primitive block found by building
+    copies of each divisor-length block."""
+    for k in range(1, 9):
+        for period in itertools.product("abc", repeat=k):
+            block = _primitive_by_copies(period)
+            assert normalize_ultimately_periodic((), period) == ((), block)
+            for pre in ("a", "b"):
+                expected = normalize_ultimately_periodic((pre,), block)
+                assert normalize_ultimately_periodic((pre,), period) == expected
 
 
 def test_isc_implies_structural_on_variants():

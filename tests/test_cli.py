@@ -10,6 +10,8 @@ import iseq
 from iseq import cli
 from iseq.cli import run_command
 
+from .test_syntax import FAMILY_ERRORS
+
 
 def run(*argv):
     return run_command(list(argv))
@@ -114,6 +116,16 @@ def test_family_eval_with_3000_bindings():
     code, out, err = run("family-eval", "-e", " + ".join(f"{{{n}=0}}" for n in names) + " + {r7=1}")
     assert code == 0 and err == ""
     assert "r7=-" in out and out.count("=0") == 2999
+
+
+@pytest.mark.parametrize("text,message,position", FAMILY_ERRORS)
+def test_family_errors_exit_2_with_the_parsers_message(text, message, position):
+    """Every family parse error reaches stderr with its message and position,
+    whether the family is the term of ``family-eval`` or the registers of
+    ``apply``."""
+    expected = (2, "", f"error: {message} (at position {position})\n")
+    assert run("family-eval", "-e", text) == expected
+    assert run("apply", "-e", "!", "-f", text) == expected
 
 
 def test_deep_nesting_exits_2_without_traceback():

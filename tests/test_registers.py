@@ -1,16 +1,24 @@
 import functools
 import itertools
 import random
+import re
+import sys
 
-from iseq.registers import evaluate_family, render_family
+import pytest
+
+from iseq import registers
+from iseq.registers import _read, evaluate_family, render_family
 from iseq.syntax import (
+    MAX_NESTING,
     ComposeFamily,
     EmptyFamily,
     Focus,
     HideFamily,
+    ParseError,
     RegisterContent,
     SingletonFamily,
     parse_register_family as parse,
+    render_family_term,
 )
 
 from .oracles import compose
@@ -147,6 +155,114 @@ def test_family_laws_exhaustively():
 
 
 def test_render_sorted_deterministic():
-    family = evaluate_family(parse("{g=1, f=0, aux:2=-, aux:1=1}"))
-    assert render_family(family) == "{aux:1=1, aux:2=-, f=0, g=1}"
+    family = evaluate_family(parse("{g=1, aux:10=0, f=0, aux:2=-, aux:1=1}"))
+    assert render_family(family) == "{aux:1=1, aux:2=-, aux:10=0, f=0, g=1}"
     assert render_family({}) == "{}"
+
+
+# -- the one-pass reader the CLI uses ------------------------------------------
+
+
+def _outcome(read, text):
+    """The items of ``read(text)`` in key order, or the error it raises."""
+    try:
+        return "read", list(read(text).items())
+    except ParseError as err:
+        return "refused", err.message, err.position
+    except ValueError as err:
+        return "failed", str(err)
+
+
+def _by_parser(text):
+    return evaluate_family(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("{f=0, f=1}", {F: DIV}),
+        ("{f=1, f=1, g=0}", {F: DIV, G: ZERO}),
+        ("hide{f}({f=0} + {f=1}) + {f=1}", {F: ONE}),
+        ("hide{f}({f=0, g=1}) + {g=1}", {G: DIV}),
+        ("{} + {f=1} + {}", {F: ONE}),
+        ("{} + ({}) + hide{f}({})", {}),
+        ("(({g=-}) + {f=0})", {G: DIV, F: ZERO}),
+        ("hide{f, g}(hide{g}({g=1}) + {g=0, f=1, aux:2=1})", {Focus("aux", 2): ONE}),
+        ("{aux:1=0, aux:01=1}", {Focus("aux", 1): DIV}),
+        ("{aux:1=0} + hide{aux:1}({aux:1=1}) + {g=1, aux:1=1}", {Focus("aux", 1): DIV, G: ONE}),
+        ("hide{g}({g=1}) + {g=0}", {G: ZERO}),
+    ],
+)
+def test_read_named_cases(text, expected):
+    """Clashes within a block and across operands, a hidden focus dropped
+    before a later clash could see it, ``{}`` operands and parentheses;
+    keys come in the order ``evaluate_family`` gives."""
+    assert _read(text) == expected
+    assert _outcome(_read, text) == _outcome(_by_parser, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{f:0=1}",
+        "hide{f:0}({})",
+        "{f:" + "1" * 5000 + "=1}",
+        "hide{f:" + "9" * 5000 + "}({})",
+        "(" * MAX_NESTING + "{f=1}" + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING + 1) + "{f=1}" + ")" * (MAX_NESTING + 1),
+        "hide{f}(" * MAX_NESTING + "{f=1, g=0}" + ")" * MAX_NESTING,
+        "hide{f}(" * (MAX_NESTING + 1) + "{g=0}" + ")" * (MAX_NESTING + 1),
+        "hide{g}(" * 50 + "(" * (MAX_NESTING - 50) + "{f=1}" + ")" * MAX_NESTING,
+        "hide{g}(" * 50 + "(" * (MAX_NESTING - 49) + "{f=1}" + ")" * (MAX_NESTING + 1),
+        "({f=1}))",
+        "{f=1} + hide",
+        "{f=1, g=f}",
+        "hide{f,}({})",
+    ],
+)
+def test_read_edges_agree_with_parser(text):
+    """Index 0, an index past ``int``'s digit limit, nesting at
+    ``MAX_NESTING`` and one level past it, and texts cut short: the reader
+    gives the parser's map, message and position, or ``ValueError``."""
+    assert _outcome(_read, text) == _outcome(_by_parser, text)
+
+
+def test_read_long_families_without_recursion_or_the_parser(monkeypatch):
+    """A 3,000-operand composition and a 3,000-binding block, with clashes,
+    read in a loop: no fallback to the parser, and no call deeper than a
+    few frames."""
+    composition = " + ".join(f"{{r{i % 2500}={i % 2}}}" for i in range(3000))
+    block = "{" + ", ".join(f"aux:{i % 2600 + 1}=-" for i in range(3000)) + "}"
+    expected = [list(_by_parser(text).items()) for text in (composition, block)]
+
+    def refuse(text):
+        raise AssertionError("the reader fell back to the parser")
+
+    monkeypatch.setattr(registers, "parse_register_family", refuse)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        got = [list(_read(text).items()) for text in (composition, block)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
+def test_read_agrees_with_parser_on_random_terms_and_their_mutants():
+    """Rendered random family terms, each also with one token dropped,
+    repeated or swapped for another: the reader gives what the parser and
+    ``evaluate_family`` give, map or error."""
+    rng = random.Random(71)
+    swaps = ["{", "}", "(", ")", "+", ",", "=", ":", "hide", "f", "0", "2", ""]
+    for _ in range(400):
+        text = render_family_term(_random_family_term(rng, 4))
+        tokens = re.findall(r"\w+|\S", text)
+        assert _outcome(_read, text) == ("read", list(evaluate_family(parse(text)).items()))
+        for _ in range(3):
+            j = rng.randrange(len(tokens))
+            mutant = tokens[:j] + rng.choice([[], [tokens[j]] * 2, [rng.choice(swaps)]]) + tokens[j + 1 :]
+            text = " ".join(mutant)
+            assert _outcome(_read, text) == _outcome(_by_parser, text), text

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import iseq
+from iseq import registers
+from iseq.registers import evaluate_family
 from iseq.syntax import (
     AbstractAction,
     ComposeFamily,
@@ -120,29 +122,30 @@ def test_parse_errors_have_positions(text, message, position):
     assert (err.value.message, err.value.position) == (message, position)
 
 
-@pytest.mark.parametrize(
-    "text,message,position",
-    [
-        ("", "expected a register family, found 'end of input'", 0),
-        ("x", "expected a register family, found 'x'", 0),
-        ("{", "expected 'ident', found 'end of input'", 1),
-        ("{f}", "expected '=', found '}'", 2),
-        ("{f.1=0}", "expected '=', found '.'", 2),
-        ("{f=2}", "expected register content 0, 1 or -, found '2'", 3),
-        ("{f=1,}", "expected 'ident', found '}'", 5),
-        ("{f=1;g=0}", "expected '}', found ';'", 4),
-        ("{f:0=1}", "focus index must be >= 1", 3),
-        ("{f:x=1}", "expected 'nat', found 'x'", 3),
-        ("{f=1} +", "expected a register family, found 'end of input'", 7),
-        ("{f=1} {g=0}", "trailing input '{'", 6),
-        ("hide(f)({})", "expected '{', found '('", 4),
-        ("hide{f}", "expected '(', found 'end of input'", 7),
-        ("hide{f}({f=1}", "expected ')', found 'end of input'", 13),
-        ("{f:²=1}", "unexpected character '²'", 3),
-        ("{f:½=1}", "unexpected character '½'", 3),
-        ("{f=1, g=}\t@", "unexpected character '@'", 10),
-    ],
-)
+# every row is also run through the CLI (tests/test_cli.py)
+FAMILY_ERRORS = [
+    ("", "expected a register family, found 'end of input'", 0),
+    ("x", "expected a register family, found 'x'", 0),
+    ("{", "expected 'ident', found 'end of input'", 1),
+    ("{f}", "expected '=', found '}'", 2),
+    ("{f.1=0}", "expected '=', found '.'", 2),
+    ("{f=2}", "expected register content 0, 1 or -, found '2'", 3),
+    ("{f=1,}", "expected 'ident', found '}'", 5),
+    ("{f=1;g=0}", "expected '}', found ';'", 4),
+    ("{f:0=1}", "focus index must be >= 1", 3),
+    ("{f:x=1}", "expected 'nat', found 'x'", 3),
+    ("{f=1} +", "expected a register family, found 'end of input'", 7),
+    ("{f=1} {g=0}", "trailing input '{'", 6),
+    ("hide(f)({})", "expected '{', found '('", 4),
+    ("hide{f}", "expected '(', found 'end of input'", 7),
+    ("hide{f}({f=1}", "expected ')', found 'end of input'", 13),
+    ("{f:²=1}", "unexpected character '²'", 3),
+    ("{f:½=1}", "unexpected character '½'", 3),
+    ("{f=1, g=}\t@", "unexpected character '@'", 10),
+]
+
+
+@pytest.mark.parametrize("text,message,position", FAMILY_ERRORS)
 def test_family_parse_errors_have_positions(text, message, position):
     with pytest.raises(ParseError) as err:
         parse_register_family(text)
@@ -357,6 +360,22 @@ def test_parsers_agree_with_the_token_tuple_parsers(text):
     gave (``tests/oracles.py``)."""
     assert _outcome(parse_instruction_sequence, text) == _outcome(oracles.parse_instruction_sequence, text)
     assert _outcome(parse_register_family, text) == _outcome(oracles.parse_register_family, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+@example("#" + "1" * 5000)
+@example("a;f:" + "٣" * 5000 + ".1/1")
+@example("{f:" + "1" * 5000 + "=1}")
+def test_family_reader_agrees_with_parse_then_evaluate(text):
+    """On arbitrary text, the CLI's one-pass family reader gives the map,
+    keys in the same order, that ``evaluate_family`` gives of the parsed
+    term, or the parser's error message and position."""
+    def items(read):
+        return lambda text: list(read(text).items())
+
+    expected = _outcome(items(lambda text: evaluate_family(parse_register_family(text))), text)
+    assert _outcome(items(registers._read), text) == expected
 
 
 def test_huge_jump_literal_rejected():
