@@ -11,20 +11,21 @@ focus or an inoperative register.  ``abstract_tau`` conceals internal steps.
 ``abstract_tau`` resolves tau chains there by ``_chain_ends``, as jumps are.
 
 A run holds registers as the bits of one int, by slot, as the row kernel
-and the search of :mod:`compute` do: ``_slots`` gives one to each focus the
-program names and the family holds as 0 or 1; the family is read on entry
-and written back on exit.  ``_decoder`` decodes each thread state once, and
-``_run`` is the one step loop: ``apply`` and ``simulate``, which reads a
-term's flat positions as thread states to cross-check apply after extract,
-run in it, and ``use`` steps through it once per product state.
+and the search of :mod:`compute` do.  ``_decoder`` decodes each thread
+state once and gives a register its slot when it first decodes a state
+that acts on it; the bit says whether the register differs from its
+content in the family, so a run starts from bits 0, reads the family only
+at the registers it reaches, and ``_family`` writes them back.  ``_run`` is
+the one step loop: ``apply`` and ``simulate``, which reads a term's flat
+positions as thread states to cross-check apply after extract, run in it,
+and ``use`` steps through it once per product state.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .registers import RegisterFamily
 from .syntax import Focus, Halt, InstructionSequenceTerm, Jump, PrimitiveInstruction, RegisterAction
@@ -38,35 +39,26 @@ class Outcome(enum.Enum):
     FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-def _slots(actions: Iterable, family: RegisterFamily) -> tuple[dict[Focus, int], int]:
-    """A slot per focus of the register actions among ``actions`` that
-    ``family`` holds as 0 or 1, in the order first named, and the int whose
-    bit in each slot is that register's content."""
-    slots, bits = {}, 0
-    for action in actions:
-        if type(action) is RegisterAction and action.focus not in slots:
-            content = family.get(action.focus)
-            if content is RegisterContent.ZERO or content is RegisterContent.ONE:
-                bits |= (content is RegisterContent.ONE) << len(slots)
-                slots[action.focus] = len(slots)
-    return slots, bits
-
-
 def _family(family: RegisterFamily, slots: dict[Focus, int], bits: int) -> RegisterFamily:
-    """``family`` with each slotted register holding its bit of ``bits``."""
-    return {**family, **{focus: RegisterContent("01"[bits >> slot & 1]) for focus, slot in slots.items()}}
+    """``family`` with each slotted register whose bit of ``bits`` is set flipped."""
+    flip = {RegisterContent.ZERO: RegisterContent.ONE, RegisterContent.ONE: RegisterContent.ZERO}
+    return {**family, **{focus: flip[family[focus]] for focus, slot in slots.items() if bits >> slot & 1}}
 
 
 def _decoder(
-    node_of: Callable, slots: dict, family=None, abstract="abstract action {} cannot interact with registers"
-) -> Callable:
+    node_of: Callable, family: dict, observable=False, abstract="abstract action {} cannot interact with registers"
+) -> tuple[Callable, dict[Focus, int]]:
     """The decoding of state q, whose node is ``node_of(q)``, kept by
-    ``functools.cache``: Stop gives TERMINATED and Dead INACTIVE, an
-    internal step its successor, and an action ``f.m/n`` on the register in
-    slot s (s, n(0), n(1), successor on m(0), successor on m(1)), as in
-    ``compute._decode``.  An action on a register without a slot sticks, as
-    INACTIVE, or gives None, observable, where ``family`` is given and does
-    not hold it; an abstract action raises ValueError, ``abstract`` naming it."""
+    ``functools.cache``, and the slots it gives out.  Stop gives TERMINATED
+    and Dead INACTIVE, an internal step its successor, and ``f.m/n`` on a
+    register that ``family`` holds as c (0 or 1) gives f its slot s when
+    first decoded, and (s, n(c) ^ c, n(1 - c) ^ c, successor on m(c),
+    successor on m(1 - c)), as ``compute._decode`` does for c = 0: f's bit
+    says whether f differs from c.  Other register actions stick, as
+    INACTIVE, or give None, observable, where ``observable`` and ``family``
+    does not hold the register; an abstract action raises ValueError,
+    ``abstract`` naming it."""
+    slots: dict[Focus, int] = {}
 
     @functools.cache
     def decode(q: int):
@@ -78,24 +70,27 @@ def _decoder(
             return node.on_true
         if type(action) is not RegisterAction:
             raise ValueError(abstract.format(action))
-        slot = slots.get(action.focus)
-        if slot is None:
-            return None if family is not None and action.focus not in family else Outcome.INACTIVE
-        on_0, on_1 = _TRUTH[action.reply._value_]  # read _TRUTH directly: UnaryBoolFunc.__call__ is a Python call
+        content = family.get(action.focus)
+        if content is not RegisterContent.ZERO and content is not RegisterContent.ONE:
+            return None if observable and content is None else Outcome.INACTIVE
+        c = content is RegisterContent.ONE  # bit b reads the register as b ^ c
+        on, effect = _TRUTH[action.reply._value_], _TRUTH[action.effect._value_]  # not UnaryBoolFunc.__call__
         yes, no = node.on_true, node.on_false
-        return (slot, *_TRUTH[action.effect._value_], yes if on_0 else no, yes if on_1 else no)
+        slot = slots.setdefault(action.focus, len(slots))
+        return slot, effect[c] ^ c, effect[not c] ^ c, yes if on[c] else no, yes if on[not c] else no
 
-    return decode
+    return decode, slots
 
 
 def _run(decode: Callable[[int], Outcome | int | tuple], q: int, bits: int, fuel: int) -> tuple[Outcome, int, int]:
     """The Outcome that ``decode`` gives within ``fuel`` steps from state
-    ``q`` with the registers ``bits``, else FUEL_EXHAUSTED, and the state
-    and bits the run stops at.  A configuration that comes back makes the
-    run periodic: Brent's cycle finding compares each with the one at the
-    last power-of-two step, and a match L steps later leaves only the fuel
-    modulo L to run, so the work is bounded by the configurations, whatever
-    the fuel, and the memory holds two of them."""
+    ``q`` with the register bits ``bits``, else FUEL_EXHAUSTED, and the
+    state and bits the run stops at.  A bit is 0 until the run reaches its
+    register, so (q, bits) stands for one configuration, and one that comes
+    back makes the run periodic: Brent's cycle finding compares each with
+    the one at the last power-of-two step, and a match L steps later leaves
+    only the fuel modulo L to run, so the work is bounded by the
+    configurations, whatever the fuel, and the memory holds two of them."""
     mark_q, mark_bits, since, power = -1, 0, 0, 1  # the configuration at the last power of two
     while fuel > 0:
         if q == mark_q and bits == mark_bits:
@@ -121,13 +116,13 @@ def _run(decode: Callable[[int], Outcome | int | tuple], q: int, bits: int, fuel
 def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
     """Product of the thread with the family it runs against, written into
     the arrays of :mod:`threads`: one state per (thread state, bits of the
-    slotted registers), numbered as found.  A thread state acting on a
-    register the family does not hold keeps its action, under its own label."""
-    slots, bits = _slots((getattr(node, "action", None) for node in thread.nodes), family)
-    decode = _decoder(thread.nodes.__getitem__, slots, family=family)
+    registers reached so far), numbered as found from (root, 0).  A thread
+    state acting on a register the family does not hold keeps its action,
+    under its own label."""
+    decode, _ = _decoder(thread.nodes.__getitem__, family, observable=True)
     outcomes = (Outcome.FUEL_EXHAUSTED, Outcome.TERMINATED, Outcome.INACTIVE)  # labels 0, 1, 2: tau, Stop, Dead
     labels: dict[int, int] = {}  # thread state -> label, for those whose action stays observable
-    found = [(thread.root, bits)]
+    found = [(thread.root, 0)]
     index = {found[0]: 0}
     rows = []  # (label, on_true, on_false) per product state
 
@@ -151,11 +146,12 @@ def use(thread: RegularThread, family: RegisterFamily) -> RegularThread:
 def apply(thread: RegularThread, family: RegisterFamily) -> RegisterFamily:
     """Final family after running the thread on it by the step rule; empty
     on inaction or divergence.  ``_run`` gets fuel for one step per
-    configuration (thread state and slotted bits), so a run still going
-    then diverges."""
-    slots, bits = _slots((getattr(node, "action", None) for node in thread.nodes), family)
-    decode = _decoder(thread.nodes.__getitem__, slots)
-    outcome, _, bits = _run(decode, thread.root, bits, len(thread.nodes) << len(slots))
+    configuration (thread state, and contents of the registers the thread
+    names that the family holds as 0 or 1), so a run still going then diverges."""
+    decode, slots = _decoder(thread.nodes.__getitem__, family)
+    named = {node.action.focus for node in thread.nodes if type(getattr(node, "action", None)) is RegisterAction}
+    held = sum(family.get(focus) in (RegisterContent.ZERO, RegisterContent.ONE) for focus in named)
+    outcome, _, bits = _run(decode, thread.root, 0, len(thread.nodes) << held)
     return _family(family, slots, bits) if outcome is Outcome.TERMINATED else {}
 
 
@@ -187,9 +183,7 @@ def unfold(t: InstructionSequenceTerm) -> Iterator[PrimitiveInstruction]:
         yield from period
 
 
-def simulate(
-    t: InstructionSequenceTerm, family: RegisterFamily, fuel: int
-) -> tuple[Outcome, RegisterFamily]:
+def simulate(t: InstructionSequenceTerm, family: RegisterFamily, fuel: int) -> tuple[Outcome, RegisterFamily]:
     """Run the term directly on the family, a step per unit of fuel.
 
     The stored positions are thread states, each decoded when the run first
@@ -197,15 +191,14 @@ def simulate(
     an instruction that acts a branch to its two exits (``syntax._EXITS``),
     and past a finite end lies one Dead state.  A position q past the m + k
     stored ones reads position m + (q - m) mod k of the repeating part, so a
-    long jump unfolds nothing.  ``_run`` runs only the fuel modulo the cycle
-    once a configuration (position and slotted bits) comes back.
+    long jump unfolds nothing, and a register is read only once the run
+    reaches it.  ``_run`` runs only the fuel modulo the cycle once a
+    configuration (position and bits) comes back.
     """
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
     prefix, period = _flat(t)
     m, k, total = len(prefix), len(period), len(prefix) + len(period)
-    distinct = {id(instr): instr for instr in chain(prefix, period)}.values()  # a parse shares equal instructions
-    slots, bits = _slots((getattr(instr, "basic", None) for instr in distinct), family)
 
     def at(q: int) -> int:  # the stored position that position q reads, or total past a finite end
         return q if q < total else m + (q - m) % k if k else total
@@ -220,5 +213,6 @@ def simulate(
         yes, no = _EXITS[kind]
         return Branch(instr.basic, at(q + yes), at(q + no))
 
-    outcome, _, bits = _run(_decoder(state, slots, abstract="cannot execute abstract action {}"), 0, bits, fuel)
+    decode, slots = _decoder(state, family, abstract="cannot execute abstract action {}")
+    outcome, _, bits = _run(decode, 0, 0, fuel)
     return outcome, _family(family, slots, bits)

@@ -617,7 +617,8 @@ def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
     if tok == "#":
         cur.pos += 1
         digits = cur.expect("nat")
-        offset = int(digits)
+        # a nonzero digit before the last ten makes it too large, and int refuses 4,300 digits
+        offset = int(digits[-10:]) if len(digits) <= 10 or not any(map(int, digits[:-10])) else _MAX_JUMP + 1
         if offset > _MAX_JUMP:
             raise cur.fail(f"jump literal {digits} is too large", cur.pos - 1)
         return shared.get(offset) or shared.setdefault(offset, Jump(offset))
@@ -726,7 +727,11 @@ def _parse_focus(cur: _Cursor) -> Focus:
     name = cur.expect("ident")
     index = None
     if cur.skip(":"):
-        index = int(cur.expect("nat"))
+        digits = cur.expect("nat")
+        try:
+            index = int(digits)
+        except ValueError:  # past int's digit limit
+            raise cur.fail(f"focus index {digits} has too many digits", cur.pos - 1) from None
         if index < 1:
             raise cur.fail("focus index must be >= 1", cur.pos - 1)
     key = (name, index)

@@ -726,7 +726,8 @@ def _parse_atom(cur: _Cursor) -> InstructionSequenceTerm:
     if kind == "#":
         cur.next()
         _, digits, npos = cur.expect("nat")
-        offset = int(digits)
+        significant = "".join(itertools.dropwhile(lambda ch: int(ch) == 0, digits))
+        offset = int(significant or "0") if len(significant) <= 10 else _MAX_JUMP + 1
         if offset > _MAX_JUMP:
             raise ParseError(f"jump literal {digits} is too large", npos)
         return shared.get(offset) or shared.setdefault(offset, Jump(offset))
@@ -833,7 +834,10 @@ def _parse_focus_name(cur: _Cursor) -> tuple[str, Optional[int]]:
     if cur.at(":"):
         cur.next()
         _, digits, ipos = cur.expect("nat")
-        index = int(digits)
+        try:
+            index = int(digits)
+        except ValueError:  # past int's digit limit
+            raise ParseError(f"focus index {digits} has too many digits", ipos) from None
         if index < 1:
             raise ParseError("focus index must be >= 1", ipos)
     return name, index

@@ -40,6 +40,18 @@ def test_parse_error_exits_2():
     assert (code, out, err) == (2, "", "error: unexpected character '²' (at position 1)\n")
 
 
+def test_numerals_past_ints_digit_limit_exit_2_with_a_position():
+    """A 5,000-digit jump literal or focus index is refused with its
+    position; a jump literal padded by 5,000 zeros is read."""
+    long = "9" * 5000
+    assert run("parse", "-e", "#" + long) == (2, "", f"error: jump literal {long} is too large (at position 1)\n")
+    expected = f"error: focus index {long} has too many digits (at position {{}})\n"
+    assert run("parse", "-e", "f:" + long + ".i/i") == (2, "", expected.format(2))
+    assert run("family-eval", "-e", "{f:" + long + "=0}") == (2, "", expected.format(3))
+    assert run("apply", "-e", "!", "-f", "{f:" + long + "=0}") == (2, "", expected.format(3))
+    assert run("parse", "-e", "#" + "0" * 5000 + "1") == (0, "#1\n", "")
+
+
 def test_normalize_second_form():
     code, out, _ = run("normalize", "--form", "second", "-e", "-a;#2;(+b;#2)*")
     assert code == 0

@@ -39,6 +39,7 @@ from iseq.threads import (
     RegularThread,
     Stop,
     minimize,
+    render_thread,
     threads_equal,
 )
 
@@ -153,6 +154,33 @@ def test_apply_on_the_counter_matches_the_oracle_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 1024, peak
+
+
+def test_the_counter_from_every_starting_content_matches_the_oracles():
+    """The 3-bit counter, diverging and halting, from each of its 8
+    starting contents and from one of them with ``f2`` inoperative, its
+    foci listed out of order (18 runs): ``apply``, with the family's key
+    order, the rendering of ``use``, and ``simulate`` at fuels 0, 1, 5, 13,
+    29, 61 and 10**4, with the family's key order, equal what
+    ``tests/oracles.py`` gives (162 comparisons)."""
+    foci = [Focus("f3"), Focus("f1"), Focus("f2")]
+    starts = [dict(zip(foci, map(content_of_bit, bits))) for bits in itertools.product((False, True), repeat=3)]
+    starts.append({**starts[5], Focus("f2"): RegisterContent.INOPERATIVE})
+    fuels = (0, 1, 5, 13, 29, 61, 10**4)
+    checked = 0
+    for halt in (False, True):
+        term = counter_term(3, halt)
+        thread = extract(term)
+        for family in starts:
+            got, want = apply(thread, family), oracles.apply(thread, family)
+            assert list(got.items()) == list(want.items()), (halt, family)
+            assert render_thread(use(thread, family)) == render_thread(oracles.use(thread, family)), (halt, family)
+            for fuel in fuels:
+                outcome, got = simulate(term, family, fuel)
+                want_outcome, want = oracles.simulate(term, family, fuel)
+                assert (outcome, list(got.items())) == (want_outcome, list(want.items())), (halt, family, fuel)
+            checked += 2 + len(fuels)
+    assert checked == 162
 
 
 def test_runs_hash_a_focus_per_state_not_per_configuration(monkeypatch):
@@ -419,25 +447,26 @@ def test_simulate_long_jump_in_a_repetition_is_bounded():
     assert time.perf_counter() - start < 1.0
 
 
-def test_simulate_slots_each_distinct_instruction_once(monkeypatch):
+def test_simulate_walks_no_stored_positions(monkeypatch):
     """On a 20,000-position term of six distinct register actions and a
-    termination, each shared by the parse, ``_slots`` is handed one action
-    per distinct instruction object, not one per stored position, and the
-    run ends as the oracle's does."""
+    termination, a run with fuel 10 reads the term's flat parts only by
+    index: with ``_flat`` patched to return tuples whose ``__iter__``
+    raises, it ends as the oracle's run does.  Finding the registers by a
+    walk over every stored position made each call cost what the term's
+    length costs, not what the run reaches."""
     rng = random.Random(1)
     texts = ("f.i/c", "+g.c/i", "-f.1/0", "g.0/1", "+f.i/i", "-g.c/c")
     t = parse(";".join(rng.choice(texts) for _ in range(19999)) + ";!")
-    handed = []
-    slots = interaction._slots
+    family = fam("{f=0, g=1}")
+    want = oracles.simulate(t, family, 10)
 
-    def counted(actions, family):
-        actions = list(actions)
-        handed.append(len(actions))
-        return slots(actions, family)
+    class Unwalkable(tuple):
+        def __iter__(self):
+            raise AssertionError("the stored positions were walked")
 
-    monkeypatch.setattr(interaction, "_slots", counted)
-    assert simulate(t, fam("{f=0, g=1}"), 10) == oracles.simulate(t, fam("{f=0, g=1}"), 10)
-    assert handed and max(handed) <= len(set(map(id, flatten(t)[0]))) == 7, handed
+    flat = interaction._flat
+    monkeypatch.setattr(interaction, "_flat", lambda t: tuple(map(Unwalkable, flat(t))))
+    assert simulate(t, family, 10) == want
 
 
 def test_deep_repetition_nesting_needs_no_recursion():

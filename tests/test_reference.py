@@ -13,6 +13,8 @@ pinned by verdicts that one position fewer would get wrong.
 import itertools
 import random
 
+import pytest
+
 from iseq import threads
 from iseq.canonical import CanonicalSeq, to_second_canonical
 from iseq.extraction import _write, behaviourally_congruent, extract
@@ -54,13 +56,21 @@ def term(prefix, period):
 # -- canonical forms and extraction, exhaustively -----------------------------
 
 
-def test_second_canonical_matches_reference_on_every_split():
-    for prefix, period in every_split(5):
+@pytest.fixture(scope="module")
+def reference_splits():
+    """Every split of ``every_split(5)`` (94,773) with the reference's
+    second canonical form of it, computed once for the two tests below."""
+    return [(prefix, period, oracles.second_canonical(prefix, period)) for prefix, period in every_split(5)]
+
+
+def test_second_canonical_matches_reference_on_every_split(reference_splits):
+    assert len(reference_splits) == 94773
+    for prefix, period, want in reference_splits:
         got = to_second_canonical(term(prefix, period))
-        assert (got.prefix, got.period) == oracles.second_canonical(prefix, period), (prefix, period)
+        assert (got.prefix, got.period) == want, (prefix, period)
 
 
-def test_position_nodes_match_reference_on_every_split():
+def test_position_nodes_match_reference_on_every_split(reference_splits):
     """``extraction._write``'s arrays against the reference's, laid out
     alike, on the 31,823 distinct second canonical forms of every split up
     to length 5, the reference's own (``oracles.second_canonical``).  The
@@ -72,8 +82,7 @@ def test_position_nodes_match_reference_on_every_split():
     # jumps; chained and cyclic jumps are covered by the second canonical
     # form's test above and by the exhaustive decider tests
     seen = set()
-    for prefix, period in every_split(5):
-        seq = oracles.second_canonical(prefix, period)
+    for _, _, seq in reference_splits:
         # ALPHABET's objects are shared; the reference makes new jumps
         key = tuple(tuple(i.offset if type(i) is Jump else id(i) for i in part) for part in seq)
         if key in seen:

@@ -169,8 +169,6 @@ def _outcome(read, text):
         return "read", list(read(text).items())
     except ParseError as err:
         return "refused", err.message, err.position
-    except ValueError as err:
-        return "failed", str(err)
 
 
 def _by_parser(text):
@@ -223,7 +221,7 @@ def test_read_named_cases(text, expected):
 def test_read_edges_agree_with_parser(text):
     """Index 0, an index past ``int``'s digit limit, nesting at
     ``MAX_NESTING`` and one level past it, and texts cut short: the reader
-    gives the parser's map, message and position, or ``ValueError``."""
+    gives the parser's map, or its message and position."""
     assert _outcome(_read, text) == _outcome(_by_parser, text)
 
 

@@ -159,6 +159,28 @@ def test_numerals_are_decimal_digits():
     assert parse_instruction_sequence("a½") == Plain(AbstractAction("a½"))
 
 
+def test_numerals_past_ints_digit_limit_are_parse_errors():
+    """A jump literal with a nonzero digit before its last ten, or a focus
+    index ``int`` refuses (past 4,300 digits), is a ParseError at its
+    position, not ``int``'s own ValueError; leading zeros, in any script,
+    do not make a jump literal too large."""
+    long, padded = "9" * 5000, "0" * 5000 + "1000000001"
+    for parse, text, message, position in [
+        (parse_instruction_sequence, "#" + long, f"jump literal {long} is too large", 1),
+        (parse_instruction_sequence, "#" + padded, f"jump literal {padded} is too large", 1),
+        (parse_instruction_sequence, "a;#10000000005", "jump literal 10000000005 is too large", 3),
+        (parse_instruction_sequence, "f:" + long + ".i/i", f"focus index {long} has too many digits", 2),
+        (parse_register_family, "{f:" + long + "=0}", f"focus index {long} has too many digits", 3),
+        (parse_register_family, "hide{g, f:" + long + "}({})", f"focus index {long} has too many digits", 10),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.position) == (message, position), text[:20]
+    assert parse_instruction_sequence("#" + "0" * 5000 + "1") == Jump(1)
+    assert parse_instruction_sequence("#" + "0" * 5000 + "1000000000") == Jump(10**9)
+    assert parse_instruction_sequence("#" + "٠" * 20 + "٣") == Jump(3)
+
+
 def test_tau_is_not_parseable():
     # 'tau' is just an abstract action name, never the internal action
     term = parse_instruction_sequence("tau")
@@ -330,8 +352,8 @@ def test_grammar_totality(text):
 # decimal digits ('²', '½') or are ('٣'), '_', tabs, newlines and other
 # white space, a stray character, any one character at all, a jump past its
 # bound and nesting one level past MAX_NESTING; numerals past int's digit
-# limit are given as examples, since the character-by-character tokenizer
-# takes a millisecond over each
+# limit, and jump literals padded by zeros, are given as examples, since the
+# character-by-character tokenizer takes a millisecond over each
 _plain_text = st.text(alphabet="af_;*()#!+-.:/{}=, 019ic²½٣\t\n\u2003@", max_size=12)
 _fragments = st.sampled_from([
     "", "aux", "hide", "a²", "9" * 10, "(" * (MAX_NESTING + 1), "hide{f}(" * (MAX_NESTING + 1),
@@ -345,13 +367,14 @@ def _outcome(parser, text):
         return "parsed", parser(text)
     except ParseError as err:
         return "refused", err.message, err.position
-    except ValueError as err:  # int() of a numeral past its digit limit
-        return "failed", str(err)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_texts)
 @example("#" + "1" * 5000)
+@example("#" + "0" * 5000 + "1")
+@example("#" + "٠" * 12 + "٣")
+@example("#" + "0" * 9 + "10000000000")
 @example("a;f:" + "٣" * 5000 + ".1/1")
 @example("{f:" + "1" * 5000 + "=1}")
 def test_parsers_agree_with_the_token_tuple_parsers(text):
